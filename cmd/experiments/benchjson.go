@@ -22,6 +22,8 @@ var enumBenchSpecs = []struct{ name, spec string }{
 	{"Enumerate/fir8x4", "fir:8,4"},
 	{"Enumerate/matmul3", "matmul:3"},
 	{"Enumerate/butterfly4", "butterfly:4"},
+	{"Enumerate/fft8", "fft:8"},
+	{"Enumerate/random96", "random:seed=1,n=96,colors=3"},
 }
 
 // runBenchJSON measures the core benchmarks via testing.Benchmark and

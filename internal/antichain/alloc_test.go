@@ -15,12 +15,13 @@ import (
 // before it reaches the old cost (the pre-interning core spent ~22,800
 // allocs on the 3DFT census below, ~6 per antichain).
 //
-// Measured steady state (go1.24, linux/amd64):
+// Measured steady state (go1.24, linux/amd64), with the graph's level and
+// color masks cached beside its incomparability sets:
 //
-//	Enumerate 3DFT  (3,430 antichains, 55 classes)  ≈ 690 allocs
-//	Enumerate fig4  (8 antichains, 4 classes)       ≈ 60 allocs
-//	ForEach 3DFT    (streaming, no census)          ≈ 10 allocs
-//	CountTable 3DFT (5 sizes × 5 span limits)       ≈ 21 allocs
+//	Enumerate 3DFT  (3,430 antichains, 54 classes)  ≈ 672 allocs
+//	Enumerate fig4  (8 antichains, 4 classes)       ≈ 71 allocs
+//	ForEach 3DFT    (streaming, no census)          ≈ 6 allocs
+//	CountTable 3DFT (5 sizes × 5 span limits)       ≈ 12 allocs
 //	patternTable.child, warm transition             = 0 allocs
 const (
 	enumerate3DFTAllocBudget = 1400

@@ -5,20 +5,35 @@
 //
 // Enumeration is a depth-first search over cliques of the incomparability
 // graph, in ascending node order so every antichain is produced exactly
-// once. Two prunes keep it fast: candidate sets shrink by bitset
-// intersection, and the span bound is monotone (growing a set never shrinks
-// its span), so subtrees violating the limit are cut immediately.
+// once. Each depth's candidate set is one word-parallel intersection of the
+// parent's candidates, the new member's incomparability set, and two
+// per-graph level masks: ASAP ≤ minALAP+MaxSpan and ALAP ≥ maxASAP−MaxSpan
+// over the set so far. A node passes both masks exactly when adding it
+// keeps the span within the limit, and span only grows as a set grows, so
+// the walk never visits a set that violates it.
+//
+// The census does not visit the last level. Once the growing set has
+// MaxSize−1 members, its candidate set is every full-size antichain below
+// it. Per color, popcount(candidates ∩ color mask) is the antichain count of
+// that child pattern: it is added to the class count, the size histogram
+// and the frequency of every current member at once, and then each
+// candidate adds 1 to its own frequency. Full-size antichains are most of a
+// census (fft:8: 961,532 of 1,146,198), so most antichains are counted, not
+// visited. Streaming walks (ForEach, CountTable) and KeepSets censuses
+// still visit every antichain, over the same filtered candidate sets.
 //
 // The census hot path is allocation-free per antichain: the pattern of the
 // growing set is maintained incrementally as an interned integer id (see
 // patternTable), class statistics live in a dense slice indexed by that id,
-// and candidate sets are drawn from a preallocated bitset stack instead of
-// cloned per DFS extension. The exported Result — keyed classes, pattern
+// and candidate sets are drawn from a preallocated word stack. The level
+// and color masks are computed once per graph and cached beside its
+// incomparability sets. The exported Result — keyed classes, pattern
 // values, string keys — is materialised once, after the walk.
 package antichain
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"mpsched/internal/dfg"
@@ -159,6 +174,7 @@ type censusAccumulator struct {
 	keepSets bool
 }
 
+// newCensusAccumulator hooks a census onto the walk.
 func newCensusAccumulator(e *enumerator, cfg Config, n int) *censusAccumulator {
 	a := &censusAccumulator{
 		e:        e,
@@ -166,12 +182,12 @@ func newCensusAccumulator(e *enumerator, cfg Config, n int) *censusAccumulator {
 		n:        n,
 		keepSets: cfg.KeepSets,
 	}
-	e.visit = a.visit
+	e.census = a
 	return a
 }
 
-func (a *censusAccumulator) visit(_ int, pid int32) bool {
-	a.bySize[len(a.e.current)]++
+// class returns the class of pattern id pid, creating it on first use.
+func (a *censusAccumulator) class(pid int32) *Class {
 	for int(pid) >= len(a.classes) {
 		a.classes = append(a.classes, nil)
 	}
@@ -180,6 +196,13 @@ func (a *censusAccumulator) visit(_ int, pid int32) bool {
 		cl = &Class{ID: int(pid), NodeFreq: make([]int, a.n)}
 		a.classes[pid] = cl
 	}
+	return cl
+}
+
+// visit counts the current antichain, of pattern id pid.
+func (a *censusAccumulator) visit(pid int32) {
+	a.bySize[len(a.e.current)]++
+	cl := a.class(pid)
 	cl.Count++
 	for _, nd := range a.e.current {
 		cl.NodeFreq[nd]++
@@ -187,25 +210,57 @@ func (a *censusAccumulator) visit(_ int, pid int32) bool {
 	if a.keepSets {
 		cl.Sets = append(cl.Sets, append([]int(nil), a.e.current...))
 	}
-	return true
+}
+
+// countLeaves accounts the whole last level below the current antichain
+// (pattern pid): leaf holds, from word from on, every node completing it
+// to a full-size antichain. The leaves of one color share one child
+// pattern, so their popcount is that class's new antichains, each of which
+// contains every current member; each leaf itself is in exactly one.
+func (a *censusAccumulator) countLeaves(leaf []uint64, from int, pid int32) {
+	e := a.e
+	total := 0
+	for cid, m := range e.cc.Masks {
+		mask := m.Words()
+		k := 0
+		for i := from; i < len(leaf); i++ {
+			k += bits.OnesCount64(leaf[i] & mask[i])
+		}
+		if k == 0 {
+			continue
+		}
+		cl := a.class(e.table.child(pid, int32(cid)))
+		cl.Count += k
+		total += k
+		for _, nd := range e.current {
+			cl.NodeFreq[nd] += k
+		}
+		for i := from; i < len(leaf); i++ {
+			for w := leaf[i] & mask[i]; w != 0; w &= w - 1 {
+				cl.NodeFreq[i<<6|bits.TrailingZeros64(w)]++
+			}
+		}
+	}
+	a.bySize[len(e.current)+1] += total
 }
 
 // Enumerate finds every antichain of size 1..cfg.MaxSize and span ≤
 // cfg.MaxSpan and returns the per-size census plus per-pattern classes.
 func Enumerate(d *dfg.Graph, cfg Config) (*Result, error) {
-	e, err := newEnumerator(d, cfg, true)
+	an, err := analyse(d, cfg)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{BySize: make([]int, cfg.MaxSize+1), NodeCount: d.N()}
-	if e == nil {
+	if an == nil {
 		res.Classes = map[string]*Class{}
 		return res, nil
 	}
-	acc := newCensusAccumulator(e, cfg, d.N())
-	e.run()
+	e := an.newWalkState(cfg, true)
+	acc := newCensusAccumulator(e, cfg, an.n)
+	e.run(0, 1)
 	res.BySize = acc.bySize
-	res.finish(acc.classes, e.table, e.colors)
+	res.finish(acc.classes, e.table, an.cc.Colors)
 	return res, nil
 }
 
@@ -213,135 +268,184 @@ func Enumerate(d *dfg.Graph, cfg Config) (*Result, error) {
 // member, lexicographic) order. fn returning false stops the enumeration.
 // The slice passed to fn is reused; callers must copy to retain it.
 func ForEach(d *dfg.Graph, cfg Config, fn func(nodes []int) bool) error {
-	e, err := newEnumerator(d, cfg, false)
-	if err != nil {
+	an, err := analyse(d, cfg)
+	if err != nil || an == nil {
 		return err
 	}
-	if e == nil {
-		return nil
-	}
-	e.visit = func(int, int32) bool { return fn(e.current) }
-	e.run()
+	e := an.newWalkState(cfg, false)
+	e.visit = func(int) bool { return fn(e.current) }
+	e.run(0, 1)
 	return nil
 }
 
-// enumerator is the DFS state. The read-only analysis (incomparability
-// bitsets, levels) is shared — and cached on the graph — while the mutable
-// walk state (current set, candidate bitset stack, pattern table) is owned
-// by one enumeration.
-type enumerator struct {
-	inc     []*graph.BitSet
-	asap    []int
-	alap    []int
-	maxSize int
-	maxSpan int
-	// visit is called for every emitted antichain (members in e.current)
-	// with its actual span and interned pattern id. False stops the walk.
-	visit func(span int, pid int32) bool
-	// current is the growing antichain, reused across the whole walk.
-	current []int
-	// stack[d] holds the candidate set entering depth d (d ≥ 1), replacing
-	// a BitSet.Clone per extension with one preallocated set per depth.
-	stack []*graph.BitSet
-	// table/colorOf/colors maintain the interned pattern; table is nil for
-	// pattern-free walks (ForEach, CountTable).
-	table   *patternTable
-	colorOf []int32
-	colors  []dfg.Color
+// analysis is the read-only input of a walk: the graph's cached
+// incomparability sets, levels, level masks and color classes. Parallel
+// workers share one.
+type analysis struct {
+	n      int
+	inc    []*graph.BitSet
+	lv     *graph.Levels
+	levels *graph.LevelMasks
+	cc     *dfg.ColorClasses
 }
 
-// newWalkState assembles the mutable DFS state (current set, candidate
-// stack) over shared read-only analysis. Both the sequential enumerator
-// and each parallel worker build theirs here.
-func newWalkState(inc []*graph.BitSet, lv *graph.Levels, cfg Config, n int) *enumerator {
-	e := &enumerator{
-		inc:     inc,
-		asap:    lv.ASAP,
-		alap:    lv.ALAP,
-		maxSize: cfg.MaxSize,
-		maxSpan: cfg.MaxSpan,
-		current: make([]int, 0, cfg.MaxSize),
-		stack:   make([]*graph.BitSet, cfg.MaxSize),
-	}
-	for i := 1; i < cfg.MaxSize; i++ {
-		e.stack[i] = graph.NewBitSet(n)
-	}
-	return e
-}
-
-// newEnumerator validates the inputs and assembles the walk state. It
-// returns (nil, nil) for the empty graph — nothing to enumerate.
-func newEnumerator(d *dfg.Graph, cfg Config, needPatterns bool) (*enumerator, error) {
+// analyse validates the inputs and loads the graph's analysis. It returns
+// (nil, nil) for the empty graph — nothing to enumerate.
+func analyse(d *dfg.Graph, cfg Config) (*analysis, error) {
 	if cfg.MaxSize < 1 {
 		return nil, fmt.Errorf("antichain: MaxSize %d < 1", cfg.MaxSize)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	n := d.N()
-	if n == 0 {
+	if d.N() == 0 {
 		return nil, nil
 	}
-	e := newWalkState(d.Incomparability(), d.Levels(), cfg, n)
-	if needPatterns {
-		ci := newColorIndex(d)
-		e.colorOf = ci.ofNode
-		e.colors = ci.colors
-		e.table = newPatternTable(len(ci.colors))
-	}
-	return e, nil
+	return &analysis{
+		n:      d.N(),
+		inc:    d.Incomparability(),
+		lv:     d.Levels(),
+		levels: d.LevelMasks(),
+		cc:     d.ColorClasses(),
+	}, nil
 }
 
-// run walks every root in ascending order.
-func (e *enumerator) run() {
-	for v := 0; v < len(e.inc); v++ {
+// enumerator is the DFS state: the shared read-only analysis plus the
+// mutable walk state (current set, candidate stack, pattern table) owned
+// by one enumeration.
+type enumerator struct {
+	inc     []*graph.BitSet
+	asap    []int
+	alap    []int
+	levels  *graph.LevelMasks
+	maxSize int
+	maxSpan int
+	// census, when set, counts every antichain; without KeepSets it takes
+	// each last level as one candidate set instead of a visit per
+	// full-size antichain. Otherwise visit is called for every antichain
+	// (members in e.current) with its actual span; false stops the walk.
+	census *censusAccumulator
+	visit  func(span int) bool
+	// current is the growing antichain, reused across the whole walk.
+	current []int
+	// stack[d-1] holds the candidate words below an antichain of size d,
+	// one preallocated row per depth.
+	stack [][]uint64
+	// cc/table maintain the interned pattern; both are nil for
+	// pattern-free walks (ForEach, CountTable).
+	cc    *dfg.ColorClasses
+	table *patternTable
+}
+
+// newWalkState assembles the mutable DFS state (current set, candidate
+// stack, and a pattern table if needPatterns) over the shared analysis.
+// Both the sequential enumerator and each parallel worker build theirs
+// here.
+func (an *analysis) newWalkState(cfg Config, needPatterns bool) *enumerator {
+	words := (an.n + 63) / 64
+	rows := make([]uint64, (cfg.MaxSize-1)*words)
+	e := &enumerator{
+		inc:     an.inc,
+		asap:    an.lv.ASAP,
+		alap:    an.lv.ALAP,
+		levels:  an.levels,
+		maxSize: cfg.MaxSize,
+		maxSpan: cfg.MaxSpan,
+		current: make([]int, 0, cfg.MaxSize),
+		stack:   make([][]uint64, cfg.MaxSize-1),
+	}
+	for i := range e.stack {
+		e.stack[i] = rows[i*words : (i+1)*words : (i+1)*words]
+	}
+	if needPatterns {
+		e.cc = an.cc
+		e.table = newPatternTable(len(an.cc.Colors))
+	}
+	return e
+}
+
+// run walks the roots first, first+stride, first+2·stride, … in ascending
+// order: stride 1 is the whole enumeration, a parallel worker takes one
+// residue class.
+func (e *enumerator) run(first, stride int) {
+	for v := first; v < len(e.inc); v += stride {
 		if !e.extend(v, nil, e.asap[v], e.alap[v], 0) {
 			return
 		}
 	}
 }
 
-// extend adds v to the current antichain (cand is the candidate set valid
-// *before* adding v, nil at the root; pid the interned pattern id before
-// adding v), emits it, and recurses. Returns false to abort the whole
-// enumeration.
-func (e *enumerator) extend(v int, cand *graph.BitSet, maxASAP, minALAP int, pid int32) bool {
-	span := maxASAP - minALAP
-	if span < 0 {
-		span = 0
-	}
-	if e.maxSpan >= 0 && span > e.maxSpan {
-		// Span is monotone in set growth: every superset violates too.
-		return true
-	}
+// extend adds v to the current antichain, emits it, and grows it by every
+// candidate above v. cand is the candidate set valid before adding v (nil
+// at a root), maxASAP and minALAP are the levels of the set with v, and
+// pid is the interned pattern id before adding v. Returns false to abort
+// the whole enumeration.
+func (e *enumerator) extend(v int, cand []uint64, maxASAP, minALAP int, pid int32) bool {
 	if e.table != nil {
-		pid = e.table.child(pid, e.colorOf[v])
+		pid = e.table.child(pid, e.cc.Of[v])
 	}
 	e.current = append(e.current, v)
-	ok := e.visit(span, pid)
+	ok := true
+	if e.census != nil {
+		e.census.visit(pid)
+	} else {
+		ok = e.visit(max(maxASAP-minALAP, 0))
+	}
 	if ok && len(e.current) < e.maxSize {
-		next := e.stack[len(e.current)]
-		if cand == nil {
-			next.CopyFrom(e.inc[v])
-		} else {
-			next.IntersectOf(cand, e.inc[v])
+		if next, from := e.candidates(v, cand, maxASAP, minALAP); next != nil {
+			if e.census != nil && !e.census.keepSets && len(e.current) == e.maxSize-1 {
+				e.census.countLeaves(next, from, pid)
+			} else {
+				ok = e.descend(next, from, maxASAP, minALAP, pid)
+			}
 		}
-		// Enumerate in ascending order; only members > v keep canonicity,
-		// and the word-skipping scan never touches the prefix.
-		next.ForEachFrom(v+1, func(w int) bool {
-			ma, mi := maxASAP, minALAP
-			if e.asap[w] > ma {
-				ma = e.asap[w]
-			}
-			if e.alap[w] < mi {
-				mi = e.alap[w]
-			}
-			ok = e.extend(w, next, ma, mi, pid)
-			return ok
-		})
 	}
 	e.current = e.current[:len(e.current)-1]
 	return ok
+}
+
+// candidates writes into the current depth's stack row the nodes above v
+// that extend the current antichain within the span limit: cand ∩ inc(v)
+// ∩ the span window. Only words from (v+1)/64 on are written, and from is
+// that first word; every later reader of the row starts at or past it.
+// Returns a nil row when there is no candidate.
+func (e *enumerator) candidates(v int, cand []uint64, maxASAP, minALAP int) (next []uint64, from int) {
+	start := v + 1
+	if start >= len(e.inc) {
+		return nil, 0
+	}
+	asapMask, alapMask := e.levels.SpanWindow(maxASAP, minALAP, e.maxSpan)
+	inc, lo, hi := e.inc[v].Words(), asapMask.Words(), alapMask.Words()
+	if cand == nil {
+		cand = inc
+	}
+	next = e.stack[len(e.current)-1]
+	from = start >> 6
+	// The first word also drops the bits up to v.
+	live := cand[from] & inc[from] & lo[from] & hi[from] &^ (1<<uint(start&63) - 1)
+	next[from] = live
+	for i := from + 1; i < len(next); i++ {
+		next[i] = cand[i] & inc[i] & lo[i] & hi[i]
+		live |= next[i]
+	}
+	if live == 0 {
+		return nil, 0
+	}
+	return next, from
+}
+
+// descend extends the current antichain by each candidate in next, in
+// ascending order. Returns false to abort the whole enumeration.
+func (e *enumerator) descend(next []uint64, from, maxASAP, minALAP int, pid int32) bool {
+	for i := from; i < len(next); i++ {
+		for word := next[i]; word != 0; word &= word - 1 {
+			w := i<<6 | bits.TrailingZeros64(word)
+			if !e.extend(w, next, max(maxASAP, e.asap[w]), min(minALAP, e.alap[w]), pid) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // SpanLowerBound is Theorem 1: if the nodes of antichain A run in one clock
@@ -380,18 +484,20 @@ func CountTable(d *dfg.Graph, maxSize, maxSpan int) ([][]int, error) {
 	for s := range table {
 		table[s] = make([]int, maxSize+1)
 	}
-	e, err := newEnumerator(d, Config{MaxSize: maxSize, MaxSpan: maxSpan}, false)
+	cfg := Config{MaxSize: maxSize, MaxSpan: maxSpan}
+	an, err := analyse(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if e == nil {
+	if an == nil {
 		return table, nil
 	}
-	e.visit = func(span int, _ int32) bool {
+	e := an.newWalkState(cfg, false)
+	e.visit = func(span int) bool {
 		table[span][len(e.current)]++
 		return true
 	}
-	e.run()
+	e.run(0, 1)
 	for s := 1; s <= maxSpan; s++ {
 		for k := 1; k <= maxSize; k++ {
 			table[s][k] += table[s-1][k]

@@ -275,7 +275,11 @@ func bruteForceCount(g *dfg.Graph, cfg Config) []int {
 	return counts
 }
 
-func randomSmallDFG(rng *rand.Rand, n int) *dfg.Graph {
+func randomSmallDFG(rng *rand.Rand, n int) *dfg.Graph { return randomDFG(rng, n, 0.25) }
+
+// randomDFG draws a 3-color DAG on n nodes with each forward edge i→j
+// present with probability density.
+func randomDFG(rng *rand.Rand, n int, density float64) *dfg.Graph {
 	g := dfg.NewGraph("small")
 	colors := []dfg.Color{"a", "b", "c"}
 	for i := 0; i < n; i++ {
@@ -286,7 +290,7 @@ func randomSmallDFG(rng *rand.Rand, n int) *dfg.Graph {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if rng.Float64() < 0.25 {
+			if rng.Float64() < density {
 				g.MustAddDep(i, j)
 			}
 		}

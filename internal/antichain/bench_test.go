@@ -61,6 +61,25 @@ func BenchmarkEnumerateFIR8x4(b *testing.B)     { benchEnumerate(b, benchGraphs(
 func BenchmarkEnumerateMatMul3(b *testing.B)    { benchEnumerate(b, benchGraphs(b)["matmul3"]) }
 func BenchmarkEnumerateButterfly4(b *testing.B) { benchEnumerate(b, benchGraphs(b)["butterfly4"]) }
 
+// The two largest census shapes of the cold compile corpus: the radix-2
+// FFT kernel and the n=96, 3-color random tier. Most of their antichains
+// are full-size leaves, the level the walk counts instead of visiting.
+func BenchmarkEnumerateFFT8(b *testing.B) {
+	g, err := workloads.RadixTwoFFT(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEnumerate(b, g)
+}
+
+func BenchmarkEnumerateRandom96(b *testing.B) {
+	g, err := workloads.RandomTiered(workloads.TierConfig{Seed: 1, N: 96, Colors: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEnumerate(b, g)
+}
+
 // BenchmarkEnumerateParallel5DFT measures the worker-pool backend on the
 // largest catalog DFT.
 func BenchmarkEnumerateParallel5DFT(b *testing.B) {

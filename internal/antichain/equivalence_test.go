@@ -1,6 +1,7 @@
 package antichain
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,16 +67,9 @@ func (e *referenceEnumerator) extend(v int, cand *graph.BitSet, maxASAP, minALAP
 	return ok
 }
 
-// enumerateReference is the original Enumerate: per-antichain pattern.New
-// + Key() + map[string] classification. It returns a Result without ByID,
-// exactly the shape hand-built censuses have.
-func enumerateReference(t *testing.T, d *dfg.Graph, cfg Config) *Result {
-	t.Helper()
-	res := &Result{
-		BySize:    make([]int, cfg.MaxSize+1),
-		Classes:   map[string]*Class{},
-		NodeCount: d.N(),
-	}
+// referenceForEach streams every bounded antichain to fn in the reference
+// DFS's canonical order, as ForEach does.
+func referenceForEach(d *dfg.Graph, cfg Config, fn func([]int) bool) {
 	reach := d.Reach()
 	lv := d.Levels()
 	e := &referenceEnumerator{
@@ -85,34 +79,47 @@ func enumerateReference(t *testing.T, d *dfg.Graph, cfg Config) *Result {
 		maxSize: cfg.MaxSize,
 		maxSpan: cfg.MaxSpan,
 		current: make([]int, 0, cfg.MaxSize),
-		fn: func(nodes []int) bool {
-			res.BySize[len(nodes)]++
-			colors := make([]dfg.Color, len(nodes))
-			for i, n := range nodes {
-				colors[i] = d.ColorOf(n)
-			}
-			p := pattern.New(colors...)
-			key := p.Key()
-			cl := res.Classes[key]
-			if cl == nil {
-				cl = &Class{Pattern: p, NodeFreq: make([]int, d.N())}
-				res.Classes[key] = cl
-			}
-			cl.Count++
-			for _, n := range nodes {
-				cl.NodeFreq[n]++
-			}
-			if cfg.KeepSets {
-				cl.Sets = append(cl.Sets, append([]int(nil), nodes...))
-			}
-			return true
-		},
+		fn:      fn,
 	}
 	for v := 0; v < d.N(); v++ {
 		if !e.extend(v, nil, lv.ASAP[v], lv.ALAP[v]) {
 			break
 		}
 	}
+}
+
+// enumerateReference is the original Enumerate: per-antichain pattern.New
+// + Key() + map[string] classification. It returns a Result without ByID,
+// exactly the shape hand-built censuses have.
+func enumerateReference(t testing.TB, d *dfg.Graph, cfg Config) *Result {
+	t.Helper()
+	res := &Result{
+		BySize:    make([]int, cfg.MaxSize+1),
+		Classes:   map[string]*Class{},
+		NodeCount: d.N(),
+	}
+	referenceForEach(d, cfg, func(nodes []int) bool {
+		res.BySize[len(nodes)]++
+		colors := make([]dfg.Color, len(nodes))
+		for i, n := range nodes {
+			colors[i] = d.ColorOf(n)
+		}
+		p := pattern.New(colors...)
+		key := p.Key()
+		cl := res.Classes[key]
+		if cl == nil {
+			cl = &Class{Pattern: p, NodeFreq: make([]int, d.N())}
+			res.Classes[key] = cl
+		}
+		cl.Count++
+		for _, n := range nodes {
+			cl.NodeFreq[n]++
+		}
+		if cfg.KeepSets {
+			cl.Sets = append(cl.Sets, append([]int(nil), nodes...))
+		}
+		return true
+	})
 	return res
 }
 
@@ -227,7 +234,9 @@ func TestEnumerateKeepSetsEquivalent(t *testing.T) {
 }
 
 // TestEnumerateEquivalentOnRandomGraphs fuzzes the equivalence over random
-// DAGs and every span regime.
+// DAGs and every span regime: small dense graphs, then graphs sized around
+// the 64-bit word edges of the candidate sets (63, 64, 65, 128 and 129
+// nodes), where every walk is held to the reference.
 func TestEnumerateEquivalentOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	for trial := 0; trial < 15; trial++ {
@@ -242,6 +251,175 @@ func TestEnumerateEquivalentOnRandomGraphs(t *testing.T) {
 			requireEquivalentCensus(t, "random", ref, got)
 		}
 	}
+	for _, n := range []int{63, 64, 65, 128, 129} {
+		g := randomDFG(rng, n, 0.2)
+		for _, span := range []int{-1, 0, 1, 3} {
+			for _, size := range []int{1, 2, 5} {
+				if span < 0 {
+					size = min(size, 3) // unlimited span: C(n, 5) is out of reach
+				}
+				cfg := Config{MaxSize: size, MaxSpan: span}
+				requireWalksMatchReference(t, fmt.Sprintf("n=%d span=%d size=%d", n, span, size), g, cfg)
+			}
+		}
+	}
+}
+
+// requireWalksMatchReference holds every walk over g to the reference
+// enumerator: the census of Enumerate and of EnumerateParallel at 1 and 3
+// workers, KeepSets set order, ForEach order, and CountTable rows.
+func requireWalksMatchReference(t *testing.T, label string, g *dfg.Graph, cfg Config) {
+	t.Helper()
+	keep := cfg
+	keep.KeepSets = true
+	ref := enumerateReference(t, g, keep)
+	censuses := map[string]func() (*Result, error){
+		"Enumerate":            func() (*Result, error) { return Enumerate(g, cfg) },
+		"EnumerateParallel(1)": func() (*Result, error) { return EnumerateParallel(g, cfg, 1) },
+		"EnumerateParallel(3)": func() (*Result, error) { return EnumerateParallel(g, cfg, 3) },
+	}
+	for name, census := range censuses {
+		got, err := census()
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, name, err)
+		}
+		requireEquivalentCensus(t, label+" "+name, ref, got)
+	}
+	sets, err := Enumerate(g, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEquivalentCensus(t, label+" KeepSets", ref, sets)
+	for key, rc := range ref.Classes {
+		if !reflect.DeepEqual(sets.Classes[key].Sets, rc.Sets) {
+			t.Fatalf("%s: class %q sets differ", label, key)
+		}
+	}
+
+	var order [][]int
+	if err := ForEach(g, cfg, func(nodes []int) bool {
+		order = append(order, append([]int(nil), nodes...))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	lv := g.Levels()
+	var table [][]int
+	for range max(cfg.MaxSpan+1, 0) {
+		table = append(table, make([]int, cfg.MaxSize+1))
+	}
+	i := 0
+	referenceForEach(g, cfg, func(nodes []int) bool {
+		if i >= len(order) || !reflect.DeepEqual(order[i], nodes) {
+			t.Fatalf("%s: ForEach antichain #%d differs from reference %v", label, i, nodes)
+		}
+		i++
+		for s := lv.Span(nodes); s < len(table); s++ {
+			table[s][len(nodes)]++
+		}
+		return true
+	})
+	if i != len(order) {
+		t.Fatalf("%s: ForEach emitted %d antichains, reference %d", label, len(order), i)
+	}
+	if cfg.MaxSpan >= 0 {
+		got, err := CountTable(g, cfg.MaxSize, cfg.MaxSpan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, table) {
+			t.Fatalf("%s: CountTable %v, reference %v", label, got, table)
+		}
+	}
+}
+
+// fuzzCensusBudget caps the antichains a fuzz input may bring: the
+// reference clones a bitset per extension and keys a map per antichain,
+// about 1 µs each.
+const fuzzCensusBudget = 50_000
+
+// decodeCensusProblem turns fuzz bytes into a census problem: byte 0 picks
+// the node count (1–96), byte 1 the color count (1–4), byte 2 MaxSize
+// (1–5) and byte 3 MaxSpan (−1…3). The next n bytes color the nodes (color
+// 0 once they run out) and every later byte pair (u, v) adds the forward
+// edge min→max, so the graph is always a DAG.
+func decodeCensusProblem(data []byte) (*dfg.Graph, Config, bool) {
+	if len(data) < 4 {
+		return nil, Config{}, false
+	}
+	n, colors := 1+int(data[0])%96, 1+int(data[1])%4
+	cfg := Config{MaxSize: 1 + int(data[2])%5, MaxSpan: int(data[3])%5 - 1}
+	data = data[4:]
+	g := dfg.NewGraph("fuzz")
+	for i := 0; i < n; i++ {
+		c := 0
+		if i < len(data) {
+			c = int(data[i]) % colors
+		}
+		g.MustAddNode(dfg.Node{Name: fmt.Sprintf("n%d", i), Color: dfg.Color(string(rune('a' + c)))})
+	}
+	data = data[min(n, len(data)):]
+	for ; len(data) >= 2; data = data[2:] {
+		u, v := int(data[0])%n, int(data[1])%n
+		if u != v {
+			g.MustAddDep(min(u, v), max(u, v))
+		}
+	}
+	return g, cfg, true
+}
+
+// boundaryFuzzSeed encodes a 64-node census: eight 3-color chains of eight
+// nodes with a few cross edges, MaxSize 5 and span ≤ 1. Its last node is
+// bit 63, the end of the candidate sets' only word.
+func boundaryFuzzSeed() []byte {
+	const n = 64
+	data := []byte{n - 1, 2, 4, 2}
+	for i := 0; i < n; i++ {
+		data = append(data, byte(i%3))
+	}
+	for i := 0; i+8 < n; i++ {
+		data = append(data, byte(i), byte(i+8))
+		if i%5 == 0 && i+9 < n {
+			data = append(data, byte(i), byte(i+9))
+		}
+	}
+	return data
+}
+
+// FuzzEnumerateMatchesReference holds the census of arbitrary DAGs of up
+// to 96 nodes and 4 colors, at every size and span regime, to the
+// reference enumerator.
+func FuzzEnumerateMatchesReference(f *testing.F) {
+	f.Add(boundaryFuzzSeed())
+	f.Add([]byte{64, 1, 1, 1})                     // 65 isolated nodes, pairs, span 0
+	f.Add([]byte{4, 2, 2, 1, 0, 1, 2, 0, 1, 0, 2}) // five nodes, one edge
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, cfg, ok := decodeCensusProblem(data)
+		if !ok {
+			return
+		}
+		count := 0
+		if err := ForEach(g, cfg, func([]int) bool {
+			count++
+			return count <= fuzzCensusBudget
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if count > fuzzCensusBudget {
+			t.Skip("census too large for the reference")
+		}
+		got, err := Enumerate(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := enumerateReference(t, g, cfg)
+		requireEquivalentCensus(t, "Enumerate", ref, got)
+		par, err := EnumerateParallel(g, cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEquivalentCensus(t, "EnumerateParallel(3)", ref, par)
+	})
 }
 
 // TestCountTableSinglePassMatchesPerSpan pins the one-pass CountTable to

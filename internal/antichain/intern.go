@@ -5,30 +5,10 @@ import (
 	"mpsched/internal/pattern"
 )
 
-// colorIndex maps a graph's color set onto dense small integers so the
-// enumerator can track patterns as count vectors instead of string
-// multisets. Color ids are assigned in ascending color order, so a count
-// vector walked in id order yields the canonical (sorted) color sequence.
-type colorIndex struct {
-	colors []dfg.Color // sorted distinct colors; position = color id
-	ofNode []int32     // node id → color id
-}
-
-func newColorIndex(d *dfg.Graph) *colorIndex {
-	colors := d.Colors() // sorted
-	byColor := make(map[dfg.Color]int32, len(colors))
-	for i, c := range colors {
-		byColor[c] = int32(i)
-	}
-	n := d.N()
-	ofNode := make([]int32, n)
-	for id := 0; id < n; id++ {
-		ofNode[id] = byColor[d.ColorOf(id)]
-	}
-	return &colorIndex{colors: colors, ofNode: ofNode}
-}
-
 // patternTable interns color multisets (patterns) as dense integer ids.
+// Color ids are positions in the graph's sorted color set (see
+// dfg.ColorClasses), so a count vector walked in id order yields the
+// canonical (sorted) color sequence.
 // Id 0 is the empty pattern. Growing an antichain by one node maps its
 // pattern id through child() — an O(1) transition-table lookup once the
 // child pattern exists — so the enumeration hot path never materialises a
@@ -90,6 +70,12 @@ func (t *patternTable) child(id, cid int32) int32 {
 	if n := t.next[id][cid]; n >= 0 {
 		return n
 	}
+	return t.newChild(id, cid)
+}
+
+// newChild resolves an unseen (id, cid) transition, kept out of child so
+// the warm lookup inlines into the walk.
+func (t *patternTable) newChild(id, cid int32) int32 {
 	counts := make([]int32, t.numColors)
 	copy(counts, t.counts[id])
 	counts[cid]++

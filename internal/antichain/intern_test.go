@@ -9,18 +9,25 @@ import (
 	"mpsched/internal/workloads"
 )
 
+// The color ids the walk interns patterns with must follow ascending color
+// order, and each color mask must hold exactly that color's nodes.
 func TestColorIndexCanonicalOrder(t *testing.T) {
 	g := workloads.ThreeDFT()
-	ci := newColorIndex(g)
-	for i := 1; i < len(ci.colors); i++ {
-		if ci.colors[i-1] >= ci.colors[i] {
-			t.Fatalf("colors %v not strictly ascending", ci.colors)
+	cc := g.ColorClasses()
+	for i := 1; i < len(cc.Colors); i++ {
+		if cc.Colors[i-1] >= cc.Colors[i] {
+			t.Fatalf("colors %v not strictly ascending", cc.Colors)
 		}
 	}
 	for id := 0; id < g.N(); id++ {
-		if ci.colors[ci.ofNode[id]] != g.ColorOf(id) {
+		if cc.Colors[cc.Of[id]] != g.ColorOf(id) {
 			t.Fatalf("node %d: color id %d resolves to %q, want %q",
-				id, ci.ofNode[id], ci.colors[ci.ofNode[id]], g.ColorOf(id))
+				id, cc.Of[id], cc.Colors[cc.Of[id]], g.ColorOf(id))
+		}
+		for cid, m := range cc.Masks {
+			if m.Has(id) != (int32(cid) == cc.Of[id]) {
+				t.Fatalf("node %d: mask of color %q disagrees with its color %q", id, cc.Colors[cid], g.ColorOf(id))
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package antichain
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -18,37 +17,31 @@ type partialCensus struct {
 // EnumerateParallel is Enumerate with the enumeration tree's root branches
 // fanned out over a worker pool. Each root node owns the canonical
 // antichains whose smallest member it is; those subtrees are independent,
-// so workers share nothing but the (read-only) reachability structures and
-// the color index, intern patterns into private tables, and merge the
-// interned censuses at the end by re-interning each worker-local pattern
-// id into the combined table.
+// so workers share nothing but the (read-only) graph analysis — levels,
+// incomparability sets, level and color masks — run the same walk as
+// Enumerate over their roots, intern patterns into private tables, and
+// merge the interned censuses at the end by re-interning each worker-local
+// pattern id into the combined table.
 //
 // Counts and frequency vectors are identical to Enumerate's. When
 // cfg.KeepSets is set, per-class set *order* may differ from the
 // sequential enumeration (sets are grouped by owning worker); the sets
 // themselves are the same.
 func EnumerateParallel(d *dfg.Graph, cfg Config, workers int) (*Result, error) {
-	if cfg.MaxSize < 1 {
-		return nil, fmt.Errorf("antichain: MaxSize %d < 1", cfg.MaxSize)
-	}
-	if err := d.Validate(); err != nil {
+	an, err := analyse(d, cfg)
+	if err != nil {
 		return nil, err
+	}
+	if an == nil {
+		return &Result{BySize: make([]int, cfg.MaxSize+1), Classes: map[string]*Class{}}, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := d.N()
-	if n == 0 {
-		return &Result{BySize: make([]int, cfg.MaxSize+1), Classes: map[string]*Class{}}, nil
-	}
+	n := an.n
 	if workers > n {
 		workers = n
 	}
-
-	// Shared read-only state, computed (or cache-loaded) once up front.
-	lv := d.Levels()
-	inc := d.Incomparability()
-	ci := newColorIndex(d)
 
 	partials := make([]*partialCensus, workers)
 	var wg sync.WaitGroup
@@ -56,15 +49,10 @@ func EnumerateParallel(d *dfg.Graph, cfg Config, workers int) (*Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := newWalkState(inc, lv, cfg, n)
-			e.table = newPatternTable(len(ci.colors))
-			e.colorOf = ci.ofNode
-			e.colors = ci.colors
+			e := an.newWalkState(cfg, true)
 			acc := newCensusAccumulator(e, cfg, n)
 			// Static stride partition of the roots.
-			for v := w; v < n; v += workers {
-				e.extend(v, nil, lv.ASAP[v], lv.ALAP[v], 0)
-			}
+			e.run(w, workers)
 			partials[w] = &partialCensus{acc: acc, table: e.table}
 		}(w)
 	}
@@ -75,7 +63,7 @@ func EnumerateParallel(d *dfg.Graph, cfg Config, workers int) (*Result, error) {
 	// vector of each local id re-interns to the merged id. Workers are
 	// merged in index order, keeping the result deterministic.
 	merged := &Result{BySize: make([]int, cfg.MaxSize+1), NodeCount: n}
-	mt := newPatternTable(len(ci.colors))
+	mt := newPatternTable(len(an.cc.Colors))
 	var classes []*Class
 	for _, p := range partials {
 		for k, c := range p.acc.bySize {
@@ -102,6 +90,6 @@ func EnumerateParallel(d *dfg.Graph, cfg Config, workers int) (*Result, error) {
 			dst.Sets = append(dst.Sets, cl.Sets...)
 		}
 	}
-	merged.finish(classes, mt, ci.colors)
+	merged.finish(classes, mt, an.cc.Colors)
 	return merged, nil
 }

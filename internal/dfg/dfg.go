@@ -140,6 +140,8 @@ type Graph struct {
 	levels      *graph.Levels
 	reach       *graph.Reachability
 	inc         []*graph.BitSet
+	levelMasks  *graph.LevelMasks
+	colorCls    *ColorClasses
 	fingerprint string
 	validated   bool
 }
@@ -212,6 +214,8 @@ func (d *Graph) invalidate() {
 	d.levels = nil
 	d.reach = nil
 	d.inc = nil
+	d.levelMasks = nil
+	d.colorCls = nil
 	d.fingerprint = ""
 	d.validated = false
 	d.mu.Unlock()
@@ -267,6 +271,10 @@ func (d *Graph) Digraph() *graph.Digraph { return d.g }
 func (d *Graph) Levels() *graph.Levels {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.levelsLocked()
+}
+
+func (d *Graph) levelsLocked() *graph.Levels {
 	if d.levels == nil {
 		lv, err := graph.ComputeLevels(d.g)
 		if err != nil {
@@ -310,6 +318,52 @@ func (d *Graph) Incomparability() []*graph.BitSet {
 		d.inc = d.reachLocked().Incomparability()
 	}
 	return d.inc
+}
+
+// LevelMasks returns the cached per-level node sets over Levels() (see
+// graph.LevelMasks), computing them on first use. The antichain enumerator
+// intersects its candidate sets with them to keep only span-valid
+// extensions. Callers must treat the returned masks as read-only. Panics on
+// cyclic graphs; use Validate first on untrusted input.
+func (d *Graph) LevelMasks() *graph.LevelMasks {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.levelMasks == nil {
+		d.levelMasks = graph.NewLevelMasks(d.levelsLocked(), d.N())
+	}
+	return d.levelMasks
+}
+
+// ColorClasses partitions a graph's nodes by color.
+type ColorClasses struct {
+	// Colors is the color set L, sorted; a color's position is its id.
+	Colors []Color
+	// Of[n] is the id of node n's color.
+	Of []int32
+	// Masks[id] holds the nodes colored Colors[id].
+	Masks []*graph.BitSet
+}
+
+// ColorClasses returns the cached color partition, computing it on first
+// use. Callers must treat it as read-only.
+func (d *Graph) ColorClasses() *ColorClasses {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.colorCls == nil {
+		colors := d.Colors()
+		byColor := make(map[Color]int32, len(colors))
+		cc := &ColorClasses{Colors: colors, Of: make([]int32, d.N()), Masks: make([]*graph.BitSet, len(colors))}
+		for i, c := range colors {
+			byColor[c] = int32(i)
+			cc.Masks[i] = graph.NewBitSet(d.N())
+		}
+		for id, n := range d.nodes {
+			cc.Of[id] = byColor[n.Color]
+			cc.Masks[cc.Of[id]].Set(id)
+		}
+		d.colorCls = cc
+	}
+	return d.colorCls
 }
 
 // Colors returns the complete color set L of the graph, sorted.

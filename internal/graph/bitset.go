@@ -27,6 +27,12 @@ func NewBitSet(n int) *BitSet {
 // Len reports the capacity in bits (not the population count).
 func (b *BitSet) Len() int { return b.n }
 
+// Words exposes the backing words: element i is bit i&63 of word i>>6, and
+// bits at or above Len are always clear. It is a read-only view for word-
+// parallel kernels (the antichain walk) that combine several sets per
+// word; writing through it bypasses the set's bounds checks.
+func (b *BitSet) Words() []uint64 { return b.words }
+
 // Set adds i to the set.
 func (b *BitSet) Set(i int) {
 	b.check(i)
@@ -110,23 +116,6 @@ func (b *BitSet) Clone() *BitSet {
 	return c
 }
 
-// CopyFrom overwrites b with other's elements without allocating. The sets
-// must have equal capacity.
-func (b *BitSet) CopyFrom(other *BitSet) {
-	b.sameSize(other)
-	copy(b.words, other.words)
-}
-
-// IntersectOf sets b to x ∩ y in one pass, without allocating. All three
-// sets must have equal capacity; b may alias x or y.
-func (b *BitSet) IntersectOf(x, y *BitSet) {
-	b.sameSize(x)
-	b.sameSize(y)
-	for i := range b.words {
-		b.words[i] = x.words[i] & y.words[i]
-	}
-}
-
 // Reset removes all elements without reallocating.
 func (b *BitSet) Reset() {
 	for i := range b.words {
@@ -159,36 +148,6 @@ func (b *BitSet) ForEach(fn func(i int) bool) {
 			}
 			w &= w - 1
 		}
-	}
-}
-
-// ForEachFrom calls fn for every element ≥ start in ascending order,
-// skipping whole words below start. It stops early if fn returns false.
-// It is the word-skipping replacement for a ForEach that discards a
-// prefix by comparing every element against start.
-func (b *BitSet) ForEachFrom(start int, fn func(i int) bool) {
-	if start < 0 {
-		start = 0
-	}
-	if start >= b.n {
-		return
-	}
-	wi := start >> 6
-	// Mask off the bits below start in the first word.
-	w := b.words[wi] &^ ((1 << uint(start&63)) - 1)
-	for {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			if !fn(wi*64 + bit) {
-				return
-			}
-			w &= w - 1
-		}
-		wi++
-		if wi >= len(b.words) {
-			return
-		}
-		w = b.words[wi]
 	}
 }
 

@@ -180,84 +180,3 @@ func TestBitSetQuickInclusionExclusion(t *testing.T) {
 		}
 	}
 }
-
-// ForEachFrom must agree with ForEach filtered by i ≥ start, for every
-// start — including word boundaries and out-of-range values.
-func TestBitSetForEachFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	b := NewBitSet(200)
-	for i := 0; i < 200; i++ {
-		if rng.Intn(3) == 0 {
-			b.Set(i)
-		}
-	}
-	for _, start := range []int{-5, 0, 1, 63, 64, 65, 127, 128, 190, 199, 200, 500} {
-		var want []int
-		b.ForEach(func(i int) bool {
-			if i >= start {
-				want = append(want, i)
-			}
-			return true
-		})
-		var got []int
-		b.ForEachFrom(start, func(i int) bool {
-			got = append(got, i)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("start=%d: got %v, want %v", start, got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("start=%d: got %v, want %v", start, got, want)
-			}
-		}
-	}
-}
-
-func TestBitSetForEachFromEarlyStop(t *testing.T) {
-	b := NewBitSet(128)
-	for _, i := range []int{3, 70, 71, 100} {
-		b.Set(i)
-	}
-	var got []int
-	b.ForEachFrom(64, func(i int) bool {
-		got = append(got, i)
-		return len(got) < 2
-	})
-	if len(got) != 2 || got[0] != 70 || got[1] != 71 {
-		t.Fatalf("early stop visited %v, want [70 71]", got)
-	}
-}
-
-func TestBitSetCopyFromIntersectOf(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	a := NewBitSet(130)
-	b := NewBitSet(130)
-	for i := 0; i < 130; i++ {
-		if rng.Intn(2) == 0 {
-			a.Set(i)
-		}
-		if rng.Intn(2) == 0 {
-			b.Set(i)
-		}
-	}
-	c := NewBitSet(130)
-	c.Set(5) // stale content must be overwritten
-	c.CopyFrom(a)
-	if !c.Equal(a) {
-		t.Fatal("CopyFrom did not replicate the source")
-	}
-	want := a.Clone()
-	want.And(b)
-	c.IntersectOf(a, b)
-	if !c.Equal(want) {
-		t.Fatalf("IntersectOf = %v, want %v", c, want)
-	}
-	// Aliasing the destination with an operand must still be correct.
-	d := a.Clone()
-	d.IntersectOf(d, b)
-	if !d.Equal(want) {
-		t.Fatalf("aliased IntersectOf = %v, want %v", d, want)
-	}
-}
