@@ -28,9 +28,9 @@ var enumBenchSpecs = []struct{ name, spec string }{
 
 // runBenchJSON measures the core benchmarks via testing.Benchmark and
 // writes the JSON report (the benchfmt schema) to path, echoing a summary
-// line per benchmark. Smoke mode runs only the 3DFT subset — enough for CI
-// to prove the generation path still works, without paying for real
-// measurement.
+// line per benchmark. Smoke mode runs only the 3DFT subset and the ingest
+// kernels — enough for CI to prove the generation path still works and to
+// gate the cheap kernels, without paying for real measurement.
 func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 	report := benchfmt.NewReport()
 
@@ -90,6 +90,15 @@ func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 		}
 		report.Results = append(report.Results, toResult("EnumerateParallel/5dft", r, census5))
 	}
+
+	// Graph ingest on the warm serving path: fingerprint and binary decode,
+	// means per graph over the hot set (run in smoke mode too — both are
+	// microseconds).
+	ingest, err := ingestResults()
+	if err != nil {
+		return fail(err)
+	}
+	report.Results = append(report.Results, ingest...)
 
 	// CountTable: the paper's Table 5 span sweep, now single-pass.
 	g3, err := cliutil.Generate("3dft")
@@ -221,6 +230,47 @@ func throughputResult(name string, r testing.BenchmarkResult, batch int) benchfm
 		out.JobsPerSec = float64(r.N*batch) / r.T.Seconds()
 	}
 	return out
+}
+
+// ingestResults measures Ingest/fingerprint and Ingest/unmarshal-binary:
+// the mean cost per graph of hashing and of decoding (with validation) the
+// 32-graph hot set, iteration i taking graph i mod 32, as internal/dfg's
+// BenchmarkFingerprint and BenchmarkUnmarshalBinary do.
+func ingestResults() ([]benchfmt.Result, error) {
+	var hot []*dfg.Graph
+	var frames [][]byte
+	for _, spec := range cliutil.HotSetSpecs(1) {
+		g, err := cliutil.Generate(spec)
+		if err != nil {
+			return nil, err
+		}
+		hot = append(hot, g)
+		frames = append(frames, g.AppendBinary(nil))
+	}
+	fp, err := measure(func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			g := hot[i%len(hot)]
+			g.SetOutput(0, g.Node(0).Output) // drops the cached hash, content unchanged
+			g.Fingerprint()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	dec, err := measure(func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			var g dfg.Graph
+			if err := g.UnmarshalBinary(frames[i%len(frames)]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []benchfmt.Result{toResult("Ingest/fingerprint", fp, 0), toResult("Ingest/unmarshal-binary", dec, 0)}, nil
 }
 
 // benchFleet is the 16-job mixed batch the top-level pipeline benchmarks

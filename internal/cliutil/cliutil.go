@@ -62,6 +62,22 @@ func Catalog() []Workload {
 	}
 }
 
+// HotSetSpecs lists the 32 graph specs of a warm-serving hot set — the
+// shapes the repository benchmark's warm workloads send (bench/inputs.go):
+// six kernels plus one seeded random graph per rung of a fixed size ladder
+// (n = 24..63), so the bytes per graph do not depend on the seed. The
+// ingest microbenchmarks measure over the seed-1 set.
+func HotSetSpecs(seed int64) []string {
+	const randoms = 26
+	rng := rand.New(rand.NewSource(seed))
+	specs := []string{"3dft", "ndft:4", "fir:12,2", "butterfly:3", "wide:stages=4,lanes=8", "chain:depth=48,width=2"}
+	for i := 0; i < randoms; i++ {
+		n := 24 + i*(63-24)/(randoms-1)
+		specs = append(specs, fmt.Sprintf("random:seed=%d,n=%d", rng.Int63(), n))
+	}
+	return specs
+}
+
 // LoadGraph resolves a graph from either a generator spec or a file path
 // (exactly one must be non-empty; an empty pair defaults to the 3DFT).
 //

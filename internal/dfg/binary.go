@@ -26,8 +26,9 @@ import (
 //	arg     kind byte: 0 node (uvarint id), 1 input (string),
 //	        2 const (8-byte float)
 //
-// Decoding is as strict as the JSON path: the decoded graph goes through
-// the same construction and Validate calls, so duplicate names
+// Decoding is as strict as the JSON path: both decoders build through the
+// same one-pass assembler (assemble.go), which makes AddNode's and
+// AddDep's checks in order, then Validate, so duplicate names
 // (ErrDuplicateName), out-of-range references (ErrIndexRange) and cycles
 // (ErrCyclic) are rejected with the same typed errors and never panic —
 // the format is safe to accept from untrusted network clients. Every
@@ -44,6 +45,11 @@ import (
 const (
 	binaryGraphMagic   = "MPG"
 	binaryGraphVersion = 1
+
+	// The smallest encodings: a node is five one-byte fields (name
+	// length, color, op, output length, operand count), an edge two.
+	minNodeBytes = 5
+	minEdgeBytes = 2
 )
 
 // ErrBinaryFormat reports a malformed binary graph frame (bad magic,
@@ -100,11 +106,13 @@ func (d *Graph) AppendBinary(buf []byte) []byte {
 		}
 	}
 
-	edges := d.g.Edges()
-	buf = binary.AppendUvarint(buf, uint64(len(edges)))
-	for _, e := range edges {
-		buf = binary.AppendUvarint(buf, uint64(e[0]))
-		buf = binary.AppendUvarint(buf, uint64(e[1]))
+	// Edges in from-major adjacency order, the order Digraph.Edges lists.
+	buf = binary.AppendUvarint(buf, uint64(d.g.M()))
+	for u := range d.nodes {
+		for _, v := range d.g.Succs(u) {
+			buf = binary.AppendUvarint(buf, uint64(u))
+			buf = binary.AppendUvarint(buf, uint64(v))
+		}
 	}
 	return buf
 }
@@ -118,7 +126,7 @@ func (d *Graph) MarshalBinary() ([]byte, error) {
 // framing produced by AppendBinary. On success the receiver is replaced
 // wholesale (like UnmarshalJSON); on any error it is left untouched.
 func (d *Graph) UnmarshalBinary(data []byte) error {
-	r := binReader{buf: data}
+	r := newBinReader(data)
 	if string(r.take(len(binaryGraphMagic))) != binaryGraphMagic {
 		return fmt.Errorf("%w: bad magic", ErrBinaryFormat)
 	}
@@ -136,8 +144,12 @@ func (d *Graph) UnmarshalBinary(data []byte) error {
 		colors = append(colors, Color(r.string()))
 	}
 
+	// The assembler is sized from the counts, but only for as many
+	// elements as the rest of the frame can hold at their smallest
+	// encoding, so a hostile count costs at most a small multiple of the
+	// frame's size in allocation, not of the count.
 	nnodes := r.count()
-	fresh := NewGraph(name)
+	asm := newAssembler(name, min(nnodes, r.remaining()/minNodeBytes))
 	for i := 0; i < nnodes && r.err == nil; i++ {
 		n := Node{Name: r.string()}
 		ci := r.uvarint()
@@ -184,21 +196,19 @@ func (d *Graph) UnmarshalBinary(data []byte) error {
 		if r.err != nil {
 			return r.err
 		}
-		if _, err := fresh.AddNode(n); err != nil {
+		if err := asm.node(&n); err != nil {
 			return err
 		}
 	}
 
 	nedges := r.count()
+	asm.expectEdges(min(nedges, r.remaining()/minEdgeBytes))
 	for i := 0; i < nedges && r.err == nil; i++ {
 		from, to := int(r.uvarint()), int(r.uvarint())
 		if r.err != nil {
 			break
 		}
-		if from < 0 || from >= fresh.N() || to < 0 || to >= fresh.N() {
-			return fmt.Errorf("dfg: edge [%d %d]: %w (graph has %d nodes)", from, to, ErrIndexRange, fresh.N())
-		}
-		if err := fresh.AddDep(from, to); err != nil {
+		if err := asm.edge(from, to); err != nil {
 			return err
 		}
 	}
@@ -208,7 +218,8 @@ func (d *Graph) UnmarshalBinary(data []byte) error {
 	if r.off != len(r.buf) {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBinaryFormat, len(r.buf)-r.off)
 	}
-	if err := fresh.Validate(); err != nil {
+	fresh, err := asm.graph()
+	if err != nil {
 		return err
 	}
 	d.replaceWith(fresh)
@@ -223,11 +234,18 @@ func appendString(buf []byte, s string) []byte {
 // binReader is a cursor over a byte slice with sticky error handling, so
 // decode code reads fields linearly and checks r.err at block boundaries.
 // After the first failure every read returns a zero value.
+//
+// Decoded strings are substrings of one copy of the whole frame, made up
+// front: a graph's names, colors and labels then cost one allocation
+// together rather than one each.
 type binReader struct {
 	buf []byte
+	str string // buf as a string
 	off int
 	err error
 }
+
+func newBinReader(data []byte) binReader { return binReader{buf: data, str: string(data)} }
 
 func (r *binReader) fail() {
 	if r.err == nil {
@@ -266,6 +284,8 @@ func (r *binReader) uvarint() uint64 {
 	return v
 }
 
+func (r *binReader) remaining() int { return len(r.buf) - r.off }
+
 // count reads a uvarint that sizes an upcoming allocation, bounding it by
 // the remaining input: every counted element occupies at least one byte,
 // so a count larger than what is left is hostile framing, rejected before
@@ -295,10 +315,14 @@ func (r *binReader) string() string {
 	if r.err != nil || n == 0 {
 		return ""
 	}
-	b := r.take(n)
-	if r.err == nil && !utf8.Valid(b) {
+	start := r.off
+	if r.take(n) == nil {
+		return ""
+	}
+	s := r.str[start:r.off]
+	if !utf8.ValidString(s) {
 		r.err = fmt.Errorf("%w: invalid UTF-8 in string at byte %d", ErrBinaryFormat, r.off)
 		return ""
 	}
-	return string(b)
+	return s
 }

@@ -1,8 +1,10 @@
 package dfg
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -144,5 +146,46 @@ func TestBinaryTypedStructuralErrors(t *testing.T) {
 				t.Fatalf("got %v, want errors.Is(err, %v)", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestBinaryHostileCountsBoundAllocation: the decoder sizes its node and
+// edge storage from the frame's counts, but a count the payload cannot
+// back — each node takes at least minNodeBytes, each edge minEdgeBytes —
+// must not make it allocate in proportion to the count. A frame of 1 MiB
+// claiming a node (or edge) per byte is rejected having allocated a small
+// multiple of its own size: about 24× for nodes (80-byte nodes and a map
+// slot per 5 bytes) and 9× for edges, against 134× and 17× if sized by
+// the count alone.
+func TestBinaryHostileCountsBoundAllocation(t *testing.T) {
+	const size = 1 << 20
+	frame := func(prefix string) []byte {
+		b := binary.AppendUvarint([]byte(prefix), size)
+		return append(b, make([]byte, size)...)
+	}
+	cases := []struct {
+		name  string
+		data  []byte
+		bound uint64 // allowed allocation, in frame sizes
+	}{
+		// One empty-named node per byte.
+		{"nodes", frame("MPG\x01\x00\x00"), 32},
+		// A valid single node, then one edge per byte.
+		{"edges", frame("MPG\x01\x00\x01\x01a\x01\x02n0\x00\x00\x00\x00"), 12},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		var g Graph
+		err := g.UnmarshalBinary(tc.data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: hostile frame decoded", tc.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > tc.bound*uint64(len(tc.data)) {
+			t.Errorf("%s: rejecting a %d-byte frame allocated %d bytes (%.1f× the frame, bound %d×)",
+				tc.name, len(tc.data), alloc, float64(alloc)/float64(len(tc.data)), tc.bound)
+		}
 	}
 }

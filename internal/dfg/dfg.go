@@ -10,7 +10,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"mpsched/internal/graph"
@@ -160,20 +162,28 @@ func (d *Graph) M() int { return d.g.M() }
 // AddNode appends a node and returns its id. Names must be unique and
 // non-empty; colors must be non-empty.
 func (d *Graph) AddNode(n Node) (int, error) {
-	if n.Name == "" {
-		return 0, fmt.Errorf("dfg: node with empty name")
-	}
-	if n.Color == "" {
-		return 0, fmt.Errorf("dfg: node %q with empty color", n.Name)
-	}
-	if _, dup := d.byName[n.Name]; dup {
-		return 0, fmt.Errorf("dfg: %w: %q", ErrDuplicateName, n.Name)
+	if err := d.checkNewNode(&n); err != nil {
+		return 0, err
 	}
 	id := d.g.AddNode()
 	d.nodes = append(d.nodes, n)
 	d.byName[n.Name] = id
 	d.invalidate()
 	return id, nil
+}
+
+// checkNewNode holds AddNode's checks, shared with the decoders' assembler.
+func (d *Graph) checkNewNode(n *Node) error {
+	if n.Name == "" {
+		return fmt.Errorf("dfg: node with empty name")
+	}
+	if n.Color == "" {
+		return fmt.Errorf("dfg: node %q with empty color", n.Name)
+	}
+	if _, dup := d.byName[n.Name]; dup {
+		return fmt.Errorf("dfg: %w: %q", ErrDuplicateName, n.Name)
+	}
+	return nil
 }
 
 // MustAddNode is AddNode for statically-valid construction code.
@@ -211,6 +221,12 @@ func (d *Graph) MustAddDep(from, to int) {
 
 func (d *Graph) invalidate() {
 	d.mu.Lock()
+	d.resetCaches()
+	d.mu.Unlock()
+}
+
+// resetCaches clears every lazy cache. d.mu must be held.
+func (d *Graph) resetCaches() {
 	d.levels = nil
 	d.reach = nil
 	d.inc = nil
@@ -218,7 +234,6 @@ func (d *Graph) invalidate() {
 	d.colorCls = nil
 	d.fingerprint = ""
 	d.validated = false
-	d.mu.Unlock()
 }
 
 // Node returns the node with the given id.
@@ -423,14 +438,16 @@ func (d *Graph) Clone() *Graph {
 	return c
 }
 
-// replaceWith moves another graph's content into d (used by UnmarshalJSON;
-// field-wise so d's mutex is not copied), resetting the lazy caches.
+// replaceWith moves a freshly decoded graph into d (used by the decoders;
+// field-wise so d's mutex is not copied), resetting d's lazy caches. The
+// decoder's passing validation carries over, so the compiler does not
+// repeat it.
 func (d *Graph) replaceWith(src *Graph) {
-	d.Name = src.Name
-	d.nodes = src.nodes
-	d.g = src.g
-	d.byName = src.byName
-	d.invalidate()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.Name, d.nodes, d.g, d.byName = src.Name, src.nodes, src.g, src.byName
+	d.resetCaches()
+	d.validated = src.validated
 }
 
 // Fingerprint returns a content hash of the graph: nodes (name, color,
@@ -440,33 +457,98 @@ func (d *Graph) replaceWith(src *Graph) {
 // selection, schedule, allocation — is interchangeable between them. The
 // graph-level Name is deliberately excluded: it never influences results.
 //
+// The hash is the hex SHA-256 of this byte stream, in Go fmt notation:
+//
+//	"v1 n=%d m=%d\n"                  node and edge counts
+//	"node %q %q %d %q"                 per node: name, color, op, output
+//	" %d:%d:%q:%g"                     per operand: kind, node, input, const
+//	"\n"                               ending each node's line
+//	"edge %d %d\n"                     per edge, sorted by (from, to)
+//
+// The stream is a compatibility contract, not an implementation detail:
+// result-cache keys, disk stores, fleet ring placement and clients'
+// base_fingerprint all carry fingerprints across processes and releases.
+// A change to any byte of it must also change the "v1" tag, so old and new
+// hashes can never collide.
+//
 // The hash is cached and invalidated on mutation, like Levels and Reach.
 func (d *Graph) Fingerprint() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.fingerprint == "" {
-		h := sha256.New()
-		fmt.Fprintf(h, "v1 n=%d m=%d\n", d.N(), d.M())
-		for _, n := range d.nodes {
-			fmt.Fprintf(h, "node %q %q %d %q", n.Name, n.Color, n.Op, n.Output)
-			for _, a := range n.Args {
-				fmt.Fprintf(h, " %d:%d:%q:%g", a.Kind, a.Node, a.Input, a.Const)
-			}
-			fmt.Fprintln(h)
-		}
-		edges := d.g.Edges()
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i][0] != edges[j][0] {
-				return edges[i][0] < edges[j][0]
-			}
-			return edges[i][1] < edges[j][1]
-		})
-		for _, e := range edges {
-			fmt.Fprintf(h, "edge %d %d\n", e[0], e[1])
-		}
-		d.fingerprint = hex.EncodeToString(h.Sum(nil))
+		sum := sha256.Sum256(d.appendFingerprintInput(make([]byte, 0, d.fingerprintInputSize())))
+		var hx [2 * sha256.Size]byte
+		hex.Encode(hx[:], sum[:])
+		d.fingerprint = string(hx[:])
 	}
 	return d.fingerprint
+}
+
+// appendFingerprintInput appends the byte stream Fingerprint hashes. The
+// strconv calls print exactly what the documented fmt verbs print: %q is
+// strconv.Quote, %d a base-10 integer and %g the shortest 'g' form.
+func (d *Graph) appendFingerprintInput(b []byte) []byte {
+	b = append(b, "v1 n="...)
+	b = strconv.AppendInt(b, int64(len(d.nodes)), 10)
+	b = append(b, " m="...)
+	b = strconv.AppendInt(b, int64(d.g.M()), 10)
+	b = append(b, '\n')
+	for i := range d.nodes {
+		n := &d.nodes[i]
+		b = append(b, "node "...)
+		b = strconv.AppendQuote(b, n.Name)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, string(n.Color))
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(n.Op), 10)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, n.Output)
+		for _, a := range n.Args {
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(a.Kind), 10)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(a.Node), 10)
+			b = append(b, ':')
+			b = strconv.AppendQuote(b, a.Input)
+			b = append(b, ':')
+			b = strconv.AppendFloat(b, a.Const, 'g', -1, 64)
+		}
+		b = append(b, '\n')
+	}
+	// Edges in (from, to) order: node by node, each successor list sorted
+	// (a copy — Succs order is part of the graph and must not change).
+	var sorted []int
+	for u := range d.nodes {
+		succs := d.g.Succs(u)
+		if !slices.IsSorted(succs) {
+			sorted = append(sorted[:0], succs...)
+			slices.Sort(sorted)
+			succs = sorted
+		}
+		for _, v := range succs {
+			b = append(b, "edge "...)
+			b = strconv.AppendInt(b, int64(u), 10)
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(v), 10)
+			b = append(b, '\n')
+		}
+	}
+	return b
+}
+
+// fingerprintInputSize estimates the length of the fingerprint byte
+// stream, so that it is built in one allocation: enough unless quoting
+// escapes characters or a constant prints long.
+func (d *Graph) fingerprintInputSize() int {
+	size := 32 + 24*d.g.M()
+	for i := range d.nodes {
+		n := &d.nodes[i]
+		size += 32 + len(n.Name) + len(n.Color) + len(n.Output)
+		for _, a := range n.Args {
+			size += 48 + len(a.Input)
+		}
+	}
+	return size
 }
 
 // Validate checks structural well-formedness: acyclicity, operand/edge
@@ -496,7 +578,8 @@ func (d *Graph) validate() error {
 	if _, err := graph.TopoSort(d.g); err != nil {
 		return fmt.Errorf("dfg %q: %w: %v", d.Name, ErrCyclic, err)
 	}
-	for id, n := range d.nodes {
+	for id := range d.nodes {
+		n := &d.nodes[id]
 		// Operand index range is checked for every node — including
 		// structural ones without semantics — because out-of-range ids
 		// in untrusted input would otherwise surface as panics far from

@@ -1,6 +1,7 @@
 package dfg
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -8,8 +9,11 @@ import (
 
 // FuzzUnmarshalGraph feeds arbitrary bytes through the JSON decoder — the
 // path network clients reach via the mpschedd compile service. The decoder
-// must never panic; whatever it accepts must validate cleanly and survive a
-// marshal/unmarshal round trip with the fingerprint intact.
+// must never panic and must agree with the per-element reference decoder
+// (reference_test.go): the same accept/reject decision and error text,
+// and for accepted input the same nodes, Succs/Preds order and reference
+// fingerprint. Whatever it accepts must also validate cleanly and survive
+// a marshal/unmarshal round trip with the fingerprint intact.
 func FuzzUnmarshalGraph(f *testing.F) {
 	// Well-formed seeds.
 	f.Add([]byte(`{"name":"g","nodes":[{"name":"n0","color":"a"},{"name":"n1","color":"b"}],"edges":[[0,1]]}`))
@@ -30,6 +34,11 @@ func FuzzUnmarshalGraph(f *testing.F) {
 	f.Add([]byte(`{`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var direct Graph
+		err := direct.UnmarshalJSON(data)
+		ref, refErr := referenceUnmarshalJSON(data)
+		requireMatchesReference(t, &direct, err, ref, refErr)
+
 		var g Graph
 		if err := json.Unmarshal(data, &g); err != nil {
 			return // rejected — the only other acceptable outcome is below
@@ -57,10 +66,12 @@ func FuzzUnmarshalGraph(f *testing.F) {
 
 // FuzzBinaryGraph feeds arbitrary bytes through the binary graph decoder —
 // the frame network clients reach via the mpschedd binary wire codec
-// (internal/wire). The decoder must never panic; whatever it accepts must
-// validate cleanly, survive a binary re-encode with the fingerprint
-// intact, and stay equivalent to the JSON codec: the same graph pushed
-// through JSON must carry the same fingerprint back.
+// (internal/wire). The decoder must never panic and must agree with the
+// per-element reference decoder, as in FuzzUnmarshalGraph. Whatever it
+// accepts must validate cleanly, re-encode to a frame that decodes back
+// to the same bytes and fingerprint, and stay equivalent to the JSON
+// codec: the same graph pushed through JSON must carry the same
+// fingerprint back.
 func FuzzBinaryGraph(f *testing.F) {
 	// Well-formed seeds: every operand kind, interned colors, edges.
 	wellFormed := []string{
@@ -89,16 +100,24 @@ func FuzzBinaryGraph(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var g Graph
-		if err := g.UnmarshalBinary(data); err != nil {
+		err := g.UnmarshalBinary(data)
+		ref, refErr := referenceUnmarshalBinary(data)
+		requireMatchesReference(t, &g, err, ref, refErr)
+		if err != nil {
 			return // rejected — the only other acceptable outcome is below
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("binary decoder accepted a graph that fails Validate: %v", err)
 		}
-		// Accepted graphs must round-trip through the binary codec.
+		// Accepted graphs must round-trip through the binary codec. A
+		// canonical frame (each edge once) re-encodes to itself.
+		again := g.AppendBinary(nil)
 		var g2 Graph
-		if err := g2.UnmarshalBinary(g.AppendBinary(nil)); err != nil {
+		if err := g2.UnmarshalBinary(again); err != nil {
 			t.Fatalf("binary round-trip decode failed: %v", err)
+		}
+		if !bytes.Equal(g2.AppendBinary(nil), again) {
+			t.Fatal("binary re-encode is not stable")
 		}
 		if g.Fingerprint() != g2.Fingerprint() {
 			t.Fatal("fingerprint changed across binary round trip")

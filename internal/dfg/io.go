@@ -91,13 +91,14 @@ func (d *Graph) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(jg, "", "  ")
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. On success the receiver is
+// replaced wholesale; on any error it is left untouched.
 func (d *Graph) UnmarshalJSON(data []byte) error {
 	var jg jsonGraph
 	if err := json.Unmarshal(data, &jg); err != nil {
 		return fmt.Errorf("dfg: %w", err)
 	}
-	fresh := NewGraph(jg.Name)
+	asm := newAssembler(jg.Name, len(jg.Nodes))
 	for _, jn := range jg.Nodes {
 		n := Node{Name: jn.Name, Color: Color(jn.Color), Output: jn.Output}
 		if jn.Op != "" {
@@ -106,6 +107,9 @@ func (d *Graph) UnmarshalJSON(data []byte) error {
 				return err
 			}
 			n.Op = op
+		}
+		if len(jn.Args) > 0 {
+			n.Args = make([]Operand, 0, len(jn.Args))
 		}
 		for _, ja := range jn.Args {
 			switch {
@@ -119,19 +123,18 @@ func (d *Graph) UnmarshalJSON(data []byte) error {
 				return fmt.Errorf("dfg: node %s: empty operand", jn.Name)
 			}
 		}
-		if _, err := fresh.AddNode(n); err != nil {
+		if err := asm.node(&n); err != nil {
 			return err
 		}
 	}
+	asm.expectEdges(len(jg.Edges))
 	for _, e := range jg.Edges {
-		if e[0] < 0 || e[0] >= fresh.N() || e[1] < 0 || e[1] >= fresh.N() {
-			return fmt.Errorf("dfg: edge %v: %w (graph has %d nodes)", e, ErrIndexRange, fresh.N())
-		}
-		if err := fresh.AddDep(e[0], e[1]); err != nil {
+		if err := asm.edge(e[0], e[1]); err != nil {
 			return err
 		}
 	}
-	if err := fresh.Validate(); err != nil {
+	fresh, err := asm.graph()
+	if err != nil {
 		return err
 	}
 	d.replaceWith(fresh)

@@ -32,6 +32,46 @@ func (g *Digraph) AddNode() int {
 	return len(g.succs) - 1
 }
 
+// FromEdges returns a digraph on n nodes holding edges, exactly as New(n)
+// followed by AddEdge on each edge in order builds it: the same Succs and
+// Preds order, duplicates ignored. Each adjacency list is sized once from
+// the edge list and carved out of one backing array, so construction costs
+// a fixed handful of allocations instead of one per growing list. Every
+// endpoint must lie in [0, n) and no edge may be a self-loop; it panics
+// otherwise, so decoders check both first to report them as errors.
+func FromEdges(n int, edges [][2]int) *Digraph {
+	adj := make([][]int, 2*n)
+	g := &Digraph{succs: adj[:n:n], preds: adj[n:]}
+	deg := make([]int, 2*n) // out-degrees, then in-degrees, duplicates counted
+	for _, e := range edges {
+		if e[0] == e[1] {
+			panic(fmt.Sprintf("graph: self-loop on node %d", e[0]))
+		}
+		deg[e[0]]++
+		deg[n+e[1]]++
+	}
+	// Each list gets capacity for its duplicates too, and a full slice
+	// expression caps it there: a later AddEdge reallocates rather than
+	// writing into the next node's list.
+	flat := make([]int, 2*len(edges))
+	for i, d := range deg {
+		if d > 0 {
+			adj[i] = flat[:0:d]
+			flat = flat[d:]
+		}
+	}
+	for _, e := range edges {
+		from, to := e[0], e[1]
+		if g.HasEdge(from, to) {
+			continue
+		}
+		g.succs[from] = append(g.succs[from], to)
+		g.preds[to] = append(g.preds[to], from)
+		g.edges++
+	}
+	return g
+}
+
 // AddNodes appends n nodes.
 func (g *Digraph) AddNodes(n int) {
 	for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -66,6 +67,54 @@ func TestAddEdgeOutOfRange(t *testing.T) {
 	}
 	if err := g.AddEdge(-1, 1); err == nil {
 		t.Error("out-of-range tail accepted")
+	}
+}
+
+// TestFromEdgesMatchesAddEdge: FromEdges builds the graph AddEdge builds
+// from the same edge list — same edge count, same Succs and Preds order,
+// duplicates dropped — and a later AddEdge on it leaves every other
+// node's lists alone.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		var edges [][2]int
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			from, to := rng.Intn(n), rng.Intn(n)
+			if from != to {
+				edges = append(edges, [2]int{from, to}) // may repeat
+			}
+		}
+		want := New(n)
+		for _, e := range edges {
+			want.MustAddEdge(e[0], e[1])
+		}
+		got := FromEdges(n, edges)
+		if got.N() != n || got.M() != want.M() {
+			t.Fatalf("trial %d: N=%d M=%d, want N=%d M=%d", trial, got.N(), got.M(), n, want.M())
+		}
+		for u := 0; u < n; u++ {
+			if !slices.Equal(got.Succs(u), want.Succs(u)) || !slices.Equal(got.Preds(u), want.Preds(u)) {
+				t.Fatalf("trial %d node %d: succs %v preds %v, want %v %v",
+					trial, u, got.Succs(u), got.Preds(u), want.Succs(u), want.Preds(u))
+			}
+		}
+		if n < 3 {
+			continue
+		}
+		before := make([][]int, n)
+		for u := range before {
+			before[u] = slices.Clone(got.Succs(u))
+		}
+		if err := got.AddEdge(0, n-1); err != nil {
+			t.Fatal(err)
+		}
+		for u := 1; u < n; u++ {
+			if !slices.Equal(got.Succs(u), before[u]) {
+				t.Fatalf("trial %d: AddEdge(0,%d) changed node %d's successors: %v → %v",
+					trial, n-1, u, before[u], got.Succs(u))
+			}
+		}
 	}
 }
 

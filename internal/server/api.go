@@ -126,11 +126,14 @@ const defaultPdef = 4
 //
 // The schedule-derived fields (pattern strings, cycles, utilization, the
 // lower bound, the per-node assignments) are pure functions of the
-// schedule, which result-cache hits share by pointer — so they are
-// memoised in s.resps and computed once per distinct schedule, not per
-// request. The memo entry is a frozen skeleton: responses copy the
-// scalar fields and alias the slices, which nothing mutates after this
-// point.
+// cached result. Every result-cache hit gets its own shallow copy of the
+// cached schedule, rebound to the request's graph, but the copy shares
+// the entry's slices, so hits are memoised in s.resps under respKey and
+// computed once per distinct result, not per request. Misses are not
+// memoised: a result computed with the cache off is never seen again,
+// and a cached one fills the memo on its first hit. The memo entry is a
+// frozen skeleton: responses copy the scalar fields and alias the
+// slices, which nothing mutates after this point.
 func (s *Server) toResponse(r pipeline.Result) *CompileResponse {
 	resp := &CompileResponse{
 		Name:       r.Job.Label(),
@@ -162,10 +165,17 @@ func (s *Server) toResponse(r pipeline.Result) *CompileResponse {
 	}
 
 	if sc := r.Schedule; sc != nil {
-		sk, ok := s.resps.get(sc)
-		if !ok {
+		key := respKey(sc)
+		memo := r.CacheHit && key != nil
+		var sk *CompileResponse
+		if memo {
+			sk, _ = s.resps.get(key)
+		}
+		if sk == nil {
 			sk = scheduleSkeleton(r.Job.Graph, sc)
-			s.resps.put(sc, sk)
+			if memo {
+				s.resps.put(key, sk)
+			}
 		}
 		resp.Patterns = sk.Patterns
 		resp.SchedulerPatterns = sk.SchedulerPatterns
@@ -211,28 +221,43 @@ func compactPatterns(ps *pattern.Set) []string {
 	return compact
 }
 
-// respCache memoises schedule skeletons by shared schedule pointer (see
-// Server.resps). Bounded with arbitrary eviction, like specCache; an
-// evicted entry merely costs recomputation on the next request.
+// respKey identifies a cached result for the response memo: the backing
+// array of its schedule's CycleOf, which every hit's schedule copy shares
+// with the cache entry (pipeline's rebindReport copies the struct, not
+// the slices). nil for an empty schedule. The memo holding the key keeps
+// the array alive, so no other schedule can reuse its address while the
+// entry exists.
+func respKey(sc *sched.Schedule) *int {
+	if len(sc.CycleOf) == 0 {
+		return nil
+	}
+	return &sc.CycleOf[0]
+}
+
+// respCache memoises schedule skeletons by respKey (see Server.resps).
+// Bounded with arbitrary eviction, like specCache; an evicted entry merely
+// costs recomputation on the next request. Entries pin only what the
+// skeleton and key reference — slices shared with the result cache and
+// the formatted patterns — not the schedule copies or their graphs.
 type respCache struct {
 	mu sync.RWMutex
-	m  map[*sched.Schedule]*CompileResponse
+	m  map[*int]*CompileResponse
 }
 
 const maxRespCacheEntries = 512
 
-func (c *respCache) get(k *sched.Schedule) (*CompileResponse, bool) {
+func (c *respCache) get(k *int) (*CompileResponse, bool) {
 	c.mu.RLock()
 	v, ok := c.m[k]
 	c.mu.RUnlock()
 	return v, ok
 }
 
-func (c *respCache) put(k *sched.Schedule, v *CompileResponse) {
+func (c *respCache) put(k *int, v *CompileResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
-		c.m = make(map[*sched.Schedule]*CompileResponse)
+		c.m = make(map[*int]*CompileResponse)
 	}
 	if len(c.m) >= maxRespCacheEntries {
 		for old := range c.m {

@@ -3,10 +3,13 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"mpsched/internal/cliutil"
+	"mpsched/internal/dfg"
 	"mpsched/internal/server"
 	"mpsched/internal/wire"
 )
@@ -50,5 +53,64 @@ func BenchmarkBatchBinary64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		do()
+	}
+}
+
+// BenchmarkBatchBinary64Inline is BenchmarkBatchBinary64 with the graphs
+// inline: 64 jobs drawn at random from the 32-graph hot set of the warm
+// workloads, each carrying its graph in the binary frame, against a hot
+// result cache. Workload specs hit the server's spec cache and never
+// reach graph ingest; inline graphs are decoded, validated and
+// fingerprinted on every job, as the warm-batch benchmark workload does.
+func BenchmarkBatchBinary64Inline(b *testing.B) {
+	s := server.New(server.Options{})
+	defer s.Drain(context.Background())
+
+	var hot []*dfg.Graph
+	for _, spec := range cliutil.HotSetSpecs(1) {
+		g, err := cliutil.Generate(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hot = append(hot, g)
+	}
+	encode := func(gs []*dfg.Graph) []byte {
+		var env wire.BatchRequest
+		for _, g := range gs {
+			env.Jobs = append(env.Jobs, server.CompileRequest{Graph: g})
+		}
+		var buf bytes.Buffer
+		if err := wire.Binary.EncodeBatch(&buf, &env); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	rng := rand.New(rand.NewSource(1))
+	jobs := make([]*dfg.Graph, 64)
+	for i := range jobs {
+		jobs[i] = hot[rng.Intn(len(hot))]
+	}
+	warm, raw := encode(hot), encode(jobs)
+
+	do := func(body []byte) int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+		req.Header.Set("Content-Type", wire.ContentTypeBinary)
+		req.Header.Set("Accept", wire.ContentTypeBinary)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	// Compile the whole hot set once, then once more so the response memo
+	// holds every result, as it does on a warmed daemon.
+	for i := 0; i < 2; i++ {
+		if code := do(warm); code != http.StatusOK {
+			b.Fatalf("warm-up status %d", code)
+		}
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		do(raw)
 	}
 }

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mpsched/internal/cliutil"
+	"mpsched/internal/pipeline"
 )
 
 // TestAdmissionControl fills a queue nothing drains (no workers) and
@@ -59,5 +63,69 @@ func TestJobStoreEviction(t *testing.T) {
 	}
 	if _, ok := st.get("c"); !ok {
 		t.Error("newest job evicted")
+	}
+}
+
+// TestResponseMemoSharedByHits: result-cache hits each get their own
+// schedule copy, yet two hits of one cached result share one memo entry
+// and return responses aliasing the same skeleton slices. Misses — here
+// the compile that fills the cache, and every compile of a server with
+// the cache off — leave the memo alone.
+func TestResponseMemoSharedByHits(t *testing.T) {
+	ctx := context.Background()
+	compile := func(s *Server) (*CompileResponse, pipeline.Result) {
+		t.Helper()
+		// A fresh graph per request, as inline graphs arrive.
+		g, err := cliutil.Generate("3dft")
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := s.resolveJob(CompileRequest{Graph: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := s.compileJob(ctx, job)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return s.toResponse(res), res
+	}
+	memoLen := func(s *Server) int {
+		s.resps.mu.RLock()
+		defer s.resps.mu.RUnlock()
+		return len(s.resps.m)
+	}
+
+	s := newServer(Options{}, false)
+	if _, miss := compile(s); miss.CacheHit || memoLen(s) != 0 {
+		t.Fatalf("first compile: hit=%v, memo holds %d entries, want a miss and 0", miss.CacheHit, memoLen(s))
+	}
+	a, hitA := compile(s)
+	b, hitB := compile(s)
+	if !hitA.CacheHit || !hitB.CacheHit {
+		t.Fatalf("repeat compiles were not cache hits")
+	}
+	if hitA.Schedule == hitB.Schedule {
+		t.Fatalf("hits share a schedule pointer; the memo test needs distinct copies")
+	}
+	if n := memoLen(s); n != 1 {
+		t.Fatalf("memo holds %d entries after two hits of one result, want 1", n)
+	}
+	if &a.CycleOf[0] != &b.CycleOf[0] || &a.PatternOf[0] != &b.PatternOf[0] ||
+		&a.Patterns[0] != &b.Patterns[0] || &a.SchedulerPatterns[0] != &b.SchedulerPatterns[0] {
+		t.Fatal("hit responses do not alias the memoised skeleton slices")
+	}
+	if a.Cycles != 7 || a.LowerBound != b.LowerBound || a.Utilization != b.Utilization {
+		t.Fatalf("hit responses differ: cycles %d/%d, lower bound %d/%d", a.Cycles, b.Cycles, a.LowerBound, b.LowerBound)
+	}
+
+	off := newServer(Options{CacheEntries: -1}, false)
+	for i := 0; i < 2; i++ {
+		if resp, _ := compile(off); resp.Cycles != 7 {
+			t.Fatalf("cache off: cycles %d, want 7", resp.Cycles)
+		}
+	}
+	if n := memoLen(off); n != 0 {
+		t.Fatalf("cache off: memo holds %d entries, want 0", n)
 	}
 }

@@ -201,9 +201,11 @@ type Server struct {
 	// cache hit without re-hashing.
 	specs specCache
 	// resps memoises the schedule-derived slice of CompileResponse per
-	// shared *sched.Schedule (see toResponse): result-cache hits reuse the
-	// same schedule pointer, so pattern formatting, the lower bound and
-	// utilization are computed once per distinct result, not per request.
+	// cached result (see toResponse): every result-cache hit gets a fresh
+	// schedule copy, but the copies share the cached entry's slices, and
+	// the memo is keyed on one of them (respKey). Pattern formatting, the
+	// lower bound and utilization are then computed once per distinct
+	// result, not per request.
 	resps respCache
 	// batchWork feeds the persistent batch compile workers. A fixed pool
 	// instead of a goroutine per job: batch jobs are often sub-millisecond
