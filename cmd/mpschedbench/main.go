@@ -89,7 +89,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		restartAfter = fs.Duration("restart-after", 0, "warm-restart storm: storm a self-spawned persistent backend for this long, restart it over the same store, storm again for -duration (see scripts/benchcheck -restart-hit-floor)")
 		storeDir     = fs.String("store-dir", "", "persistent result-store directory for -restart-after and -serve-backend (empty = temp dir / memory only)")
 		storeMax     = fs.Int64("store-max-bytes", 0, "on-disk result store size bound for -store-dir (0 = default)")
-		mutate       = fs.Int("mutate", 0, "mutation storm: compile N mutated variants of each scenario member cold vs via the delta path (in-process)")
 	)
 	if code, done := cliutil.ParseFlags(fs, argv); done {
 		return code
@@ -146,17 +145,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *resil && *addr == "" && *backends == 0 {
 		return fail(fmt.Errorf("-resilience only applies to a remote daemon (-addr)"))
 	}
-	if (*restartAfter > 0 || *mutate > 0) && (*addr != "" || *backends > 0) {
-		return fail(fmt.Errorf("-restart-after and -mutate drive their own targets; they cannot be combined with -addr or -backends"))
-	}
-	if *restartAfter > 0 && *mutate > 0 {
-		return fail(fmt.Errorf("-restart-after and -mutate are separate storms; pick one"))
+	if *restartAfter > 0 && (*addr != "" || *backends > 0) {
+		return fail(fmt.Errorf("-restart-after drives its own target; it cannot be combined with -addr or -backends"))
 	}
 
-	if *mutate > 0 {
-		ms := &mutationStorm{mutants: *mutate, items: items, out: *out, strict: *strict, stdout: stdout, stderr: stderr}
-		return ms.run()
-	}
 	if *restartAfter > 0 {
 		rs := &restartStorm{
 			storeDir: *storeDir,

@@ -1,8 +1,9 @@
 // Command mpschedrouter is the fleet front end for mpschedd: an HTTP
 // daemon speaking the same /v1 wire (both codecs, batch envelopes
-// included) that consistent-hashes each compile's graph fingerprint
-// across a pool of backend daemons, so identical graphs always land on
-// the same node and every backend's result cache stays hot.
+// included) that consistent-hashes each compile across a pool of
+// backend daemons by its graph fingerprint plus its name, workload spec
+// and compile parameters, so identical requests always land on the same
+// node and every backend's result cache stays hot.
 //
 // Usage:
 //
@@ -11,14 +12,14 @@
 //	curl -s -X POST localhost:8080/v1/compile -d '{"workload":"fft:8"}'
 //
 // Backends are health-checked (-probe-interval): a dead or draining
-// node leaves the hash ring within a couple of probes, its keys fail
-// over to the next ring replica, and a router-side shared cache serves
-// the first request after a rebalance from the old owner's work. Traces
-// (X-Mpsched-Trace) and deadlines (X-Mpsched-Deadline, decremented by
-// router time) propagate through the hop; GET /debug/traces shows each
-// request's "hop" spans, and GET /metrics exposes the mpschedrouter_*
-// surface (per-backend up/forwarded/rerouted/errors, ring rebalances,
-// shared-cache serves).
+// node leaves the hash ring within a couple of probes and its keys fail
+// over to the next ring replica, which compiles them. The router keeps
+// no results of its own; with every replica down it answers 503 with
+// Retry-After. Traces (X-Mpsched-Trace) and deadlines
+// (X-Mpsched-Deadline, decremented by router time) propagate through
+// the hop; GET /debug/traces shows each request's "hop" spans, and GET
+// /metrics exposes the mpschedrouter_* surface (per-backend
+// up/forwarded/rerouted/errors, ring rebalances).
 //
 // On SIGINT/SIGTERM the router stops accepting connections, lets
 // in-flight forwards finish (bounded by -drain-timeout) and exits 0.
@@ -64,9 +65,6 @@ func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
 		probeTimeout  = fs.Duration("probe-timeout", fleet.DefaultProbeTimeout, "timeout of one health probe")
 		failAfter     = fs.Int("fail-after", fleet.DefaultFailAfter, "consecutive failures that demote a backend")
 		fwdTimeout    = fs.Duration("forward-timeout", fleet.DefaultForwardTimeout, "per-attempt forward timeout for requests without their own deadline")
-		l2Entries     = fs.Int("l2-entries", 0, "shared response cache capacity (0 = default, negative disables)")
-		storeDir      = fs.String("store-dir", "", "persist the shared response cache to this directory across restarts (empty = memory only)")
-		storeMax      = fs.Int64("store-max-bytes", 0, "on-disk shared cache size bound in bytes (0 = default)")
 		maxBody       = fs.Int64("max-body", 0, "request body size limit in bytes (0 = default)")
 		maxBatch      = fs.Int("max-batch", 0, "most jobs accepted per /v1/batch envelope (0 = default)")
 		slowTrace     = fs.Duration("slow-trace", time.Second, "log any request trace slower than this with its span breakdown (negative disables)")
@@ -106,9 +104,6 @@ func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
 		ProbeTimeout:   *probeTimeout,
 		FailAfter:      *failAfter,
 		ForwardTimeout: *fwdTimeout,
-		L2Entries:      *l2Entries,
-		StoreDir:       *storeDir,
-		StoreMaxBytes:  *storeMax,
 		MaxBodyBytes:   *maxBody,
 		MaxBatchJobs:   *maxBatch,
 		SlowTrace:      *slowTrace,

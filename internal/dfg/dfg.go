@@ -466,8 +466,8 @@ func (d *Graph) replaceWith(src *Graph) {
 //	"edge %d %d\n"                     per edge, sorted by (from, to)
 //
 // The stream is a compatibility contract, not an implementation detail:
-// result-cache keys, disk stores, fleet ring placement and clients'
-// base_fingerprint all carry fingerprints across processes and releases.
+// result-cache keys, disk stores and fleet ring placement all carry
+// fingerprints across processes and releases.
 // A change to any byte of it must also change the "v1" tag, so old and new
 // hashes can never collide.
 //

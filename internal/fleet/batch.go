@@ -29,12 +29,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	err := codec.DecodeBatch(body, &b)
 	dt.End()
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			rt.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit))
-		} else {
-			rt.writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", err))
-		}
+		rt.writeDecodeError(w, "batch", err)
 		return
 	}
 	if len(b.Jobs) == 0 {
@@ -83,16 +78,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		keys[i] = key
 		owner, ok := ring.owner(fnv1a64(key))
 		if !ok {
-			immediate = append(immediate, rt.l2Item(i, key))
-			continue
-		}
-		if cached, prev, ok := rt.l2.get(key); ok && prev != owner {
-			// Topology handover, item-granular: serve the old owner's work
-			// and point the entry at the new owner for the next envelope.
-			rt.l2.setOwner(key, owner)
-			rt.metrics.l2ServedMoved.Add(1)
-			rt.l2.served.Add(1)
-			immediate = append(immediate, l2BatchItem(i, cached))
+			immediate = append(immediate, unavailableItem(i))
 			continue
 		}
 		groups[owner] = append(groups[owner], i)
@@ -118,23 +104,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 }
 
-// l2Item answers one batch job from the shared cache when no backend is
-// in rotation, or 503s it.
-func (rt *Router) l2Item(idx int, key string) wire.BatchItem {
-	if cached, _, ok := rt.l2.get(key); ok {
-		rt.metrics.l2ServedFallback.Add(1)
-		rt.l2.served.Add(1)
-		return l2BatchItem(idx, cached)
-	}
+// unavailableItem is the per-job 503 for a job no backend can serve.
+func unavailableItem(idx int) wire.BatchItem {
 	return wire.BatchItem{Index: idx, Status: http.StatusServiceUnavailable,
 		Error: "no backend available for this job; retry later"}
-}
-
-func l2BatchItem(idx int, cached *wire.CompileResponse) wire.BatchItem {
-	resp := *cached
-	resp.CacheHit = true
-	resp.ElapsedMS = 0
-	return wire.BatchItem{Index: idx, Status: http.StatusOK, Result: &resp}
 }
 
 // forwardBatchGroup sends one owner's jobs as a sub-envelope, failing
@@ -203,11 +176,7 @@ func (rt *Router) forwardBatchGroup(r *http.Request, tr *obs.Trace, lw *lockedIt
 		if err == nil {
 			rt.pool.noteSuccess(b)
 			for i := range items {
-				oi := subIdx[items[i].Index]
-				items[i].Index = oi
-				if items[i].Status == http.StatusOK && items[i].Result != nil {
-					rt.l2.put(keys[oi], items[i].Result, bi)
-				}
+				items[i].Index = subIdx[items[i].Index]
 			}
 			lw.writeAll(items)
 			return
@@ -231,10 +200,10 @@ func (rt *Router) forwardBatchGroup(r *http.Request, tr *obs.Trace, lw *lockedIt
 		return
 	}
 
-	// Every replica is down for this group: shared cache or 503, per job.
+	// Every replica is down for this group: 503, per job.
 	out := make([]wire.BatchItem, 0, len(remaining))
 	for _, oi := range remaining {
-		out = append(out, rt.l2Item(oi, keys[oi]))
+		out = append(out, unavailableItem(oi))
 	}
 	lw.writeAll(out)
 }

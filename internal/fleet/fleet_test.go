@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -261,7 +263,10 @@ func TestRouterTraceAndDeadlineHop(t *testing.T) {
 	})
 }
 
-func TestRouterL2ServesAcrossRebalance(t *testing.T) {
+// TestRouterRebalanceRecompilesIdentically is the fleet contract without
+// a router-side cache: after the owner dies, the survivor compiles the
+// moved key itself, and its answer is the dead owner's answer.
+func TestRouterRebalanceRecompilesIdentically(t *testing.T) {
 	f := newTestFleet(t, 2, nil)
 	ctx := context.Background()
 	c := client.New(f.rts.URL)
@@ -270,9 +275,6 @@ func TestRouterL2ServesAcrossRebalance(t *testing.T) {
 	first, err := c.Compile(ctx, server.CompileRequest{Workload: spec})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if first.CacheHit {
-		t.Fatal("first compile reported a cache hit")
 	}
 	// Find the owner that served it and kill that node hard.
 	owner := -1
@@ -289,35 +291,121 @@ func TestRouterL2ServesAcrossRebalance(t *testing.T) {
 	f.backends[owner].Close()
 	waitFor(t, 3*time.Second, "owner demotion", func() bool { return !f.rt.pool.backends[owner].Up() })
 
-	survivorMissesBefore := f.servers[survivor].Cache().Stats().Misses
-
-	// First request after the rebalance: served from the router's shared
-	// cache — the old owner's work — not recompiled on the survivor.
-	second, err := c.Compile(ctx, server.CompileRequest{Workload: spec})
+	missesBefore := f.servers[survivor].Cache().Stats().Misses
+	moved, err := c.Compile(ctx, server.CompileRequest{Workload: spec})
 	if err != nil {
 		t.Fatalf("compile after rebalance: %v", err)
 	}
-	if !second.CacheHit {
-		t.Fatal("post-rebalance request was not served from the shared cache")
+	if moved.CacheHit {
+		t.Fatal("the moved key was answered from a cache; the survivor never saw it")
 	}
-	if got := f.servers[survivor].Cache().Stats().Misses; got != survivorMissesBefore {
-		t.Fatalf("survivor compiled anyway: misses %d → %d", survivorMissesBefore, got)
+	if got := f.servers[survivor].Cache().Stats().Misses; got != missesBefore+1 {
+		t.Fatalf("survivor misses = %d, want %d (one compile of the moved key)", got, missesBefore+1)
 	}
-	if rt := f.rt; rt.metrics.l2ServedMoved.Load() == 0 {
-		t.Fatal("l2ServedMoved counter did not move")
+	if moved.Cycles != first.Cycles ||
+		!reflect.DeepEqual(moved.CycleOf, first.CycleOf) ||
+		!reflect.DeepEqual(moved.PatternOf, first.PatternOf) ||
+		!reflect.DeepEqual(moved.Patterns, first.Patterns) {
+		t.Fatalf("survivor's answer differs from the dead owner's:\n owner:    %d cycles %v %v %v\n survivor: %d cycles %v %v %v",
+			first.Cycles, first.Patterns, first.CycleOf, first.PatternOf,
+			moved.Cycles, moved.Patterns, moved.CycleOf, moved.PatternOf)
+	}
+}
+
+// TestRouterAllBackendsDown pins the answer when no replica is left, even
+// for a key the fleet has already compiled: 503 with Retry-After on
+// /v1/compile, and a 503 item per job on /v1/batch.
+func TestRouterAllBackendsDown(t *testing.T) {
+	f := newTestFleet(t, 2, nil)
+	ctx := context.Background()
+	c := client.New(f.rts.URL)
+	req := server.CompileRequest{Workload: "fft:8"}
+	if _, err := c.Compile(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	for i, ts := range f.backends {
+		ts.CloseClientConnections()
+		ts.Close()
+		waitFor(t, 3*time.Second, fmt.Sprintf("backend %d demotion", i), func() bool { return !f.rt.pool.backends[i].Up() })
 	}
 
-	// The handover updated the owner, so the next request forwards to the
-	// survivor and warms it — a genuine compile, not a cached copy.
-	third, err := c.Compile(ctx, server.CompileRequest{Workload: spec})
+	_, err := c.Compile(ctx, req)
+	var api *client.APIError
+	if !errors.As(err, &api) || api.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("compile with every backend down: err = %v, want APIError 503", err)
+	}
+	if api.RetryAfter <= 0 {
+		t.Fatal("503 without Retry-After")
+	}
+
+	items, err := c.CompileBatch(ctx, []server.CompileRequest{req, {Workload: "3dft"}})
 	if err != nil {
-		t.Fatalf("compile after handover: %v", err)
+		t.Fatalf("batch with every backend down: %v", err)
 	}
-	if third.CacheHit {
-		t.Fatal("handover request should have compiled cold on the survivor")
+	for _, it := range items {
+		if it.Status != http.StatusServiceUnavailable || it.Result != nil {
+			t.Fatalf("batch item %d = %d (%s), want 503 without a result", it.Index, it.Status, it.Error)
+		}
 	}
-	if got := f.servers[survivor].Cache().Stats().Misses; got != survivorMissesBefore+1 {
-		t.Fatalf("survivor misses = %d, want %d", got, survivorMissesBefore+1)
+}
+
+// TestRouterOversizedBodies413 holds every body-carrying route to the
+// daemon's answer for a body over the limit: 413, not 400.
+func TestRouterOversizedBodies413(t *testing.T) {
+	f := newTestFleet(t, 1, func(o *Options) { o.MaxBodyBytes = 64 })
+	body := `{"workload":"fft:8","name":"` + strings.Repeat("x", 128) + `"}`
+	for _, route := range []string{"/v1/compile", "/v1/jobs", "/v1/batch"} {
+		b := body
+		if route == "/v1/batch" {
+			b = `{"jobs":[` + body + `]}`
+		}
+		resp, err := http.Post(f.rts.URL+route, "application/json", strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d, want 413", route, len(b), resp.StatusCode)
+		}
+	}
+}
+
+// TestRetiredBaseFingerprintRejected checks that the retired delta-compile
+// request field is a client error at the daemon and through the router,
+// caught by the decoders' existing checks: JSON rejects it as an unknown
+// field, binary rejects the flag bit 0x80 that carried it.
+func TestRetiredBaseFingerprintRejected(t *testing.T) {
+	f := newTestFleet(t, 1, nil)
+	var frame bytes.Buffer
+	if err := wire.Binary.EncodeRequest(&frame, &wire.CompileRequest{Workload: "3dft"}); err != nil {
+		t.Fatal(err)
+	}
+	flagged := frame.Bytes()
+	flagged[4] |= 0x80 // "MPQ", version, then the request flags
+	for _, target := range []struct{ name, url string }{
+		{"daemon", f.backends[0].URL},
+		{"router", f.rts.URL},
+	} {
+		for _, tc := range []struct {
+			codec wire.Codec
+			body  []byte
+			why   string
+		}{
+			{wire.JSON, []byte(`{"workload":"3dft","base_fingerprint":"5f2a"}`), `unknown field "base_fingerprint"`},
+			{wire.Binary, flagged, "unknown request flags 0x80"},
+		} {
+			resp, err := http.Post(target.url+"/v1/compile", tc.codec.ContentType(), bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e wire.ErrorResponse
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(e.Error, tc.why) {
+				t.Fatalf("%s, %s: status %d, error %q (%v); want 400 naming %s",
+					target.name, tc.codec.Name(), resp.StatusCode, e.Error, err, tc.why)
+			}
+		}
 	}
 }
 

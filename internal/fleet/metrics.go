@@ -22,9 +22,6 @@ type routerMetrics struct {
 
 	inflight atomic.Int64
 
-	l2ServedMoved    atomic.Int64 // L2 hits served because the ring moved the key
-	l2ServedFallback atomic.Int64 // L2 hits served because every replica was down
-
 	mu       sync.Mutex
 	requests map[string]int64
 	reqHist  map[string]*obs.LockedHistogram // route → end-to-end latency
@@ -71,9 +68,9 @@ func summary(w io.Writer, name, labels string, h obs.Histogram) {
 	}
 }
 
-// render writes the Prometheus text exposition. The pool, L2 cache and
-// the forwarding clients' resilience stats are sampled at scrape time.
-func (m *routerMetrics) render(w io.Writer, p *pool, l2 *l2Cache, stats client.ResilienceStats) {
+// render writes the Prometheus text exposition. The pool and the
+// forwarding clients' resilience stats are sampled at scrape time.
+func (m *routerMetrics) render(w io.Writer, p *pool, stats client.ResilienceStats) {
 	uptime := time.Since(m.start).Seconds()
 
 	counter := func(name, help string, v int64) {
@@ -135,25 +132,6 @@ func (m *routerMetrics) render(w io.Writer, p *pool, l2 *l2Cache, stats client.R
 	gauge("mpschedrouter_backends_up", "Backends currently in rotation.", float64(p.upCount()))
 	counter("mpschedrouter_demotions_total", "Backends taken out of rotation for health.", p.demotions.Load())
 	counter("mpschedrouter_rebalances_total", "Hash-ring rebuilds (demotions plus revivals).", p.rebalances.Load())
-
-	fmt.Fprintf(w, "# HELP mpschedrouter_l2_served_total Responses served from the router's shared cache, by reason.\n# TYPE mpschedrouter_l2_served_total counter\n")
-	fmt.Fprintf(w, "mpschedrouter_l2_served_total{reason=\"moved\"} %d\n", m.l2ServedMoved.Load())
-	fmt.Fprintf(w, "mpschedrouter_l2_served_total{reason=\"fallback\"} %d\n", m.l2ServedFallback.Load())
-	gauge("mpschedrouter_l2_entries", "Responses currently in the shared cache.", float64(l2.entries()))
-	if tiers := l2.tiers(); len(tiers) > 0 {
-		fmt.Fprintf(w, "# HELP mpschedrouter_l2_tier_hits_total Shared-cache hits by tier.\n# TYPE mpschedrouter_l2_tier_hits_total counter\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "mpschedrouter_l2_tier_hits_total{tier=%q} %d\n", t.Tier, t.Hits)
-		}
-		fmt.Fprintf(w, "# HELP mpschedrouter_l2_tier_entries Shared-cache entries by tier.\n# TYPE mpschedrouter_l2_tier_entries gauge\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "mpschedrouter_l2_tier_entries{tier=%q} %d\n", t.Tier, t.Entries)
-		}
-		fmt.Fprintf(w, "# HELP mpschedrouter_l2_tier_bytes Shared-cache bytes by tier (disk only).\n# TYPE mpschedrouter_l2_tier_bytes gauge\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "mpschedrouter_l2_tier_bytes{tier=%q} %d\n", t.Tier, t.Bytes)
-		}
-	}
 
 	// The forwarding clients share one resilience layer, so these are
 	// fleet-wide sums; per-backend splits live in the breaker/hedger maps

@@ -1,26 +1,25 @@
 // Package fleet scales the compile service horizontally: a router
 // daemon (cmd/mpschedrouter) speaks the same /v1 wire as mpschedd —
 // both codecs, batch envelopes included — and consistent-hashes each
-// request's graph fingerprint across a pool of backend daemons, so
-// identical graphs always land on the same node and every backend's
-// result cache stays hot without any shared state.
+// request's routing key across a pool of backend daemons, so identical
+// requests always land on the same node and every backend's result
+// cache stays hot without any shared state.
 //
 // Three pieces:
 //
-//   - ring.go — a consistent-hash ring with virtual nodes over
-//     dfg.Graph.Fingerprint(). Removing a backend moves only that
-//     backend's keys; everyone else's cache affinity is untouched.
+//   - ring.go — a consistent-hash ring with virtual nodes. Removing a
+//     backend moves only that backend's keys; everyone else's cache
+//     affinity is untouched.
 //   - pool.go — health-checked backends: periodic /healthz probes,
 //     demotion on probe failure, forward transport faults or an open
 //     per-backend circuit breaker (the PR 8 client keyed per base URL),
 //     ring rebuild on death and revival, failover to the next ring
 //     replica when the owner cannot serve.
-//   - cache.go + router.go — a two-tier cache: each backend's
-//     pipeline.ShardedCache is L1, and the router keeps a bounded L2 of
-//     recent responses with the owner that produced them. When a
-//     topology change moves a fingerprint to a new owner, the first
-//     request is served from L2 instead of recompiling cold, and
-//     ownership hands over so the next request warms the new node.
+//   - router.go + batch.go — the /v1 handlers. routeKey places each
+//     compile by its graph fingerprint plus its name, workload spec and
+//     compile parameters. The router holds no results: a key that moves
+//     to a new owner is compiled there, and when every replica is down
+//     the request gets a 503 with Retry-After.
 //
 // Traces and deadlines propagate through the hop: the router decrements
 // X-Mpsched-Deadline by its own elapsed time before forwarding, reuses

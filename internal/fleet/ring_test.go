@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
+
+	"mpsched/internal/wire"
 )
 
 // TestRingOwnerStability pins the property the whole design hangs on:
@@ -74,5 +77,42 @@ func TestRingSequence(t *testing.T) {
 	}
 	if _, ok := (&ring{}).owner(42); ok {
 		t.Fatal("empty ring reported an owner")
+	}
+}
+
+// TestRouteKeyStable pins routing keys to the bytes earlier releases
+// produced, so an upgraded router places every key on the backend that
+// already holds its result. Each case exercises one field of the key.
+func TestRouteKeyStable(t *testing.T) {
+	for _, tc := range []struct {
+		req  wire.CompileRequest
+		want string
+	}{
+		{wire.CompileRequest{Workload: "fft:8"},
+			"75a5c67415d47c2cff2b385500413eb9d9094b597110a2909e11b2161285634a||fft:8|||||"},
+		{wire.CompileRequest{DFG: json.RawMessage(`{"name":"pair","nodes":[{"name":"a","color":"a"},{"name":"b","color":"a"}],"edges":[[0,1]]}`)},
+			"a13897678186aed6d69484b54f96f6b0931142c5afbaf6ece8c9c3b873e7089a|||||||"},
+		{wire.CompileRequest{Workload: "3dft", Name: "my-3dft"},
+			"9258cb20120ab8edd73315f204e42efbf31231b565040610f993e749c2e88b70|my-3dft|3dft|||||"},
+		{wire.CompileRequest{Workload: "fir:8,4", Select: &wire.SelectConfig{C: 5, Pdef: 3, Span: -1, Epsilon: 0.25, Alpha: 12.5}},
+			"a1b5571e870eb46a47cdd076fb769848ebe83f9becfddb2d3ef17e39f02c4fba||fir:8,4|5,3,-1,0.25,12.5||||"},
+		{wire.CompileRequest{Workload: "ndft:4", Sched: &wire.SchedConfig{Priority: "F1", Tie: "random", Seed: 42, SwitchPenalty: 3}},
+			"3dc53c01f515ea69a80ebb5658f87104a5e9d2cac4e3a56f56abb3d93c9dd9bf||ndft:4||F1,random,42,3|||"},
+		{wire.CompileRequest{Workload: "3dft", Spans: []int{0, 1, 2}},
+			"9258cb20120ab8edd73315f204e42efbf31231b565040610f993e749c2e88b70||3dft|||||0,1,2,"},
+		{wire.CompileRequest{Workload: "matmul:3", StopAfter: "select"},
+			"c313304c8ac07f4c12094fcea8e0bb093298206fa4f08e54b505c4adc7f9dbe7||matmul:3|||select||"},
+		{wire.CompileRequest{Workload: "fir:8,4", Name: "all", Select: &wire.SelectConfig{Pdef: 2, Alpha: 20},
+			Sched: &wire.SchedConfig{Tie: "asc"}, StopAfter: "schedule", Spans: []int{1, 2}},
+			"a1b5571e870eb46a47cdd076fb769848ebe83f9becfddb2d3ef17e39f02c4fba|all|fir:8,4|0,2,0,0,20|,asc,0,0|schedule||1,2,"},
+	} {
+		req := tc.req
+		got, err := (&Router{}).requestKey(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("routing key moved:\n got  %q\n want %q", got, tc.want)
+		}
 	}
 }

@@ -50,15 +50,6 @@ type Options struct {
 	// ForwardTimeout bounds one forward attempt when the request carries
 	// no tighter deadline of its own; ≤ 0 means DefaultForwardTimeout.
 	ForwardTimeout time.Duration
-	// L2Entries sizes the router's shared response cache; 0 means
-	// DefaultL2Entries, negative disables the tier.
-	L2Entries int
-	// StoreDir, when non-empty, backs the shared cache with a persistent
-	// disk tier in this directory, so a router restart keeps the fleet's
-	// rebalance/failover responses warm. Ignored when L2Entries < 0.
-	StoreDir string
-	// StoreMaxBytes bounds the disk tier; ≤ 0 means store.DefaultMaxBytes.
-	StoreMaxBytes int64
 	// MaxBodyBytes bounds request bodies; ≤ 0 means the server default.
 	MaxBodyBytes int64
 	// MaxBatchJobs caps one /v1/batch envelope; ≤ 0 means the server
@@ -86,7 +77,6 @@ type Router struct {
 	opts    Options
 	fwd     wire.Codec
 	pool    *pool
-	l2      *l2Cache
 	metrics *routerMetrics
 	traces  *obs.Recorder
 	mux     *http.ServeMux
@@ -133,20 +123,6 @@ func New(opts Options) (*Router, error) {
 	if rt.maxBatchJobs <= 0 {
 		rt.maxBatchJobs = 256
 	}
-	if opts.L2Entries >= 0 {
-		logger := opts.Logger
-		if logger == nil {
-			logger = slog.Default()
-		}
-		warn := func(format string, args ...any) {
-			logger.Warn("fleet l2 store: " + fmt.Sprintf(format, args...))
-		}
-		l2, err := newL2(opts.L2Entries, opts.StoreDir, opts.StoreMaxBytes, warn)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: open l2 store: %w", err)
-		}
-		rt.l2 = l2
-	}
 	rt.pool = newPool(rt.root, opts.Backends, fwd, opts.ProbeTimeout, opts.VNodes, opts.FailAfter)
 	rt.pool.run(opts.ProbeInterval)
 
@@ -182,13 +158,9 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)
 }
 
-// Close stops the health probers and releases the shared cache's disk
-// tier, if any. In-flight requests are unaffected.
+// Close stops the health probers. In-flight requests are unaffected.
 func (rt *Router) Close() {
 	rt.pool.close()
-	if err := rt.l2.close(); err != nil {
-		slog.Default().Warn("fleet: close l2 store", "err", err)
-	}
 }
 
 // Backends exposes the pool for tests and status reporting.
@@ -302,7 +274,7 @@ func (rt *Router) writeAPIError(w http.ResponseWriter, api *client.APIError) {
 }
 
 // writeUnavailable is the router's own 503: every replica for the key
-// is down and the shared cache has nothing.
+// is down.
 func (rt *Router) writeUnavailable(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", "1")
 	rt.writeError(w, http.StatusServiceUnavailable, errors.New("no backend available for this request; retry later"))
@@ -363,11 +335,10 @@ func (rt *Router) forwardTimeout(budget time.Duration, start time.Time) time.Dur
 
 // ---- request key resolution ----
 
-// requestKey resolves a compile request to its routing key: the graph
-// fingerprint plus every compile parameter (see l2Key). An inline DFG
-// is decoded here once and re-attached as Graph, so the forward leg
-// carries the compact decoded form instead of re-parsing JSON per
-// failover attempt. Failures are client faults (400).
+// requestKey resolves a compile request to its routing key (see
+// routeKey). An inline DFG is decoded here once and re-attached as
+// Graph, so the forward leg carries the compact decoded form instead of
+// re-parsing JSON per failover attempt. Failures are client faults (400).
 func (rt *Router) requestKey(req *wire.CompileRequest) (string, error) {
 	var fp string
 	switch {
@@ -394,7 +365,52 @@ func (rt *Router) requestKey(req *wire.CompileRequest) (string, error) {
 	default:
 		return "", errors.New("one of workload, dfg or graph is required")
 	}
-	return l2Key(fp, req), nil
+	return routeKey(fp, req), nil
+}
+
+// routeKey places one compile on the ring: the graph fingerprint plus
+// the name, the workload spec and every compile parameter. Requests with
+// equal keys land on the same backend, so a repeat hits that backend's
+// result cache.
+func routeKey(fp string, req *wire.CompileRequest) string {
+	var b strings.Builder
+	b.Grow(len(fp) + len(req.Name) + len(req.Workload) + 64)
+	b.WriteString(fp)
+	b.WriteByte('|')
+	b.WriteString(req.Name)
+	b.WriteByte('|')
+	b.WriteString(req.Workload)
+	b.WriteByte('|')
+	if s := req.Select; s != nil {
+		b.WriteString(strconv.Itoa(s.C))
+		b.WriteByte(',')
+		b.WriteString(strconv.Itoa(s.Pdef))
+		b.WriteByte(',')
+		b.WriteString(strconv.Itoa(s.Span))
+		b.WriteByte(',')
+		b.WriteString(strconv.FormatFloat(s.Epsilon, 'g', -1, 64))
+		b.WriteByte(',')
+		b.WriteString(strconv.FormatFloat(s.Alpha, 'g', -1, 64))
+	}
+	b.WriteByte('|')
+	if s := req.Sched; s != nil {
+		b.WriteString(s.Priority)
+		b.WriteByte(',')
+		b.WriteString(s.Tie)
+		b.WriteByte(',')
+		b.WriteString(strconv.FormatInt(s.Seed, 10))
+		b.WriteByte(',')
+		b.WriteString(strconv.FormatInt(s.SwitchPenalty, 10))
+	}
+	b.WriteByte('|')
+	b.WriteString(req.StopAfter)
+	b.WriteByte('|')
+	b.WriteByte('|') // empty retired field, kept so no key moves on the ring across the upgrade
+	for _, sp := range req.Spans {
+		b.WriteString(strconv.Itoa(sp))
+		b.WriteByte(',')
+	}
+	return b.String()
 }
 
 // routerSpecCache is a bounded spec → graph map, same policy as
@@ -493,66 +509,55 @@ func (rt *Router) classify(ctx context.Context, b *Backend, err error) error {
 	return errFailover
 }
 
-// serveL2 writes a cached response as a cache hit: zero elapsed (the
-// router did no compile work) and the current request's trace ID.
-func (rt *Router) serveL2(w http.ResponseWriter, r *http.Request, tr *obs.Trace, cached *wire.CompileResponse) {
-	resp := *cached
-	resp.CacheHit = true
-	resp.ElapsedMS = 0
-	resp.TraceID = tr.ID()
-	rt.l2.served.Add(1)
-	rt.writeResult(w, r, &resp)
+// writeDecodeError answers a body that did not decode: 413 when it ran
+// over the size limit, 400 otherwise.
+func (rt *Router) writeDecodeError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		rt.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit))
+		return
+	}
+	rt.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", what, err))
 }
 
 // ---- handlers ----
 
-func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
-	tr := obs.FromContext(r.Context())
-	var req wire.CompileRequest
+// decodeCompile is the preamble /v1/compile and /v1/jobs share: decode
+// the body, adopt an in-frame trace ID, merge the header and frame
+// deadlines, and resolve the routing key. When it returns false it has
+// already answered the request.
+func (rt *Router) decodeCompile(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (req wire.CompileRequest, key string, budget time.Duration, ok bool) {
 	dt := tr.Begin("decode")
-	body := http.MaxBytesReader(w, r.Body, rt.maxBodyBytes)
-	err := requestCodec(r).DecodeRequest(body, &req)
+	err := requestCodec(r).DecodeRequest(http.MaxBytesReader(w, r.Body, rt.maxBodyBytes), &req)
 	dt.End()
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			rt.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit))
-		} else {
-			rt.writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		}
-		return
+		rt.writeDecodeError(w, "request", err)
+		return req, "", 0, false
 	}
 	tr.AdoptID(req.TraceID)
-	budget, err := requestBudget(r, req.Deadline)
-	if err != nil {
+	if budget, err = requestBudget(r, req.Deadline); err != nil {
 		rt.writeError(w, http.StatusBadRequest, err)
-		return
+		return req, "", 0, false
 	}
 	if budget < 0 {
 		rt.writeExpired(w, budget)
-		return
+		return req, "", 0, false
 	}
-	key, err := rt.requestKey(&req)
-	if err != nil {
+	if key, err = rt.requestKey(&req); err != nil {
 		rt.writeError(w, http.StatusBadRequest, err)
+		return req, "", 0, false
+	}
+	return req, key, budget, true
+}
+
+func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
+	tr := obs.FromContext(r.Context())
+	req, key, budget, ok := rt.decodeCompile(w, r, tr)
+	if !ok {
 		return
 	}
-
 	start := time.Now()
 	seq := rt.pool.ring.Load().sequence(fnv1a64(key), make([]int, 0, len(rt.pool.backends)))
-
-	// Topology handover: when the ring has moved this key off the backend
-	// that produced the cached copy, serve the old owner's work instead
-	// of recompiling cold, and record the new owner so the very next
-	// request forwards (and warms) it. Steady-state requests never take
-	// this branch — the owner check fails and the backend's own L1 serves.
-	if cached, owner, ok := rt.l2.get(key); ok && len(seq) > 0 && seq[0] != owner {
-		rt.l2.setOwner(key, seq[0])
-		rt.metrics.l2ServedMoved.Add(1)
-		rt.serveL2(w, r, tr, cached)
-		return
-	}
-
 	for i, bi := range seq {
 		b := rt.pool.backends[bi]
 		if i > 0 && !b.Up() {
@@ -564,7 +569,6 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := rt.forwardOnce(r.Context(), tr, b, req, budget, start, i > 0)
 		if err == nil {
-			rt.l2.put(key, resp, bi)
 			rt.writeResult(w, r, resp)
 			return
 		}
@@ -580,41 +584,14 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusRequestTimeout, err)
 		return
 	}
-
-	// Every replica is down: the shared cache is the last resort before
-	// telling the client to come back later.
-	if cached, _, ok := rt.l2.get(key); ok {
-		rt.metrics.l2ServedFallback.Add(1)
-		rt.serveL2(w, r, tr, cached)
-		return
-	}
+	// Every replica for the key is down.
 	rt.writeUnavailable(w)
 }
 
 func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	tr := obs.FromContext(r.Context())
-	var req wire.CompileRequest
-	dt := tr.Begin("decode")
-	body := http.MaxBytesReader(w, r.Body, rt.maxBodyBytes)
-	err := requestCodec(r).DecodeRequest(body, &req)
-	dt.End()
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	tr.AdoptID(req.TraceID)
-	budget, err := requestBudget(r, req.Deadline)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if budget < 0 {
-		rt.writeExpired(w, budget)
-		return
-	}
-	key, err := rt.requestKey(&req)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
+	req, key, budget, ok := rt.decodeCompile(w, r, tr)
+	if !ok {
 		return
 	}
 	owner, ok := rt.pool.ring.Load().owner(fnv1a64(key))
@@ -702,7 +679,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.render(w, rt.pool, rt.l2, rt.root.ResilienceStats())
+	rt.metrics.render(w, rt.pool, rt.root.ResilienceStats())
 }
 
 func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {

@@ -47,11 +47,6 @@ type cacheEntry struct {
 	census    *CensusSummary
 	span      int
 	swept     bool
-	// sigs is the graph's sorted node-signature multiset, computed when
-	// the entry is stored; the delta compile path diffs a submitted
-	// graph's signatures against a base entry's to decide whether the
-	// base selection can be reused.
-	sigs []uint64
 }
 
 // Cache is a content-addressed compilation cache: graph fingerprint plus

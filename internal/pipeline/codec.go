@@ -66,10 +66,9 @@ func (entryCodec) Append(buf []byte, e *cacheEntry) ([]byte, error) {
 	buf = append(buf, entryMagic...)
 	buf = append(buf, entryVersion, flags)
 	buf = binary.AppendVarint(buf, int64(e.span))
-	buf = binary.AppendUvarint(buf, uint64(len(e.sigs)))
-	for _, s := range e.sigs {
-		buf = binary.AppendUvarint(buf, s)
-	}
+	// The v1 layout has a node-signature list here. Nothing reads it any
+	// more; the empty count keeps the layout, and with it older stores.
+	buf = binary.AppendUvarint(buf, 0)
 	if e.census != nil {
 		buf = binary.AppendVarint(buf, int64(e.census.Antichains))
 		buf = binary.AppendVarint(buf, int64(e.census.Classes))
@@ -159,11 +158,9 @@ func (entryCodec) Decode(data []byte) (*cacheEntry, error) {
 		span:  int(r.varint()),
 		swept: flags&entrySwept != 0,
 	}
-	if n := r.count(); n > 0 {
-		e.sigs = make([]uint64, n)
-		for i := range e.sigs {
-			e.sigs[i] = r.uvarint()
-		}
+	// Skip the node signatures older writers stored for delta compiles.
+	for n := r.count(); n > 0; n-- {
+		r.uvarint()
 	}
 	if flags&entryHasCensus != 0 {
 		e.census = &CensusSummary{

@@ -117,14 +117,6 @@ type Spec struct {
 	// Cache selects the spec's cache interaction (default: use the
 	// compiler's cache when it has one).
 	Cache CachePolicy
-	// BaseFingerprint, when non-empty, names an already-compiled graph
-	// (by dfg fingerprint) this spec is a small edit of. If the result
-	// store holds the base under the same configuration and the graphs'
-	// node-signature multisets differ by at most deltaMaxDiffFraction,
-	// the base's census and selection are reused and only scheduling
-	// onward runs — the delta compile path. Unknown or too-different
-	// bases silently fall back to a cold compile.
-	BaseFingerprint string
 	// Hook, when non-nil, is called after every completed stage with the
 	// stage, its wall-clock cost, and the in-progress report. During a
 	// span sweep it fires once per swept span for census, select and
@@ -184,12 +176,6 @@ func WithStageHook(h StageHook) SpecOption { return func(s *Spec) { s.Hook = h }
 
 // WithoutCache makes the spec bypass the compiler's result cache.
 func WithoutCache() SpecOption { return func(s *Spec) { s.Cache = CacheBypass } }
-
-// WithBaseFingerprint marks the spec as a small edit of an
-// already-compiled graph, enabling the delta compile path.
-func WithBaseFingerprint(fp string) SpecOption {
-	return func(s *Spec) { s.BaseFingerprint = fp }
-}
 
 // Label returns the spec's display name: the explicit Name, else the
 // graph's name, else "?" (source specs are named by SourceOpts.Name).
@@ -280,9 +266,6 @@ type Report struct {
 	SweptSpans bool
 	// CacheHit reports that the result was served from the result cache.
 	CacheHit bool
-	// DeltaBase, when non-empty, is the base fingerprint whose census and
-	// selection this compile reused via the delta path.
-	DeltaBase string
 	// Stages holds one timing per executed stage, in execution order.
 	Stages []StageTiming
 	// Elapsed is the wall-clock cost of the whole compile.
@@ -485,46 +468,16 @@ func (c *Compiler) compileSpec(ctx context.Context, spec Spec) (*Report, error) 
 		}
 	}
 
-	// Delta path: the spec names a base graph this one is a small edit
-	// of. Exact repeats of the same edited graph hit their own
-	// delta-tagged key; otherwise, if the stored base is similar enough,
-	// its census + selection are reused and only scheduling onward runs.
-	// Delta results are cached only under the delta-tagged key, never the
-	// plain one — entries under plain keys are always full compiles, so
-	// the store stays bit-identical to the cold path for exact matches.
-	var deltaSigs []uint64
-	if useCache && spec.BaseFingerprint != "" && stop >= StageSchedule {
-		if e, ok := c.opts.Cache.Get(key + "|delta:" + spec.BaseFingerprint); ok {
-			rebindReport(rep, e)
-			rep.DeltaBase = spec.BaseFingerprint
-			return rep, nil
+	switch {
+	case !needSelect:
+		// Explicit patterns: straight to scheduling.
+	case len(spec.Spans) > 0:
+		if err := c.sweepSpans(rep, spec, selCfg, timed); err != nil {
+			return nil, err
 		}
-		baseKey := specCacheKeyFP(spec.BaseFingerprint, selCfg, spec.Sched, spec.Arch, spec.Spans, stop)
-		if base, ok := c.opts.Cache.Get(baseKey); ok &&
-			base.selection != nil && len(base.sigs) > 0 &&
-			base.selection.Patterns.CoversColors(graphColors(g)) {
-			deltaSigs = nodeSignatures(g)
-			if sigDiffFraction(deltaSigs, base.sigs) <= deltaMaxDiffFraction {
-				rep.Selection = base.selection
-				rep.Census = base.census
-				rep.Span, rep.SweptSpans = base.span, base.swept
-				rep.DeltaBase = spec.BaseFingerprint
-			}
-		}
-	}
-
-	if rep.Selection == nil {
-		switch {
-		case !needSelect:
-			// Explicit patterns: straight to scheduling.
-		case len(spec.Spans) > 0:
-			if err := c.sweepSpans(rep, spec, selCfg, timed); err != nil {
-				return nil, err
-			}
-		default:
-			if err := c.censusAndSelect(rep, g, selCfg, stop, timed); err != nil {
-				return nil, err
-			}
+	default:
+		if err := c.censusAndSelect(rep, g, selCfg, stop, timed); err != nil {
+			return nil, err
 		}
 	}
 	if stop == StageCensus || stop == StageSelect {
@@ -577,27 +530,14 @@ func (c *Compiler) compileSpec(ctx context.Context, spec Spec) (*Report, error) 
 	}
 
 	if useCache {
-		e := &cacheEntry{
+		c.opts.Cache.Put(key, &cacheEntry{
 			selection: rep.Selection,
 			schedule:  rep.Schedule,
 			program:   rep.Program,
 			census:    rep.Census,
 			span:      rep.Span,
 			swept:     rep.SweptSpans,
-		}
-		if rep.DeltaBase != "" {
-			// Delta results live under a base-tagged key only (see above).
-			c.opts.Cache.Put(key+"|delta:"+rep.DeltaBase, e)
-		} else {
-			// Full compiles carry the graph's signature multiset so they
-			// can serve as delta bases for near-duplicate graphs.
-			if deltaSigs != nil {
-				e.sigs = deltaSigs
-			} else if rep.Selection != nil {
-				e.sigs = nodeSignatures(g)
-			}
-			c.opts.Cache.Put(key, e)
-		}
+		})
 	}
 	return rep, nil
 }
@@ -685,15 +625,8 @@ func summarize(census *antichain.Result, span int) *CensusSummary {
 // three config structs is spelled out, so adding a field without
 // extending the key fails loudly in review, not silently in the cache.
 func specCacheKey(g *dfg.Graph, sel patsel.Config, so sched.Options, arch *alloc.Arch, spans []int, stop Stage) string {
-	return specCacheKeyFP(g.Fingerprint(), sel, so, arch, spans, stop)
-}
-
-// specCacheKeyFP is specCacheKey for callers that hold only a
-// fingerprint, not the graph — the delta path addresses its base by the
-// fingerprint the client sent.
-func specCacheKeyFP(fp string, sel patsel.Config, so sched.Options, arch *alloc.Arch, spans []int, stop Stage) string {
 	b := make([]byte, 0, 160)
-	b = append(b, fp...)
+	b = append(b, g.Fingerprint()...)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(sel.C), 10)
 	b = append(b, ',')

@@ -51,10 +51,6 @@ type Job struct {
 	// StopAfter ends the compile after the named stage; StageAll (the
 	// zero value) runs everything the job asks for.
 	StopAfter Stage
-	// BaseFingerprint, when non-empty, names an already-cached compile of
-	// a similar graph and enables the delta compile path (see
-	// Spec.BaseFingerprint).
-	BaseFingerprint string
 	// Hook, when non-nil, observes each stage as it completes (see
 	// Spec.Hook). The hook is not part of the cache identity: the
 	// mpschedd server hangs its per-request tracing here without
@@ -89,15 +85,14 @@ func (j Job) Label() string {
 // Spec converts the job to the staged compiler's spec type.
 func (j Job) Spec() Spec {
 	return Spec{
-		Name:            j.Name,
-		Graph:           j.Graph,
-		Select:          j.Select,
-		Sched:           j.Sched,
-		Arch:            j.Arch,
-		Spans:           j.Spans,
-		StopAfter:       j.StopAfter,
-		BaseFingerprint: j.BaseFingerprint,
-		Hook:            j.Hook,
+		Name:      j.Name,
+		Graph:     j.Graph,
+		Select:    j.Select,
+		Sched:     j.Sched,
+		Arch:      j.Arch,
+		Spans:     j.Spans,
+		StopAfter: j.StopAfter,
+		Hook:      j.Hook,
 	}
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"os"
 	"testing"
 
 	"mpsched/internal/alloc"
@@ -13,16 +14,14 @@ import (
 
 // compileOnce runs one full compile (through allocation, with trace)
 // against the given cache and returns the report.
-func compileOnce(t *testing.T, cache ResultCache, g *dfg.Graph, base string) *Report {
+func compileOnce(t *testing.T, cache ResultCache, g *dfg.Graph) *Report {
 	t.Helper()
 	c := NewCompiler(Options{Cache: cache})
-	spec := NewSpec(g,
+	rep, err := c.Compile(context.Background(), NewSpec(g,
 		WithSelect(selectCfg(4)),
 		WithSchedule(sched.Options{KeepTrace: true}),
 		WithArch(alloc.DefaultArch()),
-	)
-	spec.BaseFingerprint = base
-	rep, err := c.Compile(context.Background(), spec)
+	))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -48,7 +47,7 @@ func entryBytes(t *testing.T, rep *Report) []byte {
 }
 
 func TestEntryCodecRoundTrip(t *testing.T) {
-	rep := compileOnce(t, nil, workloads.ThreeDFT(), "")
+	rep := compileOnce(t, nil, workloads.ThreeDFT())
 	e := &cacheEntry{
 		selection: rep.Selection,
 		schedule:  rep.Schedule,
@@ -56,7 +55,6 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		census:    rep.Census,
 		span:      rep.Span,
 		swept:     rep.SweptSpans,
-		sigs:      nodeSignatures(rep.Graph),
 	}
 	enc, err := entryCodec{}.Append(nil, e)
 	if err != nil {
@@ -88,13 +86,64 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	if dec.program.Stats != e.program.Stats {
 		t.Fatalf("program stats: got %+v want %+v", dec.program.Stats, e.program.Stats)
 	}
-	if len(dec.sigs) != len(e.sigs) {
-		t.Fatalf("sigs: got %d want %d", len(dec.sigs), len(e.sigs))
-	}
 	// Decoded schedule shares the selection's pattern set, as live
 	// entries do.
 	if dec.schedule.Patterns != dec.selection.Patterns {
 		t.Fatal("decoded schedule must share the selection's pattern set")
+	}
+}
+
+// TestEntryCodecReadsParentEntries keeps disk stores written before the
+// delta compile path was removed hitting. The fixtures are version-1
+// entries for 3dft and fft:8 (compileOnce's configuration) as that
+// writer stored them, node signatures included; each must decode to
+// exactly what a fresh compile produces today.
+func TestEntryCodecReadsParentEntries(t *testing.T) {
+	fft8, err := workloads.RadixTwoFFT(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		file string
+		g    *dfg.Graph
+	}{
+		{"testdata/v1-sigs-3dft.entry", workloads.ThreeDFT()},
+		{"testdata/v1-sigs-fft8.entry", fft8},
+	} {
+		stored, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := entryCodec{}.Decode(stored)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.file, err)
+		}
+		fresh := compileOnce(t, nil, tc.g)
+		if dec.span != fresh.Span || dec.swept != fresh.SweptSpans {
+			t.Fatalf("%s: span/swept %d/%v, fresh %d/%v", tc.file, dec.span, dec.swept, fresh.Span, fresh.SweptSpans)
+		}
+		if *dec.census != *fresh.Census {
+			t.Fatalf("%s: census %+v, fresh %+v", tc.file, *dec.census, *fresh.Census)
+		}
+		if got, want := dec.selection.Patterns.String(), fresh.Selection.Patterns.String(); got != want {
+			t.Fatalf("%s: selection %s, fresh %s", tc.file, got, want)
+		}
+		if got, want := dec.schedule.Length(), fresh.Schedule.Length(); got != want {
+			t.Fatalf("%s: schedule length %d, fresh %d", tc.file, got, want)
+		}
+		// Every artifact, not just the spot checks: re-encoding the
+		// decoded entry reproduces a fresh compile's bytes. Only the
+		// signature list differs from the stored bytes, so they are longer.
+		reenc, err := entryCodec{}.Append(nil, dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reenc, entryBytes(t, fresh)) {
+			t.Fatalf("%s: decoded entry differs from a fresh compile", tc.file)
+		}
+		if len(stored) <= len(reenc) {
+			t.Fatalf("%s: fixture carries no node signatures to skip", tc.file)
+		}
 	}
 }
 
@@ -106,7 +155,7 @@ func TestTieredCacheWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := compileOnce(t, cache1, g, "")
+	cold := compileOnce(t, cache1, g)
 	if cold.CacheHit {
 		t.Fatal("cold compile reported a cache hit")
 	}
@@ -121,7 +170,7 @@ func TestTieredCacheWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cache2.Close()
-	warm := compileOnce(t, cache2, g, "")
+	warm := compileOnce(t, cache2, g)
 	if !warm.CacheHit {
 		t.Fatal("compile after restart missed the persisted store")
 	}
@@ -144,10 +193,10 @@ func TestTieredEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		memCold := compileOnce(t, mem, g, "")
-		memWarm := compileOnce(t, mem, g, "")
-		tierCold := compileOnce(t, tiered, g, "")
-		tierWarm := compileOnce(t, tiered, g, "")
+		memCold := compileOnce(t, mem, g)
+		memWarm := compileOnce(t, mem, g)
+		tierCold := compileOnce(t, tiered, g)
+		tierWarm := compileOnce(t, tiered, g)
 		want := entryBytes(t, memCold)
 		for name, rep := range map[string]*Report{
 			"memory warm": memWarm, "tiered cold": tierCold, "tiered warm": tierWarm,
@@ -160,110 +209,5 @@ func TestTieredEquivalence(t *testing.T) {
 			}
 		}
 		tiered.Close()
-	}
-}
-
-// recolorNodes rebuilds g with the colors of k chosen nodes replaced by
-// other colors already present in the graph — the "small edit" a delta
-// request carries. Deterministic in seed.
-func recolorNodes(g *dfg.Graph, k int, seed int) *dfg.Graph {
-	colors := g.Colors()
-	out := dfg.NewGraph(g.Name + "-mut")
-	n := g.N()
-	state := uint64(seed)*2654435761 + 1
-	next := func(mod int) int {
-		state = state*6364136223846793005 + 1442695040888963407
-		return int((state >> 33) % uint64(mod))
-	}
-	mutate := map[int]dfg.Color{}
-	for i := 0; i < k; i++ {
-		id := next(n)
-		mutate[id] = colors[next(len(colors))]
-	}
-	for id := 0; id < n; id++ {
-		node := g.Node(id)
-		if c, ok := mutate[id]; ok {
-			node.Color = c
-		}
-		out.MustAddNode(node)
-	}
-	for id := 0; id < n; id++ {
-		for _, s := range g.Succs(id) {
-			out.MustAddDep(id, s)
-		}
-	}
-	return out
-}
-
-func TestDeltaCompileReusesBaseSelection(t *testing.T) {
-	cache := NewShardedCache(0, 0)
-	base := workloads.ThreeDFT()
-	baseRep := compileOnce(t, cache, base, "")
-	if baseRep.DeltaBase != "" {
-		t.Fatal("base compile must not be a delta")
-	}
-
-	mut := recolorNodes(base, 2, 1)
-	if mut.Fingerprint() == base.Fingerprint() {
-		t.Fatal("test setup: mutation did not change the fingerprint")
-	}
-	rep := compileOnce(t, cache, mut, base.Fingerprint())
-	if rep.CacheHit {
-		t.Fatal("first delta compile cannot be a cache hit")
-	}
-	if rep.DeltaBase != base.Fingerprint() {
-		t.Fatalf("DeltaBase = %q, want base fingerprint", rep.DeltaBase)
-	}
-	// The reused selection is the base's; the schedule is fresh and valid
-	// for the mutated graph.
-	if rep.Selection != baseRep.Selection {
-		t.Fatal("delta compile did not reuse the base selection")
-	}
-	if err := rep.Schedule.Verify(); err != nil {
-		t.Fatalf("delta schedule invalid: %v", err)
-	}
-	// Census must not have re-run: the delta path's entire point.
-	if rep.StageElapsed(StageCensus) != 0 || rep.StageElapsed(StageSelect) != 0 {
-		t.Fatal("delta compile re-ran census/select")
-	}
-
-	// Repeating the same delta request hits the delta-tagged entry.
-	rep2 := compileOnce(t, cache, mut, base.Fingerprint())
-	if !rep2.CacheHit {
-		t.Fatal("repeated delta compile missed the delta-tagged entry")
-	}
-	if rep2.DeltaBase != base.Fingerprint() {
-		t.Fatalf("repeated delta DeltaBase = %q", rep2.DeltaBase)
-	}
-
-	// The mutated graph without a base still compiles cold (delta entries
-	// never answer plain keys).
-	rep3 := compileOnce(t, cache, mut, "")
-	if rep3.CacheHit || rep3.DeltaBase != "" {
-		t.Fatal("plain compile of mutated graph must not be answered by delta entries")
-	}
-}
-
-func TestDeltaFallsBackWhenTooDifferent(t *testing.T) {
-	cache := NewShardedCache(0, 0)
-	base := workloads.ThreeDFT()
-	compileOnce(t, cache, base, "")
-
-	// A different workload entirely: diff fraction way over threshold.
-	other := workloads.Fig4Small()
-	rep := compileOnce(t, cache, other, base.Fingerprint())
-	if rep.DeltaBase != "" {
-		t.Fatal("dissimilar graph must not reuse the base selection")
-	}
-	if rep.Selection == nil || rep.StageElapsed(StageSelect) == 0 {
-		t.Fatal("fallback compile must have run selection")
-	}
-}
-
-func TestDeltaUnknownBaseFallsBack(t *testing.T) {
-	cache := NewShardedCache(0, 0)
-	rep := compileOnce(t, cache, workloads.ThreeDFT(), "no-such-fingerprint")
-	if rep.DeltaBase != "" || rep.Selection == nil {
-		t.Fatal("unknown base must fall back to a cold compile")
 	}
 }

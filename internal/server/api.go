@@ -112,7 +112,6 @@ func toJobGraph(req CompileRequest, cached *dfg.Graph) (pipeline.Job, error) {
 
 	job.StopAfter = stopStages[req.StopAfter] // validated above
 	job.Spans = req.Spans
-	job.BaseFingerprint = req.BaseFingerprint
 	return job, nil
 }
 
@@ -148,7 +147,6 @@ func (s *Server) toResponse(r pipeline.Result) *CompileResponse {
 	if rep := r.Report; rep != nil {
 		resp.Span = rep.Span
 		resp.SweptSpans = rep.SweptSpans
-		resp.Delta = rep.DeltaBase != ""
 		if rep.Census != nil {
 			resp.Census = &CensusResponse{
 				Antichains: rep.Census.Antichains,

@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"mpsched/internal/cliutil"
-	"mpsched/internal/dfg"
 	"mpsched/internal/pipeline"
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
@@ -81,77 +79,5 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %s", want)
 		}
-	}
-}
-
-// recolored returns g with node id's color replaced by another color
-// already present in the graph — a minimal delta-compile mutation.
-func recolored(t *testing.T, g *dfg.Graph, id int) *dfg.Graph {
-	t.Helper()
-	out := dfg.NewGraph(g.Name + "-mut")
-	for i := 0; i < g.N(); i++ {
-		node := g.Node(i)
-		if i == id {
-			for _, c := range g.Colors() {
-				if c != node.Color {
-					node.Color = c
-					break
-				}
-			}
-		}
-		out.MustAddNode(node)
-	}
-	for i := 0; i < g.N(); i++ {
-		for _, s := range g.Succs(i) {
-			out.MustAddDep(i, s)
-		}
-	}
-	if out.Fingerprint() == g.Fingerprint() {
-		t.Fatal("mutation did not change the fingerprint")
-	}
-	return out
-}
-
-// TestDeltaCompileOverWire drives the delta path end to end: compile a
-// base graph, then send a small mutation naming the base's fingerprint,
-// and get back a response flagged delta.
-func TestDeltaCompileOverWire(t *testing.T) {
-	_, c := newTestServer(t, server.Options{})
-	base, err := cliutil.Generate("3dft")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Compile(context.Background(), server.CompileRequest{Graph: base}); err != nil {
-		t.Fatal(err)
-	}
-
-	mut := recolored(t, base, 3)
-	resp, err := c.Compile(context.Background(), server.CompileRequest{
-		Graph:           mut,
-		BaseFingerprint: base.Fingerprint(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Delta {
-		t.Fatal("mutated compile with base_fingerprint was not served via the delta path")
-	}
-	if resp.CacheHit {
-		t.Fatal("first delta compile cannot be a cache hit")
-	}
-	if resp.Cycles <= 0 {
-		t.Fatalf("degenerate delta result: %+v", resp)
-	}
-
-	// An unknown base silently compiles cold — the field is always safe.
-	resp2, err := c.Compile(context.Background(), server.CompileRequest{
-		Graph:           recolored(t, base, 5),
-		BaseFingerprint: "no-such-base",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp2.Delta {
-		t.Fatal("unknown base must not produce a delta response")
 	}
 }

@@ -1,7 +1,6 @@
-// Package store is the unified result-store layer behind every cache in
-// the serving stack. It replaces the three cache surfaces that grew up
-// independently — pipeline.Cache (PR 1), pipeline.ShardedCache (PR 2) and
-// the fleet router's L2 (PR 9) — with one API:
+// Package store is the unified result-store layer behind the daemon's
+// result cache. It replaces the cache surfaces that grew up
+// independently, pipeline.Cache and pipeline.ShardedCache, with one API:
 //
 //	Store[V]    Get / Put / Stats / Len / Reset / Close
 //	Memory[V]   a sharded in-process LRU tier

@@ -56,9 +56,8 @@ const (
 	reqHasSpans
 	reqHasTrace
 	reqHasDeadline
-	reqHasBase
 
-	reqFlagsMask = reqHasDFG | reqHasGraph | reqHasSelect | reqHasSched | reqHasSpans | reqHasTrace | reqHasDeadline | reqHasBase
+	reqFlagsMask = reqHasDFG | reqHasGraph | reqHasSelect | reqHasSched | reqHasSpans | reqHasTrace | reqHasDeadline
 )
 
 // Response flag bits.
@@ -67,9 +66,8 @@ const (
 	respCacheHit
 	respHasCensus
 	respHasTrace
-	respDelta
 
-	respFlagsMask = respSweptSpans | respCacheHit | respHasCensus | respHasTrace | respDelta
+	respFlagsMask = respSweptSpans | respCacheHit | respHasCensus | respHasTrace
 )
 
 func (binaryCodec) Name() string              { return "binary" }
@@ -287,9 +285,6 @@ func appendRequest(buf []byte, req *CompileRequest) []byte {
 	if req.Deadline > 0 {
 		flags |= reqHasDeadline
 	}
-	if req.BaseFingerprint != "" {
-		flags |= reqHasBase
-	}
 	buf = append(buf, flags)
 	buf = appendWireString(buf, req.Name)
 	buf = appendWireString(buf, req.Workload)
@@ -330,9 +325,6 @@ func appendRequest(buf []byte, req *CompileRequest) []byte {
 	}
 	if flags&reqHasDeadline != 0 {
 		buf = binary.AppendUvarint(buf, uint64(req.Deadline))
-	}
-	if flags&reqHasBase != 0 {
-		buf = appendWireString(buf, req.BaseFingerprint)
 	}
 	return buf
 }
@@ -405,9 +397,6 @@ func decodeRequest(rd *reader, req *CompileRequest) error {
 	if flags&reqHasDeadline != 0 {
 		req.Deadline = time.Duration(rd.uvarint())
 	}
-	if flags&reqHasBase != 0 {
-		req.BaseFingerprint = rd.string()
-	}
 	return rd.err
 }
 
@@ -428,9 +417,6 @@ func appendResponse(buf []byte, resp *CompileResponse) []byte {
 	}
 	if resp.TraceID != "" {
 		flags |= respHasTrace
-	}
-	if resp.Delta {
-		flags |= respDelta
 	}
 	buf = append(buf, flags)
 	buf = appendWireString(buf, resp.Name)
@@ -476,7 +462,6 @@ func decodeResponse(rd *reader, resp *CompileResponse) error {
 	*resp = CompileResponse{
 		SweptSpans:        flags&respSweptSpans != 0,
 		CacheHit:          flags&respCacheHit != 0,
-		Delta:             flags&respDelta != 0,
 		Name:              rd.string(),
 		Nodes:             int(rd.uvarint()),
 		EdgesCount:        int(rd.uvarint()),

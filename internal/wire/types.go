@@ -41,14 +41,6 @@ type CompileRequest struct {
 	// the best schedule (response field "span" reports the winner).
 	// Unlike select.span, a literal 0 here means span ≤ 0.
 	Spans []int `json:"spans,omitempty"`
-	// BaseFingerprint, when non-empty, names an already-compiled graph
-	// (by its dfg fingerprint, as compiled under the same configuration)
-	// that this request's graph is a small edit of. The server's delta
-	// compile path then reuses the stored base's census and selection
-	// when the graphs are similar enough, running only scheduling onward.
-	// Unknown or too-different bases silently compile cold, so the field
-	// is always safe to send.
-	BaseFingerprint string `json:"base_fingerprint,omitempty"`
 	// TraceID identifies the request in the server's tracing layer. It
 	// never appears in JSON bodies — HTTP carries it in the
 	// X-Mpsched-Trace header — but the binary codec frames it inline so
@@ -114,12 +106,9 @@ type CompileResponse struct {
 	Census *CensusResponse `json:"census,omitempty"`
 	// Stages holds per-stage wall-clock timings in execution order
 	// (absent on cache hits: no stage ran).
-	Stages   []StageTimingResponse `json:"stages,omitempty"`
-	CacheHit bool                  `json:"cache_hit"`
-	// Delta reports that the compile reused a stored base's census and
-	// selection via the request's base_fingerprint (the delta path).
-	Delta     bool    `json:"delta,omitempty"`
-	ElapsedMS float64 `json:"elapsed_ms"`
+	Stages    []StageTimingResponse `json:"stages,omitempty"`
+	CacheHit  bool                  `json:"cache_hit"`
+	ElapsedMS float64               `json:"elapsed_ms"`
 	// TraceID echoes the request's effective trace ID; look it up at
 	// GET /debug/traces/{id} for the span breakdown.
 	TraceID string `json:"trace_id,omitempty"`

@@ -21,14 +21,13 @@ func sampleRequest(t *testing.T) *CompileRequest {
 		t.Fatal(err)
 	}
 	return &CompileRequest{
-		Name:            "full",
-		Workload:        "",
-		Graph:           g,
-		Select:          &SelectConfig{C: 3, Pdef: 2, Span: -1, Epsilon: 0.25, Alpha: 10},
-		Sched:           &SchedConfig{Priority: "F1", Tie: "asc", Seed: 7, SwitchPenalty: -2},
-		StopAfter:       "select",
-		Spans:           []int{0, 1, -1},
-		BaseFingerprint: "5f2a9c0d1e3b4a5f5f2a9c0d1e3b4a5f",
+		Name:      "full",
+		Workload:  "",
+		Graph:     g,
+		Select:    &SelectConfig{C: 3, Pdef: 2, Span: -1, Epsilon: 0.25, Alpha: 10},
+		Sched:     &SchedConfig{Priority: "F1", Tie: "asc", Seed: 7, SwitchPenalty: -2},
+		StopAfter: "select",
+		Spans:     []int{0, 1, -1},
 	}
 }
 
@@ -53,7 +52,6 @@ func sampleResponse() *CompileResponse {
 			{Stage: "select", MS: 1.25},
 		},
 		CacheHit:  true,
-		Delta:     true,
 		ElapsedMS: 1.75,
 		TraceID:   "a1b2c3d4e5f60718",
 	}
