@@ -6,6 +6,7 @@
 package mpsched_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -479,7 +480,7 @@ func BenchmarkParallelEnumeration(b *testing.B) {
 // pipelineFleet builds the mixed ≥16-job batch the throughput benchmarks
 // compile: DFT sizes, FIR filters, matrix products and butterfly networks,
 // the fleet shape a production tile compiler would see under traffic.
-func pipelineFleet(b *testing.B) []pipeline.Job {
+func pipelineFleet(b *testing.B) []pipeline.Spec {
 	b.Helper()
 	specs := []struct {
 		name string
@@ -494,14 +495,14 @@ func pipelineFleet(b *testing.B) []pipeline.Job {
 		{"butterfly3", func() (*mpsched.Graph, error) { return mpsched.Butterfly(3) }},
 		{"butterfly4", func() (*mpsched.Graph, error) { return mpsched.Butterfly(4) }},
 	}
-	var jobs []pipeline.Job
+	var jobs []pipeline.Spec
 	for _, pdef := range []int{3, 4} {
 		for _, s := range specs {
 			g, err := s.gen()
 			if err != nil {
 				b.Fatal(err)
 			}
-			jobs = append(jobs, pipeline.Job{
+			jobs = append(jobs, pipeline.Spec{
 				Name:   fmt.Sprintf("%s/pdef%d", s.name, pdef),
 				Graph:  g,
 				Select: patsel.Config{Pdef: pdef},
@@ -511,11 +512,14 @@ func pipelineFleet(b *testing.B) []pipeline.Job {
 	return jobs
 }
 
-func runFleet(b *testing.B, jobs []pipeline.Job, p *pipeline.Pipeline) {
+// runFleet compiles the batch on the given number of workers (≤ 0:
+// GOMAXPROCS).
+func runFleet(b *testing.B, jobs []pipeline.Spec, c *pipeline.Compiler, workers int) {
 	b.Helper()
-	for _, r := range p.Run(jobs) {
-		if r.Err != nil {
-			b.Fatalf("job %s: %v", r.Job.Name, r.Err)
+	_, errs := c.CompileAll(context.Background(), jobs, workers)
+	for _, err := range errs {
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -535,33 +539,33 @@ func BenchmarkPipelineBatch(b *testing.B) {
 	}
 
 	b.Run("sequential", func(b *testing.B) {
-		p := pipeline.New(pipeline.Options{Workers: 1})
+		c := pipeline.NewCompiler(pipeline.Options{})
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			runFleet(b, jobs, p)
+			runFleet(b, jobs, c, 1)
 		}
 		reportThroughput(b, start)
 	})
 	b.Run("pooled", func(b *testing.B) {
-		p := pipeline.New(pipeline.Options{})
+		c := pipeline.NewCompiler(pipeline.Options{})
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			runFleet(b, jobs, p)
+			runFleet(b, jobs, c, 0)
 		}
 		reportThroughput(b, start)
 	})
 	b.Run("warmcache", func(b *testing.B) {
-		p := pipeline.New(pipeline.Options{Cache: pipeline.NewCache(0)})
-		runFleet(b, jobs, p) // fill the cache outside the timer
-		filled := p.Cache().Stats()
+		c := pipeline.NewCompiler(pipeline.Options{Cache: pipeline.NewShardedCache(0, 1)})
+		runFleet(b, jobs, c, 0) // fill the cache outside the timer
+		filled := c.Cache().Stats()
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			runFleet(b, jobs, p)
+			runFleet(b, jobs, c, 0)
 		}
 		reportThroughput(b, start)
 		// Hit rate of the timed region only, excluding the fill round.
-		after := p.Cache().Stats()
+		after := c.Cache().Stats()
 		hits, misses := after.Hits-filled.Hits, after.Misses-filled.Misses
 		b.ReportMetric(float64(hits)/float64(hits+misses), "hitRate")
 	})
@@ -569,13 +573,13 @@ func BenchmarkPipelineBatch(b *testing.B) {
 		var coldSec, warmSec float64
 		var hits int64
 		for i := 0; i < b.N; i++ {
-			cache := pipeline.NewCache(0)
-			p := pipeline.New(pipeline.Options{Cache: cache})
+			cache := pipeline.NewShardedCache(0, 1)
+			c := pipeline.NewCompiler(pipeline.Options{Cache: cache})
 			coldStart := time.Now()
-			runFleet(b, jobs, p)
+			runFleet(b, jobs, c, 0)
 			coldSec += time.Since(coldStart).Seconds()
 			warmStart := time.Now()
-			runFleet(b, jobs, p)
+			runFleet(b, jobs, c, 0)
 			warmSec += time.Since(warmStart).Seconds()
 			hits = cache.Stats().Hits
 		}
@@ -590,14 +594,13 @@ func BenchmarkPipelineBatch(b *testing.B) {
 func BenchmarkPipelineSequentialVsPooled(b *testing.B) {
 	jobs := pipelineFleet(b)
 	var seqSec, poolSec float64
-	seq := pipeline.New(pipeline.Options{Workers: 1})
-	pool := pipeline.New(pipeline.Options{})
+	c := pipeline.NewCompiler(pipeline.Options{})
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		runFleet(b, jobs, seq)
+		runFleet(b, jobs, c, 1)
 		seqSec += time.Since(t0).Seconds()
 		t0 = time.Now()
-		runFleet(b, jobs, pool)
+		runFleet(b, jobs, c, 0)
 		poolSec += time.Since(t0).Seconds()
 	}
 	n := float64(len(jobs) * b.N)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -144,10 +145,10 @@ func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 		jobs = jobs[:4] // a taste of the batch path, not a measurement
 	}
 	cold, err := measure(func(b *testing.B) error {
-		p := pipeline.New(pipeline.Options{})
+		c := pipeline.NewCompiler(pipeline.Options{})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := runBatch(p, jobs); err != nil {
+			if err := runBatch(c, jobs); err != nil {
 				return err
 			}
 		}
@@ -159,13 +160,13 @@ func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 	report.Results = append(report.Results, throughputResult("PipelineBatch/cold", cold, len(jobs)))
 
 	warm, err := measure(func(b *testing.B) error {
-		p := pipeline.New(pipeline.Options{Cache: pipeline.NewCache(0)})
-		if err := runBatch(p, jobs); err != nil { // fill the cache outside the timer
+		c := pipeline.NewCompiler(pipeline.Options{Cache: pipeline.NewShardedCache(0, 1)})
+		if err := runBatch(c, jobs); err != nil { // fill the cache outside the timer
 			return err
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := runBatch(p, jobs); err != nil {
+			if err := runBatch(c, jobs); err != nil {
 				return err
 			}
 		}
@@ -275,16 +276,16 @@ func ingestResults() ([]benchfmt.Result, error) {
 
 // benchFleet is the 16-job mixed batch the top-level pipeline benchmarks
 // compile (DFTs, FIR, MatMul, butterflies × two Pdef values).
-func benchFleet() ([]pipeline.Job, error) {
+func benchFleet() ([]pipeline.Spec, error) {
 	specs := []string{"3dft", "ndft:4", "ndft:5", "fir:8,4", "fir:12,2", "matmul:3", "butterfly:3", "butterfly:4"}
-	var jobs []pipeline.Job
+	var jobs []pipeline.Spec
 	for _, pdef := range []int{3, 4} {
 		for _, spec := range specs {
 			g, err := cliutil.Generate(spec)
 			if err != nil {
 				return nil, err
 			}
-			jobs = append(jobs, pipeline.Job{
+			jobs = append(jobs, pipeline.Spec{
 				Name:   fmt.Sprintf("%s/pdef%d", spec, pdef),
 				Graph:  g,
 				Select: patsel.Config{Pdef: pdef},
@@ -294,11 +295,8 @@ func benchFleet() ([]pipeline.Job, error) {
 	return jobs, nil
 }
 
-func runBatch(p *pipeline.Pipeline, jobs []pipeline.Job) error {
-	for _, r := range p.Run(jobs) {
-		if r.Err != nil {
-			return fmt.Errorf("job %s: %w", r.Job.Name, r.Err)
-		}
-	}
-	return nil
+// runBatch compiles the batch on a GOMAXPROCS worker pool.
+func runBatch(c *pipeline.Compiler, jobs []pipeline.Spec) error {
+	_, errs := c.CompileAll(context.Background(), jobs, 0)
+	return errors.Join(errs...)
 }

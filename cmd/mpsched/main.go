@@ -169,7 +169,7 @@ func schedOptions(cfg config) (sched.Options, error) {
 }
 
 // runBatch reads the manifest, compiles every workload through the
-// pipeline (cfg.rounds times over a shared cache), and prints a results
+// compiler (cfg.rounds times over a shared cache), and prints a results
 // table per round. Any failed job makes the command exit nonzero after
 // the full batch has run.
 func runBatch(cfg config, stdout io.Writer) error {
@@ -181,15 +181,15 @@ func runBatch(cfg config, stdout io.Writer) error {
 		return fmt.Errorf("manifest %s has no workloads", cfg.batch)
 	}
 
-	cache := pipeline.NewCache(0)
-	p := pipeline.New(pipeline.Options{Workers: cfg.jobs, Cache: cache})
+	cache := pipeline.NewShardedCache(0, 1)
+	c := pipeline.NewCompiler(pipeline.Options{Cache: cache})
 	failures := 0
 	for round := 1; round <= cfg.rounds; round++ {
 		if cfg.rounds > 1 {
 			fmt.Fprintf(stdout, "round %d/%d\n", round, cfg.rounds)
 		}
-		results := p.Run(jobs)
-		failures += printResults(stdout, results)
+		reps, errs := c.CompileAll(context.Background(), jobs, cfg.jobs)
+		failures += printResults(stdout, jobs, reps, errs)
 		fmt.Fprintln(stdout, cache.Stats())
 	}
 	if failures > 0 {
@@ -198,14 +198,14 @@ func runBatch(cfg config, stdout io.Writer) error {
 	return nil
 }
 
-// loadManifest parses the batch file into pipeline jobs, using the command
-// line flags as per-job defaults.
-func loadManifest(cfg config) ([]pipeline.Job, error) {
+// loadManifest parses the batch file into compile specs, using the
+// command line flags as per-job defaults.
+func loadManifest(cfg config) ([]pipeline.Spec, error) {
 	data, err := os.ReadFile(cfg.batch)
 	if err != nil {
 		return nil, err
 	}
-	var jobs []pipeline.Job
+	var jobs []pipeline.Spec
 	for lineNo, raw := range strings.Split(string(data), "\n") {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -220,13 +220,13 @@ func loadManifest(cfg config) ([]pipeline.Job, error) {
 	return jobs, nil
 }
 
-// parseManifestLine reads "spec [key=value ...]" into a job. The spec is a
-// graph file when it looks like a path (contains a slash or a *.json/*.txt
-// extension), a generator spec otherwise.
-func parseManifestLine(line string, cfg config) (pipeline.Job, error) {
+// parseManifestLine reads "spec [key=value ...]" into a compile spec. The
+// spec is a graph file when it looks like a path (contains a slash or a
+// *.json/*.txt extension), a generator spec otherwise.
+func parseManifestLine(line string, cfg config) (pipeline.Spec, error) {
 	fields := strings.Fields(line)
 	spec := fields[0]
-	job := pipeline.Job{
+	job := pipeline.Spec{
 		Name:   spec,
 		Select: patsel.Config{C: cfg.c, Pdef: cfg.pdef, MaxSpan: cfg.span},
 	}
@@ -296,20 +296,20 @@ func isGraphFile(spec string) bool {
 }
 
 // printResults renders the per-job table and returns the failure count.
-func printResults(w io.Writer, results []pipeline.Result) int {
+// A failed compile has no report, so its row has no timing.
+func printResults(w io.Writer, jobs []pipeline.Spec, reps []*pipeline.Report, errs []error) int {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "job\tnodes\tpatterns\tcycles\tlb\tutil\tcache\tms\tstatus")
 	failures := 0
-	for _, r := range results {
-		name := r.Job.Label()
-		if r.Err != nil {
+	for i, r := range reps {
+		if errs[i] != nil {
 			failures++
-			fmt.Fprintf(tw, "%s\t%s\t\t\t\t\t\t%.1f\terror: %v\n",
-				name, nodeCount(r.Job.Graph), r.Elapsed.Seconds()*1e3, r.Err)
+			fmt.Fprintf(tw, "%s\t%s\t\t\t\t\t\t-\terror: %v\n",
+				jobs[i].Label(), nodeCount(jobs[i].Graph), errs[i])
 			continue
 		}
 		lb := "-"
-		if v, err := sched.LowerBound(r.Job.Graph, r.Schedule.Patterns); err == nil {
+		if v, err := sched.LowerBound(r.Graph, r.Schedule.Patterns); err == nil {
 			lb = strconv.Itoa(v)
 		}
 		cacheMark := ""
@@ -317,7 +317,7 @@ func printResults(w io.Writer, results []pipeline.Result) int {
 			cacheMark = "hit"
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%s\t%.0f%%\t%s\t%.1f\tok\n",
-			name, r.Job.Graph.N(), patternList(r.Schedule),
+			r.Name, r.Graph.N(), patternList(r.Schedule),
 			r.Schedule.Length(), lb, 100*r.Schedule.Utilization(),
 			cacheMark, r.Elapsed.Seconds()*1e3)
 	}

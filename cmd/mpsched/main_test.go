@@ -104,6 +104,19 @@ fir:6,3
 	}
 }
 
+// TestBatchModeSpanSweepLabel: a manifest line with spans= is labelled
+// with its sweep, as the daemon names it on the wire.
+func TestBatchModeSpanSweepLabel(t *testing.T) {
+	manifest := writeManifest(t, "3dft name=fleet spans=0,1,2\n3dft name=fleet\n")
+	code, out, errOut := execute(t, "-batch", manifest)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "fleet[spans=0,1,2]") {
+		t.Errorf("swept job not labelled with its spans:\n%s", out)
+	}
+}
+
 func TestBatchModeRoundsHitCache(t *testing.T) {
 	manifest := writeManifest(t, "3dft\nfig4 pdef=2 c=2 span=-1\n")
 	code, out, errOut := execute(t, "-batch", manifest, "-rounds", "2")

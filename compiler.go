@@ -12,7 +12,7 @@ import (
 // multi-pattern scheduling (§4) → allocation — with per-stage timings,
 // stage hooks, partial compiles (StopAfter) and result caching. Every
 // other entry point (the legacy one-call helpers below, the batch
-// Pipeline, the mpschedd daemon) routes through it.
+// CompileAll, the mpschedd daemon) routes through it.
 type (
 	// Compiler runs CompileSpecs through the staged flow. Construct with
 	// NewCompiler; safe for concurrent use.
@@ -61,10 +61,14 @@ const (
 	CacheBypass  = pipeline.CacheBypass
 )
 
-// NewCompiler returns a staged compiler. Options follow PipelineOptions:
-// Cache enables result caching across Compile calls, ParallelEnumNodes
-// tunes the parallel enumeration backend. The zero Options value is a
-// sensible default (no cache, parallel enumeration for large graphs).
+// NewCompiler returns a staged compiler. PipelineOptions.Cache enables
+// result caching across compiles; the zero value compiles without a
+// cache. Graphs of 48 nodes or more are enumerated on the parallel
+// backend. Compile runs one spec; CompileAll fans many out over a worker
+// pool, one report or error per spec:
+//
+//	reps, errs := mpsched.NewCompiler(mpsched.PipelineOptions{}).
+//	        CompileAll(ctx, specs, 0) // 0 workers: GOMAXPROCS
 func NewCompiler(opts PipelineOptions) *Compiler { return pipeline.NewCompiler(opts) }
 
 // NewCompileSpec returns a spec compiling g, customised by opts:

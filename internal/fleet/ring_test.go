@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+	"time"
 
+	"mpsched/internal/dfg"
 	"mpsched/internal/wire"
 )
 
@@ -114,5 +116,32 @@ func TestRouteKeyStable(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("routing key moved:\n got  %q\n want %q", got, tc.want)
 		}
+	}
+}
+
+// TestSpecCacheSharesGraphs: the router resolves a repeated workload
+// spec to the same *dfg.Graph, and spec churn stays within 512 entries.
+func TestSpecCacheSharesGraphs(t *testing.T) {
+	rt, err := New(Options{Backends: []string{"http://127.0.0.1:1"}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	resolve := func(workload string) *dfg.Graph {
+		t.Helper()
+		g, err := rt.workloadGraph(workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	if resolve("3dft") != resolve("3dft") {
+		t.Fatal("a repeated workload spec generated a second graph")
+	}
+	for i := 0; i < 600; i++ {
+		resolve(fmt.Sprintf("random:seed=%d,n=8", i))
+	}
+	if n := rt.specs.Len(); n > 512 {
+		t.Fatalf("%d specs resident after 600 distinct ones, bound 512", n)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mpsched/internal/cliutil"
@@ -17,6 +16,7 @@ import (
 	"mpsched/internal/obs"
 	"mpsched/internal/resilience"
 	"mpsched/internal/server/client"
+	"mpsched/internal/store"
 	"mpsched/internal/wire"
 )
 
@@ -86,7 +86,8 @@ type Router struct {
 	// specs caches workload-spec graphs so routing a storm of identical
 	// specs fingerprints the graph once (same idea as mpschedd's cache,
 	// here only for ring placement — the backend still resolves its own).
-	specs routerSpecCache
+	// The bound is about hostile spec churn, not legitimate use.
+	specs *store.Memory[*dfg.Graph]
 
 	maxBodyBytes int64
 	maxBatchJobs int
@@ -114,6 +115,7 @@ func New(opts Options) (*Router, error) {
 		metrics:      newRouterMetrics(),
 		traces:       obs.NewRecorder(traceBuffer(opts.TraceBuffer), slowTrace(opts.SlowTrace), opts.Logger),
 		root:         client.New(opts.Backends[0]).WithResilience(res),
+		specs:        store.NewMemory[*dfg.Graph](512, 1),
 		maxBodyBytes: opts.MaxBodyBytes,
 		maxBatchJobs: opts.MaxBatchJobs,
 	}
@@ -343,13 +345,9 @@ func (rt *Router) requestKey(req *wire.CompileRequest) (string, error) {
 	var fp string
 	switch {
 	case req.Workload != "":
-		g, ok := rt.specs.get(req.Workload)
-		if !ok {
-			var err error
-			if g, err = cliutil.Generate(req.Workload); err != nil {
-				return "", err
-			}
-			rt.specs.put(req.Workload, g)
+		g, err := rt.workloadGraph(req.Workload)
+		if err != nil {
+			return "", err
 		}
 		fp = g.Fingerprint()
 	case req.Graph != nil:
@@ -366,6 +364,23 @@ func (rt *Router) requestKey(req *wire.CompileRequest) (string, error) {
 		return "", errors.New("one of workload, dfg or graph is required")
 	}
 	return routeKey(fp, req), nil
+}
+
+// workloadGraph generates a workload spec's graph through the spec
+// cache. A Router literal built without New has no cache and generates
+// every time.
+func (rt *Router) workloadGraph(spec string) (*dfg.Graph, error) {
+	if rt.specs == nil {
+		return cliutil.Generate(spec)
+	}
+	if g, ok := rt.specs.Get(spec); ok {
+		return g, nil
+	}
+	g, err := cliutil.Generate(spec)
+	if err == nil {
+		rt.specs.Put(spec, g)
+	}
+	return g, err
 }
 
 // routeKey places one compile on the ring: the graph fingerprint plus
@@ -411,37 +426,6 @@ func routeKey(fp string, req *wire.CompileRequest) string {
 		b.WriteByte(',')
 	}
 	return b.String()
-}
-
-// routerSpecCache is a bounded spec → graph map, same policy as
-// mpschedd's (which is private to internal/server).
-type routerSpecCache struct {
-	mu sync.RWMutex
-	m  map[string]*dfg.Graph
-}
-
-const maxRouterSpecEntries = 512
-
-func (c *routerSpecCache) get(spec string) (*dfg.Graph, bool) {
-	c.mu.RLock()
-	g, ok := c.m[spec]
-	c.mu.RUnlock()
-	return g, ok
-}
-
-func (c *routerSpecCache) put(spec string, g *dfg.Graph) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]*dfg.Graph)
-	}
-	if len(c.m) >= maxRouterSpecEntries {
-		for k := range c.m {
-			delete(c.m, k)
-			break
-		}
-	}
-	c.m[spec] = g
 }
 
 // ---- forwarding core ----

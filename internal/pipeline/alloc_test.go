@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"mpsched/internal/patsel"
@@ -18,17 +19,16 @@ import (
 const coldCompileAllocBudget = 2800
 
 func TestPipelineColdCompileAllocBudget(t *testing.T) {
-	g := workloads.ThreeDFT()
-	p := New(Options{}) // no cache: every Compile is a cold compile
-	job := Job{Name: "3dft", Graph: g, Select: patsel.Config{Pdef: 4}}
+	c := NewCompiler(Options{}) // no cache: every Compile is a cold compile
+	spec := Spec{Name: "3dft", Graph: workloads.ThreeDFT(), Select: patsel.Config{Pdef: 4}}
 	// Warm the graph's lazy analysis caches; the budget covers the
 	// per-compile cost under daemon traffic, where graphs repeat.
-	if r := p.Compile(job); r.Err != nil {
-		t.Fatal(r.Err)
+	if _, err := c.Compile(context.Background(), spec); err != nil {
+		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if r := p.Compile(job); r.Err != nil {
-			t.Fatal(r.Err)
+		if _, err := c.Compile(context.Background(), spec); err != nil {
+			t.Fatal(err)
 		}
 	})
 	if avg > coldCompileAllocBudget {

@@ -7,11 +7,10 @@ import (
 	"mpsched/internal/store"
 )
 
-// The pipeline's caches are thin wrappers over internal/store — the
-// unified tiered result store. Cache and ShardedCache survive as named
-// constructors for the two shapes earlier PRs exposed; both now share
-// the store.Memory implementation, and NewTieredCache adds the
-// persistent disk tier behind either.
+// The pipeline's result cache is internal/store — the unified tiered
+// result store — instantiated at the pipeline's entry type.
+// NewShardedCache builds the in-memory tier, and NewTieredCache adds the
+// persistent disk tier behind it.
 //
 // Cached results are shared, never deep-copied: hits return schedules
 // whose slices alias the cached entry. Treat compilation results as
@@ -19,27 +18,26 @@ import (
 // simulation) only reads them.
 
 // Stats is the unified cache counter snapshot (an alias for
-// store.Stats, which every tier reports — including the eviction count
-// the old sharded cache dropped).
+// store.Stats, which every tier reports).
 type Stats = store.Stats
 
-// ResultCache is the cache surface a Pipeline consumes. It is the
+// ResultCache is the cache surface a Compiler consumes. It is the
 // unified store API instantiated at the pipeline's package-private entry
-// type, so external implementations would have nothing to store — the
-// same sealing the old unexported-method interface provided.
+// type, so external implementations would have nothing to store.
 type ResultCache = store.Store[*cacheEntry]
 
-// DefaultCacheEntries bounds a NewCache(0) cache. A full entry for a
-// paper-sized workload is a few kilobytes, so the default costs megabytes
-// at worst while covering far more distinct workloads than a steady-state
-// fleet presents.
+// DefaultCacheEntries bounds a cache built with maxEntries ≤ 0. A full
+// entry for a paper-sized workload is a few kilobytes, so the default
+// costs megabytes at worst while covering far more distinct workloads
+// than a steady-state fleet presents.
 const DefaultCacheEntries = store.DefaultEntries
 
 // cacheEntry is the unit the result store holds: the finished
 // Selection/Schedule/Program for one (graph, config) key, plus the
 // summary fields that reconstruct a Report on a hit. The full
-// antichain.Result is deliberately not cached (Selection.Enumerated
-// still carries it for callers that need the classes).
+// antichain.Result is not cached as such, but on the memory tier it
+// stays reachable through Selection.Enumerated; the disk tier drops it
+// (see entryCodec).
 type cacheEntry struct {
 	selection *patsel.Selection
 	schedule  *sched.Schedule
@@ -49,17 +47,30 @@ type cacheEntry struct {
 	swept     bool
 }
 
-// Cache is a content-addressed compilation cache: graph fingerprint plus
-// the full configuration (selection, scheduling, architecture) maps to
-// the finished Selection/Schedule/Program. Entries are evicted
-// least-recently-used once maxEntries is exceeded. Safe for concurrent
-// use. Since the store redesign it is a single-shard store.Memory.
-type Cache struct {
-	*store.Memory[*cacheEntry]
+// NewShardedCache returns an in-memory result cache: a content-addressed
+// LRU keyed on graph fingerprint plus the full configuration, split into
+// `shards` independently-locked shards holding at most maxEntries results
+// in total. maxEntries ≤ 0 selects DefaultCacheEntries; shards ≤ 0
+// selects store.DefaultShards(). Under a serving workload every request
+// takes a shard lock at least once (even hits, to refresh LRU recency),
+// so several shards keep concurrent compiles from serialising on one
+// mutex; keys lead with the graph's content hash, which keeps the shards
+// balanced.
+func NewShardedCache(maxEntries, shards int) *store.Memory[*cacheEntry] {
+	return store.NewMemory[*cacheEntry](maxEntries, shards)
 }
 
-// NewCache returns an empty cache holding at most maxEntries results.
-// maxEntries ≤ 0 selects DefaultCacheEntries.
-func NewCache(maxEntries int) *Cache {
-	return &Cache{store.NewMemory[*cacheEntry](maxEntries, 1)}
+// NewTieredCache composes the sharded memory cache over a persistent
+// disk tier rooted at dir, so a restarted process starts warm: lookups
+// missing memory fall through to disk and promote, puts write through.
+// maxEntries/shards size the memory tier as in NewShardedCache; maxBytes
+// bounds the disk tier (0 means store.DefaultMaxBytes); logf (optional)
+// receives corruption and eviction reports.
+func NewTieredCache(maxEntries, shards int, dir string, maxBytes int64, logf store.Logf) (ResultCache, error) {
+	mem := NewShardedCache(maxEntries, shards)
+	disk, err := store.Open[*cacheEntry](dir, maxBytes, entryCodec{}, logf)
+	if err != nil {
+		return nil, err
+	}
+	return store.NewTiered[*cacheEntry](mem, disk), nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(3)
+	c := NewShardedCache(3, 1)
 	for i := 0; i < 3; i++ {
 		c.Put(fmt.Sprintf("k%d", i), &cacheEntry{})
 	}
@@ -29,7 +29,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheOverwriteSameKey(t *testing.T) {
-	c := NewCache(2)
+	c := NewShardedCache(2, 1)
 	c.Put("k", &cacheEntry{})
 	c.Put("k", &cacheEntry{})
 	if c.Len() != 1 {
@@ -38,7 +38,7 @@ func TestCacheOverwriteSameKey(t *testing.T) {
 }
 
 func TestCacheStatsAndReset(t *testing.T) {
-	c := NewCache(0)
+	c := NewShardedCache(0, 1)
 	c.Put("a", &cacheEntry{})
 	c.Get("a")
 	c.Get("missing")
@@ -58,14 +58,14 @@ func TestCacheStatsAndReset(t *testing.T) {
 
 // TestCacheEvictionsCounted pins the satellite fix: evictions are part of
 // the unified Stats for single and sharded caches alike (the old
-// ShardedCache summed per-shard stats into a struct with no eviction
+// sharded cache summed per-shard stats into a struct with no eviction
 // field).
 func TestCacheEvictionsCounted(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		c    ResultCache
 	}{
-		{"single", NewCache(4)},
+		{"single", NewShardedCache(4, 1)},
 		{"sharded", NewShardedCache(8, 8)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,7 +84,7 @@ func TestCacheEvictionsCounted(t *testing.T) {
 }
 
 func TestCacheDefaultBound(t *testing.T) {
-	c := NewCache(0)
+	c := NewShardedCache(0, 1)
 	for i := 0; i < DefaultCacheEntries+10; i++ {
 		c.Put(fmt.Sprintf("k%d", i), &cacheEntry{})
 	}
@@ -94,7 +94,7 @@ func TestCacheDefaultBound(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCache(64)
+	c := NewShardedCache(64, 1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

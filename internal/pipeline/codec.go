@@ -22,8 +22,9 @@ import (
 // graph fingerprint, and rebindReport re-points the decoded schedule and
 // program at the requesting spec's own graph, exactly as memory-tier
 // hits are rebound. Selection.Enumerated (the full antichain census) is
-// not stored either — memory-tier hits don't carry it across requests
-// in the first place.
+// not stored either, so a disk-tier hit returns it nil where a
+// memory-tier hit still carries the census of the compile that filled
+// the entry.
 type entryCodec struct{}
 
 const (
@@ -244,12 +245,14 @@ func (entryCodec) Decode(data []byte) (*cacheEntry, error) {
 				}
 			}
 		}
-		if n := r.count(); n > 0 {
-			p.InputAddr = make(map[string]int, n)
-			for i := 0; i < n; i++ {
-				k := r.string()
-				p.InputAddr[k] = int(r.varint())
-			}
+		// Always a map, as alloc.Allocate returns one even for a graph
+		// with no named inputs: the disk tier must not answer nil where
+		// the memory tier answers empty.
+		n := r.count()
+		p.InputAddr = make(map[string]int, n)
+		for i := 0; i < n; i++ {
+			k := r.string()
+			p.InputAddr[k] = int(r.varint())
 		}
 		p.Stats = alloc.Stats{
 			Spills:        int(r.varint()),

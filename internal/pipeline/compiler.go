@@ -178,17 +178,32 @@ func WithStageHook(h StageHook) SpecOption { return func(s *Spec) { s.Hook = h }
 func WithoutCache() SpecOption { return func(s *Spec) { s.Cache = CacheBypass } }
 
 // Label returns the spec's display name: the explicit Name, else the
-// graph's name, else "?" (source specs are named by SourceOpts.Name).
+// graph's name, else SourceOpts.Name, else "?". A span sweep is part of
+// the name ("fleet[spans=0,1,2]"): two specs differing only by their
+// swept spans must stay distinguishable in reports, logs and metrics.
 func (s Spec) Label() string {
+	var name string
 	switch {
 	case s.Name != "":
-		return s.Name
+		name = s.Name
 	case s.Graph != nil && s.Graph.Name != "":
-		return s.Graph.Name
+		name = s.Graph.Name
 	case s.SourceOpts.Name != "":
-		return s.SourceOpts.Name
+		name = s.SourceOpts.Name
+	default:
+		name = "?"
 	}
-	return "?"
+	if len(s.Spans) == 0 {
+		return name
+	}
+	b := append([]byte(name), "[spans="...)
+	for i, sp := range s.Spans {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(sp), 10)
+	}
+	return string(append(b, ']'))
 }
 
 // lastStage is the spec's natural final stage under StopAfter == StageAll.
@@ -318,22 +333,23 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("compile panicked: %v", e.Value) }
 
 // Compiler runs Specs through the staged flow — parse → census → select →
-// schedule → allocate — with the same result cache and parallel
-// enumeration backend the batch pipeline uses. Construct with NewCompiler;
-// a Compiler is safe for concurrent use.
+// schedule → allocate — consulting its result cache, and enumerating
+// graphs of DefaultParallelEnumNodes nodes or more on the parallel
+// backend. Construct with NewCompiler; a Compiler is safe for concurrent
+// use.
 type Compiler struct {
-	opts Options
+	cache ResultCache
 }
 
-// NewCompiler returns a compiler with the given options (worker counts
-// are only used by the batch Pipeline built on top; Cache and the
-// ParallelEnumNodes threshold apply to every Compile).
+// NewCompiler returns a compiler serving from opts.Cache (nil: no
+// caching). Compile runs one spec; CompileAll fans many out over a
+// worker pool.
 func NewCompiler(opts Options) *Compiler {
-	return &Compiler{opts: opts.withDefaults()}
+	return &Compiler{cache: opts.Cache}
 }
 
 // Cache returns the compiler's result cache, or nil when caching is off.
-func (c *Compiler) Cache() ResultCache { return c.opts.Cache }
+func (c *Compiler) Cache() ResultCache { return c.cache }
 
 // Compile runs the spec through the staged flow, honouring StopAfter and
 // ctx (checked at stage boundaries). On error the report is nil; partial
@@ -433,9 +449,10 @@ func (c *Compiler) compileSpec(ctx context.Context, spec Spec) (*Report, error) 
 		if err != nil {
 			return nil, err
 		}
-		if rep.Name == "?" && rep.Graph.Name != "" {
-			rep.Name = rep.Graph.Name
-		}
+		// A source spec is named after the graph its parse produced.
+		parsed := spec
+		parsed.Graph = rep.Graph
+		rep.Name = parsed.Label()
 		if stop == StageParse {
 			return rep, nil
 		}
@@ -460,10 +477,10 @@ func (c *Compiler) compileSpec(ctx context.Context, spec Spec) (*Report, error) 
 	// Cache lookup. Census-only compiles are never cached (entries hold
 	// the selection onward), and CacheBypass specs skip the cache wholesale.
 	var key string
-	useCache := c.opts.Cache != nil && spec.Cache == CacheDefault && stop >= StageSelect && needSelect
+	useCache := c.cache != nil && spec.Cache == CacheDefault && stop >= StageSelect && needSelect
 	if useCache {
 		key = specCacheKey(g, selCfg, spec.Sched, spec.Arch, spec.Spans, stop)
-		if e, ok := c.opts.Cache.Get(key); ok {
+		if e, ok := c.cache.Get(key); ok {
 			return rebindReport(rep, e), nil
 		}
 	}
@@ -484,7 +501,7 @@ func (c *Compiler) compileSpec(ctx context.Context, spec Spec) (*Report, error) 
 		if useCache && stop == StageSelect {
 			// Select-only results are cached under their own stop-tagged
 			// key, so repeated partial compiles skip the census too.
-			c.opts.Cache.Put(key, &cacheEntry{
+			c.cache.Put(key, &cacheEntry{
 				selection: rep.Selection,
 				census:    rep.Census,
 				span:      rep.Span,
@@ -530,7 +547,7 @@ func (c *Compiler) compileSpec(ctx context.Context, spec Spec) (*Report, error) 
 	}
 
 	if useCache {
-		c.opts.Cache.Put(key, &cacheEntry{
+		c.cache.Put(key, &cacheEntry{
 			selection: rep.Selection,
 			schedule:  rep.Schedule,
 			program:   rep.Program,
@@ -546,7 +563,7 @@ func (c *Compiler) compileSpec(ctx context.Context, spec Spec) (*Report, error) 
 // single span limit.
 func (c *Compiler) censusAndSelect(rep *Report, g *dfg.Graph, selCfg patsel.Config, stop Stage, timed func(Stage, int, func() error) error) error {
 	err := timed(StageCensus, selCfg.MaxSpan, func() error {
-		census, err := c.enumerate(g, antichain.Config{MaxSize: selCfg.C, MaxSpan: selCfg.MaxSpan})
+		census, err := enumerate(g, antichain.Config{MaxSize: selCfg.C, MaxSpan: selCfg.MaxSpan})
 		if err != nil {
 			return stageErr(StageCensus, err)
 		}
@@ -602,11 +619,11 @@ func (c *Compiler) sweepSpans(rep *Report, spec Spec, selCfg patsel.Config, time
 	return nil
 }
 
-// enumerate delegates to the parallel backend for graphs at or above the
-// configured size.
-func (c *Compiler) enumerate(g *dfg.Graph, acfg antichain.Config) (*antichain.Result, error) {
-	if c.opts.ParallelEnumNodes > 0 && g.N() >= c.opts.ParallelEnumNodes {
-		return antichain.EnumerateParallel(g, acfg, c.opts.EnumWorkers)
+// enumerate delegates graphs of DefaultParallelEnumNodes nodes or more to
+// the parallel backend, on a GOMAXPROCS pool.
+func enumerate(g *dfg.Graph, acfg antichain.Config) (*antichain.Result, error) {
+	if g.N() >= DefaultParallelEnumNodes {
+		return antichain.EnumerateParallel(g, acfg, 0)
 	}
 	return antichain.Enumerate(g, acfg)
 }

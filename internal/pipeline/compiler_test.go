@@ -194,7 +194,7 @@ func TestCompileStageHookObservesEveryStage(t *testing.T) {
 }
 
 func TestCompileCacheRoundTrip(t *testing.T) {
-	cache := NewCache(0)
+	cache := NewShardedCache(0, 1)
 	c := NewCompiler(Options{Cache: cache})
 	g := workloads.ThreeDFT()
 	spec := NewSpec(g, WithSelect(patsel.Config{C: 5, Pdef: 4}))
@@ -269,7 +269,7 @@ func TestCompileCacheRoundTrip(t *testing.T) {
 // context cancelled after selection but before scheduling returns
 // ctx.Err() and never writes a partial cache entry.
 func TestCompileCancelledBetweenStages(t *testing.T) {
-	cache := NewCache(0)
+	cache := NewShardedCache(0, 1)
 	c := NewCompiler(Options{Cache: cache})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -301,19 +301,26 @@ func TestCompileCancelledBetweenStages(t *testing.T) {
 }
 
 // TestPipelineCancelledBetweenStages covers the same guarantee through
-// the batch Pipeline's CompileContext, the path the mpschedd server uses.
+// CompileAll: a batch cancelled between select and schedule fails its
+// spec with the context's error and caches nothing.
 func TestPipelineCancelledBetweenStages(t *testing.T) {
-	cache := NewCache(0)
-	p := New(Options{Cache: cache})
+	cache := NewShardedCache(0, 1)
+	c := NewCompiler(Options{Cache: cache})
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before any stage runs
+	defer cancel()
 
-	res := p.CompileContext(ctx, Job{Graph: workloads.ThreeDFT(), Select: patsel.Config{Pdef: 4}})
-	if !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("res.Err = %v, want context.Canceled", res.Err)
+	reps, errs := c.CompileAll(ctx, []Spec{NewSpec(workloads.ThreeDFT(),
+		WithSelect(patsel.Config{Pdef: 4}),
+		WithStageHook(func(si StageInfo) {
+			if si.Stage == StageSelect {
+				cancel()
+			}
+		}))}, 1)
+	if !errors.Is(errs[0], context.Canceled) || reps[0] != nil {
+		t.Fatalf("rep = %v, err = %v, want context.Canceled", reps[0], errs[0])
 	}
 	if cache.Len() != 0 {
-		t.Fatal("cancelled job wrote a cache entry")
+		t.Fatal("cancelled spec wrote a cache entry")
 	}
 }
 
@@ -387,12 +394,12 @@ func TestParseStage(t *testing.T) {
 	}
 }
 
-func TestJobLabelIncludesSpans(t *testing.T) {
+func TestSpecLabelIncludesSpans(t *testing.T) {
 	g := workloads.ThreeDFT()
-	plain := Job{Name: "fleet", Graph: g}
-	swept := Job{Name: "fleet", Graph: g, Spans: []int{0, 1, 2}}
+	plain := Spec{Name: "fleet", Graph: g}
+	swept := Spec{Name: "fleet", Graph: g, Spans: []int{0, 1, 2}}
 	if plain.Label() == swept.Label() {
-		t.Fatalf("jobs differing only by spans share the label %q", plain.Label())
+		t.Fatalf("specs differing only by spans share the label %q", plain.Label())
 	}
 	if got, want := swept.Label(), "fleet[spans=0,1,2]"; got != want {
 		t.Errorf("Label() = %q, want %q", got, want)
@@ -401,7 +408,7 @@ func TestJobLabelIncludesSpans(t *testing.T) {
 		t.Errorf("Label() = %q, want %q", got, want)
 	}
 	// Fallback to the graph name still works.
-	if got, want := (Job{Graph: g}).Label(), g.Name; got != want {
+	if got, want := (Spec{Graph: g}).Label(), g.Name; got != want {
 		t.Errorf("Label() = %q, want %q", got, want)
 	}
 }

@@ -1,25 +1,27 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"mpsched/internal/alloc"
+	"mpsched/internal/antichain"
 	"mpsched/internal/dfg"
 	"mpsched/internal/patsel"
 	"mpsched/internal/sched"
 	"mpsched/internal/workloads"
 )
 
-// fleet builds a mixed batch of jobs over the workload generators.
-func fleet(t testing.TB) []Job {
+// fleet builds a mixed batch of specs over the workload generators.
+func fleet(t testing.TB) []Spec {
 	t.Helper()
-	var jobs []Job
+	var specs []Spec
 	add := func(name string, g *dfg.Graph, err error) {
 		if err != nil {
 			t.Fatalf("workload %s: %v", name, err)
 		}
-		jobs = append(jobs, Job{Name: name, Graph: g, Select: patsel.Config{Pdef: 4}})
+		specs = append(specs, Spec{Name: name, Graph: g, Select: patsel.Config{Pdef: 4}})
 	}
 	add("3dft", workloads.ThreeDFT(), nil)
 	g, err := workloads.NPointDFT(4)
@@ -30,70 +32,105 @@ func fleet(t testing.TB) []Job {
 	add("matmul3", g, err)
 	g, err = workloads.Butterfly(3)
 	add("butterfly3", g, err)
-	return jobs
+	return specs
 }
 
 func TestRunMixedBatch(t *testing.T) {
-	jobs := fleet(t)
-	results := Run(jobs, Options{Workers: 4})
-	if len(results) != len(jobs) {
-		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
+	specs := fleet(t)
+	reps, errs := NewCompiler(Options{}).CompileAll(context.Background(), specs, 4)
+	if len(reps) != len(specs) || len(errs) != len(specs) {
+		t.Fatalf("got %d reports and %d errors for %d specs", len(reps), len(errs), len(specs))
 	}
-	for i, r := range results {
-		if r.Job.Name != jobs[i].Name {
-			t.Errorf("result %d is for job %q, want %q", i, r.Job.Name, jobs[i].Name)
-		}
-		if r.Err != nil {
-			t.Errorf("job %s failed: %v", r.Job.Name, r.Err)
+	for i, r := range reps {
+		name := specs[i].Name
+		if errs[i] != nil {
+			t.Errorf("spec %s failed: %v", name, errs[i])
 			continue
 		}
+		if r.Name != name {
+			t.Errorf("report %d is for spec %q, want %q", i, r.Name, name)
+		}
 		if r.Schedule == nil || r.Selection == nil {
-			t.Errorf("job %s missing outputs", r.Job.Name)
+			t.Errorf("spec %s missing outputs", name)
 			continue
 		}
 		if err := r.Schedule.Verify(); err != nil {
-			t.Errorf("job %s schedule invalid: %v", r.Job.Name, err)
+			t.Errorf("spec %s schedule invalid: %v", name, err)
 		}
 		if r.CacheHit {
-			t.Errorf("job %s claims a cache hit with no cache configured", r.Job.Name)
+			t.Errorf("spec %s claims a cache hit with no cache configured", name)
 		}
 	}
 }
 
 func TestPooledMatchesSequential(t *testing.T) {
-	jobs := fleet(t)
-	seq := Run(jobs, Options{Workers: 1})
-	par := Run(jobs, Options{Workers: 8})
-	for i := range jobs {
-		if (seq[i].Err == nil) != (par[i].Err == nil) {
-			t.Fatalf("job %s: error mismatch %v vs %v", jobs[i].Name, seq[i].Err, par[i].Err)
+	specs := fleet(t)
+	c := NewCompiler(Options{})
+	seq, seqErrs := c.CompileAll(context.Background(), specs, 1)
+	par, parErrs := c.CompileAll(context.Background(), specs, 8)
+	for i := range specs {
+		if (seqErrs[i] == nil) != (parErrs[i] == nil) {
+			t.Fatalf("spec %s: error mismatch %v vs %v", specs[i].Name, seqErrs[i], parErrs[i])
 		}
-		if seq[i].Err != nil {
+		if seqErrs[i] != nil {
 			continue
 		}
 		if s, p := seq[i].Schedule.Length(), par[i].Schedule.Length(); s != p {
-			t.Errorf("job %s: %d cycles sequential vs %d pooled", jobs[i].Name, s, p)
+			t.Errorf("spec %s: %d cycles sequential vs %d pooled", specs[i].Name, s, p)
 		}
 		if s, p := seq[i].Selection.Patterns.String(), par[i].Selection.Patterns.String(); s != p {
-			t.Errorf("job %s: patterns %s vs %s", jobs[i].Name, s, p)
+			t.Errorf("spec %s: patterns %s vs %s", specs[i].Name, s, p)
 		}
 	}
 }
 
+// TestParallelEnumBackendMatchesSequential compiles graphs on both sides
+// of DefaultParallelEnumNodes and checks each against selection and
+// scheduling over the sequential enumerator.
 func TestParallelEnumBackendMatchesSequential(t *testing.T) {
-	jobs := fleet(t)
-	seq := Run(jobs, Options{ParallelEnumNodes: -1})
-	par := Run(jobs, Options{ParallelEnumNodes: 1, EnumWorkers: 4})
-	for i := range jobs {
-		if seq[i].Err != nil || par[i].Err != nil {
-			t.Fatalf("job %s: %v / %v", jobs[i].Name, seq[i].Err, par[i].Err)
+	specs := fleet(t)
+	for _, gen := range []func() (*dfg.Graph, error){
+		func() (*dfg.Graph, error) { return workloads.FIRFilter(8, 4) },
+		func() (*dfg.Graph, error) { return workloads.Butterfly(4) },
+	} {
+		g, err := gen()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if s, p := seq[i].Schedule.Length(), par[i].Schedule.Length(); s != p {
-			t.Errorf("job %s: %d cycles sequential enum vs %d parallel enum", jobs[i].Name, s, p)
+		specs = append(specs, Spec{Name: g.Name, Graph: g, Select: patsel.Config{Pdef: 4}})
+	}
+	parallel := 0
+	c := NewCompiler(Options{})
+	for _, spec := range specs {
+		if spec.Graph.N() >= DefaultParallelEnumNodes {
+			parallel++
 		}
-		if s, p := seq[i].Selection.Patterns.String(), par[i].Selection.Patterns.String(); s != p {
-			t.Errorf("job %s: patterns %s vs %s", jobs[i].Name, s, p)
+		rep, err := c.Compile(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("spec %s: %v", spec.Name, err)
 		}
+		cfg := spec.Select.WithDefaults()
+		census, err := antichain.Enumerate(spec.Graph, antichain.Config{MaxSize: cfg.C, MaxSpan: cfg.MaxSpan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := patsel.SelectFrom(spec.Graph, census, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sched.MultiPattern(spec.Graph, sel.Patterns, spec.Sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rep.Schedule.Length(), s.Length(); got != want {
+			t.Errorf("spec %s: %d cycles compiled vs %d sequential enum", spec.Name, got, want)
+		}
+		if got, want := rep.Selection.Patterns.String(), sel.Patterns.String(); got != want {
+			t.Errorf("spec %s: patterns %s vs %s", spec.Name, got, want)
+		}
+	}
+	if parallel == 0 {
+		t.Fatalf("no spec reaches %d nodes; the parallel backend never ran", DefaultParallelEnumNodes)
 	}
 }
 
@@ -104,93 +141,80 @@ func TestErrorIsolation(t *testing.T) {
 	cyclic.MustAddDep(a, b)
 	cyclic.MustAddDep(b, a)
 
-	jobs := []Job{
+	specs := []Spec{
 		{Name: "ok1", Graph: workloads.ThreeDFT(), Select: patsel.Config{Pdef: 4}},
 		{Name: "cyclic", Graph: cyclic, Select: patsel.Config{Pdef: 2}},
 		{Name: "nilgraph"},
 		{Name: "badcfg", Graph: workloads.ThreeDFT(), Select: patsel.Config{Pdef: -1}},
 		{Name: "ok2", Graph: workloads.Fig4Small(), Select: patsel.Config{Pdef: 2, C: 2, MaxSpan: patsel.SpanUnlimited}},
 	}
-	results := Run(jobs, Options{Workers: 3})
-	for _, name := range []string{"cyclic", "nilgraph", "badcfg"} {
-		r := resultByName(t, results, name)
-		if r.Err == nil {
-			t.Errorf("job %s: want error, got success", name)
-		}
-		if !strings.Contains(r.Err.Error(), name) {
-			t.Errorf("job %s: error %q does not name the job", name, r.Err)
-		}
-	}
-	for _, name := range []string{"ok1", "ok2"} {
-		r := resultByName(t, results, name)
-		if r.Err != nil {
-			t.Errorf("job %s: unexpected error %v (failures must not poison the batch)", name, r.Err)
+	reps, errs := NewCompiler(Options{}).CompileAll(context.Background(), specs, 3)
+	for i, spec := range specs {
+		failing := !strings.HasPrefix(spec.Name, "ok")
+		switch {
+		case failing && errs[i] == nil:
+			t.Errorf("spec %s: want error, got success", spec.Name)
+		case failing && !strings.Contains(errs[i].Error(), spec.Name):
+			t.Errorf("spec %s: error %q does not name the spec", spec.Name, errs[i])
+		case failing && reps[i] != nil:
+			t.Errorf("spec %s: failed spec has a report", spec.Name)
+		case !failing && errs[i] != nil:
+			t.Errorf("spec %s: unexpected error %v (failures must not poison the batch)", spec.Name, errs[i])
 		}
 	}
-}
-
-func resultByName(t *testing.T, results []Result, name string) Result {
-	t.Helper()
-	for _, r := range results {
-		if r.Job.Name == name {
-			return r
-		}
-	}
-	t.Fatalf("no result named %s", name)
-	return Result{}
 }
 
 func TestCacheHitSkipsCompilation(t *testing.T) {
-	cache := NewCache(0)
-	p := New(Options{Workers: 2, Cache: cache})
+	cache := NewShardedCache(0, 1)
+	c := NewCompiler(Options{Cache: cache})
 
-	jobs := fleet(t)
-	cold := p.Run(jobs)
-	for _, r := range cold {
-		if r.Err != nil {
-			t.Fatalf("cold job %s: %v", r.Job.Name, r.Err)
+	specs := fleet(t)
+	cold, errs := c.CompileAll(context.Background(), specs, 2)
+	for i, r := range cold {
+		if errs[i] != nil {
+			t.Fatalf("cold spec %s: %v", specs[i].Name, errs[i])
 		}
 		if r.CacheHit {
-			t.Fatalf("cold job %s: unexpected cache hit", r.Job.Name)
+			t.Fatalf("cold spec %s: unexpected cache hit", specs[i].Name)
 		}
 	}
-	if st := cache.Stats(); st.Hits != 0 || st.Misses != int64(len(jobs)) || st.Entries != len(jobs) {
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != int64(len(specs)) || st.Entries != len(specs) {
 		t.Fatalf("cold stats: %+v", st)
 	}
 
-	warm := p.Run(jobs)
+	warm, errs := c.CompileAll(context.Background(), specs, 2)
 	for i, r := range warm {
-		if r.Err != nil {
-			t.Fatalf("warm job %s: %v", r.Job.Name, r.Err)
+		if errs[i] != nil {
+			t.Fatalf("warm spec %s: %v", specs[i].Name, errs[i])
 		}
 		if !r.CacheHit {
-			t.Errorf("warm job %s: expected cache hit", r.Job.Name)
+			t.Errorf("warm spec %s: expected cache hit", specs[i].Name)
 		}
 		if r.Schedule.Length() != cold[i].Schedule.Length() {
-			t.Errorf("warm job %s: %d cycles vs cold %d", r.Job.Name, r.Schedule.Length(), cold[i].Schedule.Length())
+			t.Errorf("warm spec %s: %d cycles vs cold %d", specs[i].Name, r.Schedule.Length(), cold[i].Schedule.Length())
 		}
 	}
-	if st := cache.Stats(); st.Hits != int64(len(jobs)) {
+	if st := cache.Stats(); st.Hits != int64(len(specs)) {
 		t.Fatalf("warm stats: %+v", st)
 	}
 }
 
 func TestCacheHitAcrossDistinctIdenticalGraphs(t *testing.T) {
-	cache := NewCache(0)
-	p := New(Options{Cache: cache})
+	c := NewCompiler(Options{Cache: NewShardedCache(0, 1)})
+	ctx := context.Background()
 
 	g1 := workloads.ThreeDFT()
 	g2 := workloads.ThreeDFT() // distinct pointer, identical content
 	if g1 == g2 {
 		t.Fatal("generator returned a shared graph")
 	}
-	first := p.Compile(Job{Name: "first", Graph: g1, Select: patsel.Config{Pdef: 4}})
-	if first.Err != nil {
-		t.Fatal(first.Err)
+	first, err := c.Compile(ctx, Spec{Name: "first", Graph: g1, Select: patsel.Config{Pdef: 4}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	second := p.Compile(Job{Name: "second", Graph: g2, Select: patsel.Config{Pdef: 4}})
-	if second.Err != nil {
-		t.Fatal(second.Err)
+	second, err := c.Compile(ctx, Spec{Name: "second", Graph: g2, Select: patsel.Config{Pdef: 4}})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !second.CacheHit {
 		t.Fatal("identical graph content should hit the cache")
@@ -207,56 +231,56 @@ func TestCacheHitAcrossDistinctIdenticalGraphs(t *testing.T) {
 }
 
 func TestConfigChangesMissCache(t *testing.T) {
-	cache := NewCache(0)
-	p := New(Options{Cache: cache})
+	c := NewCompiler(Options{Cache: NewShardedCache(0, 1)})
 	g := workloads.ThreeDFT()
-
-	r1 := p.Compile(Job{Graph: g, Select: patsel.Config{Pdef: 4}})
-	r2 := p.Compile(Job{Graph: g, Select: patsel.Config{Pdef: 3}})
-	r3 := p.Compile(Job{Graph: g, Select: patsel.Config{Pdef: 4}, Sched: sched.Options{Priority: sched.F1}})
-	for i, r := range []Result{r1, r2, r3} {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
+	compile := func(spec Spec) *Report {
+		t.Helper()
+		rep, err := c.Compile(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.CacheHit {
-			t.Errorf("job %d: distinct config must not hit the cache", i)
+		return rep
+	}
+
+	for i, spec := range []Spec{
+		{Graph: g, Select: patsel.Config{Pdef: 4}},
+		{Graph: g, Select: patsel.Config{Pdef: 3}},
+		{Graph: g, Select: patsel.Config{Pdef: 4}, Sched: sched.Options{Priority: sched.F1}},
+	} {
+		if compile(spec).CacheHit {
+			t.Errorf("spec %d: distinct config must not hit the cache", i)
 		}
 	}
 	// Pdef 4 with explicit defaults equals the zero-config normalisation.
-	r4 := p.Compile(Job{Graph: g, Select: patsel.Config{Pdef: 4, C: 5, MaxSpan: 1, Epsilon: 0.5, Alpha: 20}})
-	if r4.Err != nil {
-		t.Fatal(r4.Err)
-	}
-	if !r4.CacheHit {
+	if !compile(Spec{Graph: g, Select: patsel.Config{Pdef: 4, C: 5, MaxSpan: 1, Epsilon: 0.5, Alpha: 20}}).CacheHit {
 		t.Error("normalised config should hit the zero-config entry")
 	}
 }
 
 func TestAllocationInPipeline(t *testing.T) {
 	arch := alloc.DefaultArch()
-	cache := NewCache(0)
-	p := New(Options{Cache: cache})
-	job := Job{Name: "3dft+alloc", Graph: workloads.ThreeDFT(), Select: patsel.Config{Pdef: 4}, Arch: &arch}
+	c := NewCompiler(Options{Cache: NewShardedCache(0, 1)})
+	spec := Spec{Name: "3dft+alloc", Graph: workloads.ThreeDFT(), Select: patsel.Config{Pdef: 4}, Arch: &arch}
 
-	r := p.Compile(job)
-	if r.Err != nil {
-		t.Fatal(r.Err)
+	r, err := c.Compile(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if r.Program == nil {
-		t.Fatal("job with Arch produced no program")
+		t.Fatal("spec with Arch produced no program")
 	}
 	// An identical-content graph must hit and carry a rebound program.
-	job2 := job
-	job2.Graph = workloads.ThreeDFT()
-	r2 := p.Compile(job2)
-	if r2.Err != nil {
-		t.Fatal(r2.Err)
+	spec2 := spec
+	spec2.Graph = workloads.ThreeDFT()
+	r2, err := c.Compile(context.Background(), spec2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !r2.CacheHit || r2.Program == nil {
 		t.Fatalf("hit=%v program=%v", r2.CacheHit, r2.Program != nil)
 	}
-	if r2.Program.Graph != job2.Graph || r2.Program.Schedule != r2.Schedule {
-		t.Error("cached program not rebound to the requesting job")
+	if r2.Program.Graph != spec2.Graph || r2.Program.Schedule != r2.Schedule {
+		t.Error("cached program not rebound to the requesting spec")
 	}
 }
 
@@ -273,31 +297,34 @@ func TestFingerprintDiscriminates(t *testing.T) {
 }
 
 func TestEmptyBatch(t *testing.T) {
-	if got := Run(nil, Options{}); len(got) != 0 {
-		t.Fatalf("empty batch returned %d results", len(got))
+	if reps, errs := NewCompiler(Options{}).CompileAll(context.Background(), nil, 0); len(reps) != 0 || len(errs) != 0 {
+		t.Fatalf("empty batch returned %d reports, %d errors", len(reps), len(errs))
 	}
 }
 
+// TestZeroValuePipelineDoesNotDeadlock: a zero-value Compiler and a zero
+// worker count still compile (workers ≤ 0 means GOMAXPROCS).
 func TestZeroValuePipelineDoesNotDeadlock(t *testing.T) {
-	var p Pipeline // constructed without New: no defaults applied
-	results := p.Run([]Job{{Name: "z", Graph: workloads.ThreeDFT(), Select: patsel.Config{Pdef: 4}}})
-	if results[0].Err != nil {
-		t.Fatal(results[0].Err)
+	var c Compiler
+	_, errs := c.CompileAll(context.Background(), []Spec{{Name: "z", Graph: workloads.ThreeDFT(), Select: patsel.Config{Pdef: 4}}}, 0)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 }
 
 func TestConcurrentCompileSharedGraph(t *testing.T) {
-	// Many jobs sharing one cold *Graph through the pool: the graph's
+	// Many specs sharing one cold *Graph through the pool: the graph's
 	// goroutine-safe lazy caches must keep this race-free (run with -race).
 	shared := workloads.ThreeDFT()
-	p := New(Options{Workers: 8, Cache: NewCache(0)})
-	jobs := make([]Job, 8)
-	for i := range jobs {
-		jobs[i] = Job{Name: "shared", Graph: shared, Select: patsel.Config{Pdef: 3 + i%2}}
+	c := NewCompiler(Options{Cache: NewShardedCache(0, 1)})
+	specs := make([]Spec, 8)
+	for i := range specs {
+		specs[i] = Spec{Name: "shared", Graph: shared, Select: patsel.Config{Pdef: 3 + i%2}}
 	}
-	for _, r := range p.Run(jobs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	reps, errs := c.CompileAll(context.Background(), specs, 8)
+	for i, r := range reps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
 		}
 		if r.Schedule.Graph != shared {
 			t.Error("schedule not bound to the shared graph")

@@ -116,63 +116,45 @@ func TestShardedCacheConcurrent(t *testing.T) {
 // TestPipelineWithShardedCache runs a real batch twice over a sharded
 // cache and checks the second round is all hits.
 func TestPipelineWithShardedCache(t *testing.T) {
-	cache := NewShardedCache(0, 4)
-	p := New(Options{Workers: 4, Cache: cache})
-	jobs := []Job{
+	c := NewCompiler(Options{Cache: NewShardedCache(0, 4)})
+	specs := []Spec{
 		{Graph: workloads.ThreeDFT(), Select: selectCfg(4)},
 		{Graph: workloads.Fig4Small(), Select: selectCfg(2)},
 	}
-	for _, r := range p.Run(jobs) {
-		if r.Err != nil {
-			t.Fatalf("cold run: %v", r.Err)
+	reps, errs := c.CompileAll(context.Background(), specs, 4)
+	for i, r := range reps {
+		if errs[i] != nil {
+			t.Fatalf("cold run: %v", errs[i])
 		}
 		if r.CacheHit {
 			t.Fatal("cold run reported a cache hit")
 		}
 	}
-	for _, r := range p.Run(jobs) {
-		if r.Err != nil {
-			t.Fatalf("warm run: %v", r.Err)
+	reps, errs = c.CompileAll(context.Background(), specs, 4)
+	for i, r := range reps {
+		if errs[i] != nil {
+			t.Fatalf("warm run: %v", errs[i])
 		}
 		if !r.CacheHit {
-			t.Fatalf("warm run missed the cache for %q", r.Job.Label())
+			t.Fatalf("warm run missed the cache for %q", specs[i].Label())
 		}
-	}
-}
-
-// TestTypedNilCacheMeansNoCaching pins the pre-interface behavior: a nil
-// *Cache in Options means caching off, not a nil-receiver panic.
-func TestTypedNilCacheMeansNoCaching(t *testing.T) {
-	var c *Cache
-	p := New(Options{Cache: c})
-	r := p.Compile(Job{Graph: workloads.ThreeDFT(), Select: selectCfg(4)})
-	if r.Err != nil {
-		t.Fatalf("compile with typed-nil cache: %v", r.Err)
-	}
-	if r.CacheHit {
-		t.Fatal("cache hit with no cache")
-	}
-	var sc *ShardedCache
-	r = New(Options{Cache: sc}).Compile(Job{Graph: workloads.ThreeDFT(), Select: selectCfg(4)})
-	if r.Err != nil {
-		t.Fatalf("compile with typed-nil sharded cache: %v", r.Err)
 	}
 }
 
 func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := New(Options{Workers: 2})
-	jobs := []Job{
+	specs := []Spec{
 		{Graph: workloads.ThreeDFT(), Select: selectCfg(4)},
 		{Graph: workloads.Fig4Small(), Select: selectCfg(2)},
 	}
-	for _, r := range p.RunContext(ctx, jobs) {
-		if r.Err == nil {
-			t.Fatalf("job %q completed under a cancelled context", r.Job.Label())
+	reps, errs := NewCompiler(Options{}).CompileAll(ctx, specs, 2)
+	for i, err := range errs {
+		if err == nil || reps[i] != nil {
+			t.Fatalf("spec %q completed under a cancelled context", specs[i].Label())
 		}
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("job %q error %v, want context.Canceled", r.Job.Label(), r.Err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("spec %q error %v, want context.Canceled", specs[i].Label(), err)
 		}
 	}
 }
@@ -209,6 +191,6 @@ func BenchmarkCacheShardedVsSingle(b *testing.B) {
 			}
 		})
 	}
-	b.Run("single", func(b *testing.B) { bench(b, NewCache(2*keys)) })
+	b.Run("single", func(b *testing.B) { bench(b, NewShardedCache(2*keys, 1)) })
 	b.Run("sharded", func(b *testing.B) { bench(b, NewShardedCache(2*keys, 0)) })
 }

@@ -48,18 +48,16 @@ type badRequestError struct{ err error }
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
 
-// toJob resolves the request into a pipeline job. All failures are
+// toSpec resolves the request into a compile spec. All failures are
 // badRequestError: nothing has been compiled yet, so the fault is in the
 // request. Shape checks live in validateRequest; this function only
 // resolves the graph and converts the wire configs. A non-nil graph is a
 // pre-resolved substitute for req.Workload (the server's spec cache
-// path — see Server.resolveJob).
-func toJob(req CompileRequest) (pipeline.Job, error) { return toJobGraph(req, nil) }
-
-func toJobGraph(req CompileRequest, cached *dfg.Graph) (pipeline.Job, error) {
-	job := pipeline.Job{Name: req.Name}
+// path — see Server.resolveSpec).
+func toSpec(req CompileRequest, cached *dfg.Graph) (pipeline.Spec, error) {
+	spec := pipeline.Spec{Name: req.Name}
 	if err := validateRequest(req); err != nil {
-		return job, badRequestError{err}
+		return spec, badRequestError{err}
 	}
 
 	switch {
@@ -68,21 +66,21 @@ func toJobGraph(req CompileRequest, cached *dfg.Graph) (pipeline.Job, error) {
 		if g == nil {
 			var err error
 			if g, err = cliutil.Generate(req.Workload); err != nil {
-				return job, badRequestError{err}
+				return spec, badRequestError{err}
 			}
 		}
-		job.Graph = g
-		if job.Name == "" {
-			job.Name = req.Workload
+		spec.Graph = g
+		if spec.Name == "" {
+			spec.Name = req.Workload
 		}
 	case req.Graph != nil:
-		job.Graph = req.Graph
+		spec.Graph = req.Graph
 	default:
 		var g dfg.Graph
 		if err := json.Unmarshal(req.DFG, &g); err != nil {
-			return job, badRequestError{err}
+			return spec, badRequestError{err}
 		}
-		job.Graph = &g
+		spec.Graph = &g
 	}
 
 	sel := patsel.Config{Pdef: defaultPdef}
@@ -97,7 +95,7 @@ func toJobGraph(req CompileRequest, cached *dfg.Graph) (pipeline.Job, error) {
 		sel.Epsilon = c.Epsilon
 		sel.Alpha = c.Alpha
 	}
-	job.Select = sel
+	spec.Select = sel
 
 	if c := req.Sched; c != nil {
 		opts := sched.Options{Seed: c.Seed, SwitchPenalty: c.SwitchPenalty}
@@ -107,21 +105,21 @@ func toJobGraph(req CompileRequest, cached *dfg.Graph) (pipeline.Job, error) {
 		if c.Tie != "" {
 			opts.TieBreak, _ = cliutil.ParseTieBreak(c.Tie) // validated above
 		}
-		job.Sched = opts
+		spec.Sched = opts
 	}
 
-	job.StopAfter = stopStages[req.StopAfter] // validated above
-	job.Spans = req.Spans
-	return job, nil
+	spec.StopAfter = stopStages[req.StopAfter] // validated above
+	spec.Spans = req.Spans
+	return spec, nil
 }
 
 // defaultPdef matches the CLI default: select 4 patterns when the request
 // does not say otherwise.
 const defaultPdef = 4
 
-// toResponse converts a successful pipeline result to the wire shape.
-// Fields are filled stage by stage, so partial compiles (stop_after)
-// render exactly what they produced.
+// toResponse converts a successful compile of a spec that stopped after
+// stop to the wire shape. Fields are filled stage by stage, so partial
+// compiles (stop_after) render exactly what they produced.
 //
 // The schedule-derived fields (pattern strings, cycles, utilization, the
 // lower bound, the per-node assignments) are pure functions of the
@@ -133,44 +131,42 @@ const defaultPdef = 4
 // and a cached one fills the memo on its first hit. The memo entry is a
 // frozen skeleton: responses copy the scalar fields and alias the
 // slices, which nothing mutates after this point.
-func (s *Server) toResponse(r pipeline.Result) *CompileResponse {
+func (s *Server) toResponse(rep *pipeline.Report, stop pipeline.Stage) *CompileResponse {
 	resp := &CompileResponse{
-		Name:       r.Job.Label(),
-		Nodes:      r.Job.Graph.N(),
-		EdgesCount: r.Job.Graph.M(),
-		CacheHit:   r.CacheHit,
-		ElapsedMS:  r.Elapsed.Seconds() * 1e3,
+		Name:       rep.Name,
+		Nodes:      rep.Graph.N(),
+		EdgesCount: rep.Graph.M(),
+		CacheHit:   rep.CacheHit,
+		ElapsedMS:  rep.Elapsed.Seconds() * 1e3,
+		Span:       rep.Span,
+		SweptSpans: rep.SweptSpans,
 	}
-	if r.Job.StopAfter != pipeline.StageAll {
-		resp.StopAfter = r.Job.StopAfter.String()
+	if stop != pipeline.StageAll {
+		resp.StopAfter = stop.String()
 	}
-	if rep := r.Report; rep != nil {
-		resp.Span = rep.Span
-		resp.SweptSpans = rep.SweptSpans
-		if rep.Census != nil {
-			resp.Census = &CensusResponse{
-				Antichains: rep.Census.Antichains,
-				Classes:    rep.Census.Classes,
-				Span:       rep.Census.Span,
-			}
+	if rep.Census != nil {
+		resp.Census = &CensusResponse{
+			Antichains: rep.Census.Antichains,
+			Classes:    rep.Census.Classes,
+			Span:       rep.Census.Span,
 		}
-		for _, st := range rep.Stages {
-			resp.Stages = append(resp.Stages, StageTimingResponse{
-				Stage: st.Stage.String(),
-				MS:    st.Elapsed.Seconds() * 1e3,
-			})
-		}
+	}
+	for _, st := range rep.Stages {
+		resp.Stages = append(resp.Stages, StageTimingResponse{
+			Stage: st.Stage.String(),
+			MS:    st.Elapsed.Seconds() * 1e3,
+		})
 	}
 
-	if sc := r.Schedule; sc != nil {
+	if sc := rep.Schedule; sc != nil {
 		key := respKey(sc)
-		memo := r.CacheHit && key != nil
+		memo := rep.CacheHit && key != nil
 		var sk *CompileResponse
 		if memo {
 			sk, _ = s.resps.get(key)
 		}
 		if sk == nil {
-			sk = scheduleSkeleton(r.Job.Graph, sc)
+			sk = scheduleSkeleton(rep.Graph, sc)
 			if memo {
 				s.resps.put(key, sk)
 			}
@@ -182,8 +178,8 @@ func (s *Server) toResponse(r pipeline.Result) *CompileResponse {
 		resp.CycleOf = sk.CycleOf
 		resp.PatternOf = sk.PatternOf
 		resp.LowerBound = sk.LowerBound
-	} else if r.Selection != nil {
-		resp.Patterns = compactPatterns(r.Selection.Patterns)
+	} else if rep.Selection != nil {
+		resp.Patterns = compactPatterns(rep.Selection.Patterns)
 		sort.Strings(resp.Patterns)
 	}
 	return resp
@@ -233,7 +229,7 @@ func respKey(sc *sched.Schedule) *int {
 }
 
 // respCache memoises schedule skeletons by respKey (see Server.resps).
-// Bounded with arbitrary eviction, like specCache; an evicted entry merely
+// Bounded with arbitrary eviction; an evicted entry merely
 // costs recomputation on the next request. Entries pin only what the
 // skeleton and key reference — slices shared with the result cache and
 // the formatted patterns — not the schedule copies or their graphs.

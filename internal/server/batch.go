@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"mpsched/internal/dfg"
 	"mpsched/internal/obs"
 	"mpsched/internal/pipeline"
 )
@@ -42,13 +41,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	err := codec.DecodeBatch(body, &b)
 	dt.End()
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body over %d bytes", tooLarge.Limit))
-		} else {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", err))
-		}
+		s.writeDecodeError(w, "batch", err)
 		return
 	}
 	if len(b.Jobs) == 0 {
@@ -83,7 +76,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// how fast earlier compiles run.
 	type pending struct {
 		idx    int
-		job    pipeline.Job
+		spec   pipeline.Spec
 		budget time.Duration
 	}
 	at := tr.Begin("admit")
@@ -97,19 +90,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				Error: "deadline expired before the compile started"})
 			continue
 		}
-		job, err := s.resolveJob(b.Jobs[i])
+		spec, err := s.resolveSpec(b.Jobs[i])
 		if err != nil {
 			failed = append(failed, BatchItem{Index: i, Status: http.StatusBadRequest, Error: errString(err)})
 			continue
 		}
-		if n := job.Graph.N(); n > s.opts.MaxSyncNodes {
+		if n := spec.Graph.N(); n > s.opts.MaxSyncNodes {
 			failed = append(failed, BatchItem{Index: i, Status: http.StatusRequestEntityTooLarge,
 				Error: fmt.Sprintf("graph has %d nodes, over the synchronous limit %d; submit it to POST /v1/jobs", n, s.opts.MaxSyncNodes)})
 			continue
 		}
 		select {
 		case s.batchSem <- struct{}{}:
-			admitted = append(admitted, pending{idx: i, job: job, budget: budget})
+			admitted = append(admitted, pending{idx: i, spec: spec, budget: budget})
 		default:
 			s.metrics.batchRejected.Add(1)
 			failed = append(failed, BatchItem{Index: i, Status: http.StatusTooManyRequests,
@@ -230,25 +223,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			defer s.metrics.inflightBatch.Add(-1)
 			defer func() { <-s.batchSem }()
-			job := p.job
-			job.Hook = hook
+			spec := p.spec
+			spec.Hook = hook
 			// compileJob's panic perimeter is what makes the endpoint's
 			// isolation promise hold for compiler bugs too: a panicking job
 			// becomes its own 500 item while its neighbours stream normally.
+			// No trace here: the stream writer derives the compile spans.
 			jctx, cancel := withBudget(r.Context(), p.budget)
 			defer cancel()
-			res := s.compileJob(jctx, job)
-			s.metrics.observeCompile(res.Elapsed, res.Err)
-			if res.CacheHit {
-				s.metrics.stageCache.Record(res.Elapsed)
-			}
-			if res.Err != nil {
-				status := s.compileFailureStatus(r.Context(), jctx, res.Err)
-				if status == http.StatusUnprocessableEntity &&
-					(errors.Is(res.Err, dfg.ErrCyclic) || errors.Is(res.Err, dfg.ErrDuplicateName) || errors.Is(res.Err, dfg.ErrIndexRange)) {
-					status = http.StatusBadRequest
-				}
-				items <- &BatchItem{Index: p.idx, Status: status, Error: errString(res.Err)}
+			rep, err := s.compileJob(jctx, nil, spec)
+			if err != nil {
+				items <- &BatchItem{Index: p.idx, Status: s.compileFailureStatus(r.Context(), jctx, err), Error: errString(err)}
 				return
 			}
 			// Batch items deliberately omit the per-item trace_id: every
@@ -256,7 +241,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// already has from the X-Mpsched-Trace response header — at
 			// batch 64 the repetition is a measurable share of the
 			// response bytes.
-			items <- &BatchItem{Index: p.idx, Status: http.StatusOK, Result: s.toResponse(res)}
+			items <- &BatchItem{Index: p.idx, Status: http.StatusOK, Result: s.toResponse(rep, spec.StopAfter)}
 		}
 		// Jobs run on the persistent worker pool; when it is saturated (or
 		// drained away) a fresh goroutine keeps the envelope moving rather
@@ -270,39 +255,4 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	close(items)
 	<-writerDone
-}
-
-// specCache memoises workload-spec graphs (see Server.specs). Bounded
-// and concurrency-safe; eviction is arbitrary-entry, which is fine for a
-// cache whose working set is "the specs currently being stormed".
-type specCache struct {
-	mu sync.RWMutex
-	m  map[string]*dfg.Graph
-}
-
-// maxSpecCacheEntries bounds the cache; specs are short strings and
-// graphs are shared anyway, so the bound is about hostile spec churn,
-// not memory from legitimate use.
-const maxSpecCacheEntries = 512
-
-func (c *specCache) get(spec string) (*dfg.Graph, bool) {
-	c.mu.RLock()
-	g, ok := c.m[spec]
-	c.mu.RUnlock()
-	return g, ok
-}
-
-func (c *specCache) put(spec string, g *dfg.Graph) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]*dfg.Graph)
-	}
-	if len(c.m) >= maxSpecCacheEntries {
-		for k := range c.m {
-			delete(c.m, k)
-			break
-		}
-	}
-	c.m[spec] = g
 }

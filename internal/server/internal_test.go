@@ -2,12 +2,14 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"mpsched/internal/cliutil"
+	"mpsched/internal/dfg"
 	"mpsched/internal/pipeline"
 )
 
@@ -73,22 +75,22 @@ func TestJobStoreEviction(t *testing.T) {
 // the cache off — leave the memo alone.
 func TestResponseMemoSharedByHits(t *testing.T) {
 	ctx := context.Background()
-	compile := func(s *Server) (*CompileResponse, pipeline.Result) {
+	compile := func(s *Server) (*CompileResponse, *pipeline.Report) {
 		t.Helper()
 		// A fresh graph per request, as inline graphs arrive.
 		g, err := cliutil.Generate("3dft")
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, err := s.resolveJob(CompileRequest{Graph: g})
+		spec, err := s.resolveSpec(CompileRequest{Graph: g})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := s.compileJob(ctx, job)
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		rep, err := s.compileJob(ctx, nil, spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return s.toResponse(res), res
+		return s.toResponse(rep, spec.StopAfter), rep
 	}
 	memoLen := func(s *Server) int {
 		s.resps.mu.RLock()
@@ -127,5 +129,29 @@ func TestResponseMemoSharedByHits(t *testing.T) {
 	}
 	if n := memoLen(off); n != 0 {
 		t.Fatalf("cache off: memo holds %d entries, want 0", n)
+	}
+}
+
+// TestSpecCacheSharesGraphs: a repeated workload spec resolves to the
+// same *dfg.Graph, and spec churn stays within the cache's bound.
+func TestSpecCacheSharesGraphs(t *testing.T) {
+	s := newServer(Options{}, false)
+	defer s.Drain(context.Background())
+	resolve := func(workload string) *dfg.Graph {
+		t.Helper()
+		spec, err := s.resolveSpec(CompileRequest{Workload: workload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec.Graph
+	}
+	if resolve("3dft") != resolve("3dft") {
+		t.Fatal("a repeated workload spec generated a second graph")
+	}
+	for i := 0; i < 600; i++ {
+		resolve(fmt.Sprintf("random:seed=%d,n=8", i))
+	}
+	if n := s.specs.Len(); n > maxSpecCacheEntries {
+		t.Fatalf("%d specs resident after 600 distinct ones, bound %d", n, maxSpecCacheEntries)
 	}
 }

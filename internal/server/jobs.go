@@ -14,8 +14,8 @@ import (
 // queued → running → done | failed, guarded by mu; clients observe
 // progress by polling GET /v1/jobs/{id}.
 type asyncJob struct {
-	id  string
-	job pipeline.Job
+	id   string
+	spec pipeline.Spec
 	// trace is the submit request's trace; the job appends its queue-wait
 	// and compile spans to it as it runs (nil-safe). traceID is the
 	// effective ID, echoed in every JobResponse for the job.

@@ -9,6 +9,8 @@ import (
 	"runtime/debug"
 	"time"
 
+	"mpsched/internal/dfg"
+	"mpsched/internal/obs"
 	"mpsched/internal/pipeline"
 	"mpsched/internal/resilience"
 )
@@ -57,32 +59,37 @@ func withBudget(ctx context.Context, budget time.Duration) (context.Context, con
 	return context.WithTimeout(ctx, budget)
 }
 
-// compileJob runs one job through the pipeline with the server's panic
+// compileJob runs one spec through the compiler with the server's panic
 // perimeter around it: any panic — the chaos injector's, or a compiler
-// bug that escapes the pipeline's own recover — becomes a failed Result
-// carrying a *pipeline.PanicError, so the caller maps it to one 500
-// while the daemon and every neighbouring job keep going.
-func (s *Server) compileJob(ctx context.Context, job pipeline.Job) (res pipeline.Result) {
+// bug that escapes the compiler's own recover — becomes a
+// *pipeline.PanicError, so the caller maps it to one 500 while the
+// daemon and every neighbouring job keep going. Every outcome is
+// recorded by observeCompile.
+func (s *Server) compileJob(ctx context.Context, tr *obs.Trace, spec pipeline.Spec) (rep *pipeline.Report, err error) {
+	start := time.Now()
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.metrics.panics.Add(1)
-			s.logger().Error("compile panic isolated", "job", job.Label(), "panic", rec)
-			res = pipeline.Result{Job: job, Err: &pipeline.PanicError{Value: rec, Stack: debug.Stack()}}
+			s.logger().Error("compile panic isolated", "job", spec.Label(), "panic", rec)
+			rep, err = nil, &pipeline.PanicError{Value: rec, Stack: debug.Stack()}
 		}
+		s.observeCompile(tr, start, rep, err)
 	}()
 	if s.opts.Faults != nil {
-		s.opts.Faults.CompilePanic(job.Label())
+		s.opts.Faults.CompilePanic(spec.Label())
 	}
-	res = s.pipe.CompileContext(ctx, job)
-	if res.Err != nil {
-		if pe := (*pipeline.PanicError)(nil); errors.As(res.Err, &pe) {
-			// The pipeline's own recover already converted it; count and
+	rep, err = s.compiler.Compile(ctx, spec)
+	if err != nil {
+		if pe := (*pipeline.PanicError)(nil); errors.As(err, &pe) {
+			// The compiler's own recover already converted it; count and
 			// log here so both layers surface identically.
 			s.metrics.panics.Add(1)
-			s.logger().Error("compile panic isolated", "job", job.Label(), "panic", pe.Value)
+			s.logger().Error("compile panic isolated", "job", spec.Label(), "panic", pe.Value)
 		}
+		// Compile errors reach clients naming the spec they belong to.
+		err = fmt.Errorf("pipeline: job %q: %w", spec.Label(), err)
 	}
-	return res
+	return rep, err
 }
 
 // compileFailureStatus maps a failed compile to its HTTP status (whole
@@ -98,6 +105,10 @@ func (s *Server) compileFailureStatus(reqCtx, compileCtx context.Context, err er
 	case reqCtx.Err() != nil:
 		// The client went away; the status is for the log only.
 		return http.StatusRequestTimeout
+	case errors.Is(err, dfg.ErrCyclic) || errors.Is(err, dfg.ErrDuplicateName) || errors.Is(err, dfg.ErrIndexRange):
+		// A malformed graph is the client's fault even when it surfaces
+		// from inside the compile.
+		return http.StatusBadRequest
 	case compileCtx.Err() != nil:
 		s.metrics.deadlineExpired.Add(1)
 		return http.StatusGatewayTimeout

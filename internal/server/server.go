@@ -53,9 +53,6 @@ import (
 // Options configures a Server. The zero value serves with sensible
 // defaults for every field.
 type Options struct {
-	// PipelineWorkers bounds the pipeline's internal pool (used by batch
-	// compiles); ≤ 0 means GOMAXPROCS.
-	PipelineWorkers int
 	// QueueWorkers is how many async jobs compile concurrently; ≤ 0 means
 	// GOMAXPROCS.
 	QueueWorkers int
@@ -73,7 +70,7 @@ type Options struct {
 	// CacheEntries sizes the sharded result cache; 0 means the pipeline
 	// default, negative disables caching.
 	CacheEntries int
-	// CacheShards sets the shard count; ≤ 0 means DefaultCacheShards().
+	// CacheShards sets the shard count; ≤ 0 means store.DefaultShards().
 	CacheShards int
 	// Cache, when non-nil, is the result store to serve compiles from and
 	// overrides CacheEntries/CacheShards — this is how mpschedd injects a
@@ -172,12 +169,12 @@ func (o Options) withDefaults() Options {
 // Server is the compile service. Construct with New; it is safe for
 // concurrent use and is an http.Handler.
 type Server struct {
-	opts    Options
-	pipe    *pipeline.Pipeline
-	cache   pipeline.ResultCache // nil when caching is disabled
-	metrics *metrics
-	store   *jobStore
-	mux     *http.ServeMux
+	opts     Options
+	compiler *pipeline.Compiler
+	cache    pipeline.ResultCache // nil when caching is disabled
+	metrics  *metrics
+	store    *jobStore
+	mux      *http.ServeMux
 	// handler is what ServeHTTP dispatches to: the mux, wrapped by the
 	// fault-injection middleware when Options.Faults is set.
 	handler http.Handler
@@ -199,7 +196,7 @@ type Server struct {
 	// attribute caches are goroutine-safe, so sharing one *Graph across
 	// concurrent compiles is sound — and makes the pipeline's result
 	// cache hit without re-hashing.
-	specs specCache
+	specs *store.Memory[*dfg.Graph]
 	// resps memoises the schedule-derived slice of CompileResponse per
 	// cached result (see toResponse): every result-cache hit gets a fresh
 	// schedule copy, but the copies share the cached entry's slices, and
@@ -247,6 +244,7 @@ func newServer(opts Options, startWorkers bool) *Server {
 		traces:    obs.NewRecorder(opts.TraceBuffer, opts.SlowTrace, opts.Logger),
 		queue:     make(chan *asyncJob, opts.QueueDepth),
 		batchSem:  make(chan struct{}, opts.QueueDepth),
+		specs:     store.NewMemory[*dfg.Graph](maxSpecCacheEntries, 1),
 		drainCh:   make(chan struct{}),
 		drainDone: make(chan struct{}),
 	}
@@ -256,7 +254,7 @@ func newServer(opts Options, startWorkers bool) *Server {
 	case opts.CacheEntries >= 0:
 		s.cache = pipeline.NewShardedCache(opts.CacheEntries, opts.CacheShards)
 	}
-	s.pipe = pipeline.New(pipeline.Options{Workers: opts.PipelineWorkers, Cache: s.cache})
+	s.compiler = pipeline.NewCompiler(pipeline.Options{Cache: s.cache})
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.shed = resilience.NewShedder(opts.ShedThreshold, opts.ShedWindow)
 
@@ -380,7 +378,7 @@ func (s *Server) worker() {
 	}
 }
 
-// process runs one async job through the pipeline under the server's base
+// process runs one async job through the compiler under the server's base
 // context, so Drain's deadline can cut in-flight compiles short. Its
 // queue-wait and compile spans append to the submit request's trace —
 // post-finish appends are exactly what obs.Trace allows for this.
@@ -406,17 +404,16 @@ func (s *Server) process(j *asyncJob) {
 		defer cancel()
 	}
 	j.setRunning()
-	job := j.job
-	job.Hook = s.stageHook(j.trace, -1)
-	res := s.compileJob(ctx, job)
-	s.observeCompileResult(j.trace, -1, &res)
-	if res.Err != nil {
+	spec := j.spec
+	spec.Hook = s.stageHook(j.trace, -1)
+	rep, err := s.compileJob(ctx, j.trace, spec)
+	if err != nil {
 		s.metrics.jobsFailed.Add(1)
-		j.finish(nil, res.Err)
+		j.finish(nil, err)
 		return
 	}
 	s.metrics.jobsCompleted.Add(1)
-	resp := s.toResponse(res)
+	resp := s.toResponse(rep, spec.StopAfter)
 	resp.TraceID = j.traceID
 	j.finish(resp, nil)
 }
@@ -482,31 +479,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := obs.FromContext(r.Context())
-	dt := tr.Begin("decode")
-	req, ok := s.decodeRequest(w, r)
-	dt.End()
+	spec, budget, ok := s.decodeCompile(w, r, tr)
 	if !ok {
 		return
 	}
-	// The binary codec carries the trace ID inside the frame, which only
-	// exists after decode; the echo header is written lazily at first
-	// WriteHeader, so the adopted ID still wins.
-	tr.AdoptID(req.TraceID)
-	budget, err := requestDeadline(r, req.Deadline)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if budget < 0 {
-		s.writeExpired(w, budget)
-		return
-	}
-	job, err := s.resolveJob(req)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if n := job.Graph.N(); n > s.opts.MaxSyncNodes {
+	if n := spec.Graph.N(); n > s.opts.MaxSyncNodes {
 		s.writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("graph has %d nodes, over the synchronous limit %d; submit it to POST /v1/jobs", n, s.opts.MaxSyncNodes))
 		return
@@ -514,14 +491,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	cctx, cancel := withBudget(r.Context(), budget)
 	defer cancel()
-	job.Hook = s.stageHook(tr, -1)
-	res := s.compileJob(cctx, job)
-	s.observeCompileResult(tr, -1, &res)
-	if res.Err != nil {
-		s.writeError(w, s.compileFailureStatus(r.Context(), cctx, res.Err), res.Err)
+	spec.Hook = s.stageHook(tr, -1)
+	rep, err := s.compileJob(cctx, tr, spec)
+	if err != nil {
+		s.writeError(w, s.compileFailureStatus(r.Context(), cctx, err), err)
 		return
 	}
-	resp := s.toResponse(res)
+	resp := s.toResponse(rep, spec.StopAfter)
 	resp.TraceID = tr.ID()
 	s.writeResult(w, r, resp)
 }
@@ -531,31 +507,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := obs.FromContext(r.Context())
-	dt := tr.Begin("decode")
-	req, ok := s.decodeRequest(w, r)
-	dt.End()
+	spec, budget, ok := s.decodeCompile(w, r, tr)
 	if !ok {
-		return
-	}
-	tr.AdoptID(req.TraceID)
-	budget, err := requestDeadline(r, req.Deadline)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if budget < 0 {
-		s.writeExpired(w, budget)
-		return
-	}
-	job, err := s.resolveJob(req)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The job keeps the submit request's trace: its queue-wait and
 	// compile spans append to it as the job executes, long after this
 	// response went out — /debug/traces/{id} shows them as they land.
-	j := &asyncJob{id: newJobID(), job: job, status: JobQueued, trace: tr, traceID: tr.ID()}
+	j := &asyncJob{id: newJobID(), spec: spec, status: JobQueued, trace: tr, traceID: tr.ID()}
 	if budget > 0 {
 		// The budget freezes into an absolute deadline at admission; it
 		// keeps counting down while the job queues, which is the point —
@@ -651,39 +610,67 @@ func responseCodec(r *http.Request) wire.Codec {
 	return resp
 }
 
-// resolveJob is toJob with the workload-spec cache in front: a storm of
-// identical specs generates the graph once and shares it, which also
-// keys the pipeline's result cache to one fingerprint computation.
-func (s *Server) resolveJob(req CompileRequest) (pipeline.Job, error) {
-	if req.Workload == "" {
-		return toJob(req)
+// decodeCompile is the preamble /v1/compile and /v1/jobs share: decode
+// the body, adopt an in-frame trace ID, merge the header and frame
+// deadlines (504 once expired) and resolve the request to a spec (400).
+// When it returns false it has already answered the request.
+func (s *Server) decodeCompile(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (spec pipeline.Spec, budget time.Duration, ok bool) {
+	var req CompileRequest
+	dt := tr.Begin("decode")
+	err := requestCodec(r).DecodeRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &req)
+	dt.End()
+	if err != nil {
+		s.writeDecodeError(w, "request", err)
+		return spec, 0, false
 	}
-	if g, ok := s.specs.get(req.Workload); ok {
-		return toJobGraph(req, g)
+	// The binary codec carries the trace ID inside the frame, which only
+	// exists after decode; the echo header is written lazily at first
+	// WriteHeader, so the adopted ID still wins.
+	tr.AdoptID(req.TraceID)
+	if budget, err = requestDeadline(r, req.Deadline); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return spec, 0, false
 	}
-	job, err := toJob(req)
-	if err == nil {
-		s.specs.put(req.Workload, job.Graph)
+	if budget < 0 {
+		s.writeExpired(w, budget)
+		return spec, 0, false
 	}
-	return job, err
+	if spec, err = s.resolveSpec(req); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return spec, 0, false
+	}
+	return spec, budget, true
 }
 
-// decodeRequest reads a size-limited body in the request's codec. On
-// failure it has already written the (always-JSON) error response.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (CompileRequest, bool) {
-	var req CompileRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := requestCodec(r).DecodeRequest(body, &req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body over %d bytes", tooLarge.Limit))
-		} else {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		}
-		return req, false
+// resolveSpec is toSpec with the workload-spec cache in front: a storm of
+// identical specs generates the graph once and shares it, which also
+// keys the compiler's result cache to one fingerprint computation.
+func (s *Server) resolveSpec(req CompileRequest) (pipeline.Spec, error) {
+	var cached *dfg.Graph
+	if req.Workload != "" {
+		cached, _ = s.specs.Get(req.Workload)
 	}
-	return req, true
+	spec, err := toSpec(req, cached)
+	if err == nil && req.Workload != "" && cached == nil {
+		s.specs.Put(req.Workload, spec.Graph)
+	}
+	return spec, err
+}
+
+// maxSpecCacheEntries bounds Server.specs; specs are short strings and
+// graphs are shared anyway, so the bound is about hostile spec churn,
+// not memory from legitimate use.
+const maxSpecCacheEntries = 512
+
+// writeDecodeError answers a body that did not decode: 413 when it ran
+// over the size limit, 400 otherwise.
+func (s *Server) writeDecodeError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit))
+		return
+	}
+	s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", what, err))
 }
 
 // writeResult writes a compile result in the negotiated response codec.
@@ -705,12 +692,5 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	// Typed dfg decode errors are client faults even when they surface
-	// from deeper layers.
-	if status >= 500 || status == http.StatusUnprocessableEntity {
-		if errors.Is(err, dfg.ErrCyclic) || errors.Is(err, dfg.ErrDuplicateName) || errors.Is(err, dfg.ErrIndexRange) {
-			status = http.StatusBadRequest
-		}
-	}
 	s.writeJSON(w, status, ErrorResponse{Error: errString(err)})
 }

@@ -92,27 +92,27 @@ func TestCompileInlineDFG(t *testing.T) {
 
 // TestCompileMatchesPipeline is the acceptance bar: 64 concurrent client
 // requests against the server, race-clean, each validated against the
-// direct pipeline.CompileBatch answer for the same job.
+// direct compiler answer for the same spec.
 func TestCompileMatchesPipeline(t *testing.T) {
 	specs := []string{"3dft", "fig4", "ndft:4", "fir:4,2", "matmul:2", "butterfly:3", "fft:8", "ndft:3"}
 
-	// Ground truth via the pipeline directly (no cache, no server).
-	var jobs []pipeline.Job
+	// Ground truth via the compiler directly (no cache, no server).
+	var jobs []pipeline.Spec
 	for _, spec := range specs {
 		g, err := cliutil.Generate(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		job := pipeline.Job{Name: spec, Graph: g, Select: patsel.Config{Pdef: 4}}
+		job := pipeline.Spec{Name: spec, Graph: g, Select: patsel.Config{Pdef: 4}}
 		if spec == "fig4" {
 			job.Select = patsel.Config{C: 2, Pdef: 2, MaxSpan: patsel.SpanUnlimited}
 		}
 		jobs = append(jobs, job)
 	}
-	want := pipeline.Run(jobs, pipeline.Options{})
-	for i, r := range want {
-		if r.Err != nil {
-			t.Fatalf("ground truth %s failed: %v", specs[i], r.Err)
+	want, wantErrs := pipeline.NewCompiler(pipeline.Options{}).CompileAll(context.Background(), jobs, 0)
+	for i, err := range wantErrs {
+		if err != nil {
+			t.Fatalf("ground truth %s failed: %v", specs[i], err)
 		}
 	}
 
@@ -144,8 +144,8 @@ func TestCompileMatchesPipeline(t *testing.T) {
 			t.Errorf("client %d (%s): %d cycles, pipeline says %d",
 				i, specs[i%len(specs)], got[i].Cycles, ref.Schedule.Length())
 		}
-		if got[i].Nodes != ref.Job.Graph.N() {
-			t.Errorf("client %d (%s): %d nodes, want %d", i, specs[i%len(specs)], got[i].Nodes, ref.Job.Graph.N())
+		if got[i].Nodes != ref.Graph.N() {
+			t.Errorf("client %d (%s): %d nodes, want %d", i, specs[i%len(specs)], got[i].Nodes, ref.Graph.N())
 		}
 	}
 }

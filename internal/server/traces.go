@@ -66,7 +66,7 @@ func (w *statusWriter) Status() int {
 // telemetry sinks: the stage-duration metrics and — namespaced
 // "stage:*", nested inside the surrounding "compile" span — the
 // request's trace. jobIdx tags batch jobs (-1 elsewhere). Cache hits
-// run no stages and fire no hooks; observeCompileResult records their
+// run no stages and fire no hooks; observeCompile records their
 // "stage:cache" span instead, so the warm path pays the hook nothing.
 func (s *Server) stageHook(tr *obs.Trace, jobIdx int) pipeline.StageHook {
 	return func(info pipeline.StageInfo) {
@@ -75,24 +75,33 @@ func (s *Server) stageHook(tr *obs.Trace, jobIdx int) pipeline.StageHook {
 	}
 }
 
-// observeCompileResult feeds one finished compile into both telemetry
-// sinks: the outcome-labeled latency metric, the trace's "compile" span
-// (derived from the pipeline's own Elapsed — one clock read, instead of
-// a second timer pair around the call), and, for cache hits, the
-// synthetic "stage:cache" stage (trace span + per-stage metric) — the
-// whole compile was one cache lookup, which the stage hooks never saw.
-// res is a pointer only to keep the per-job call on the batched storm
-// path from copying the whole Result.
-func (s *Server) observeCompileResult(tr *obs.Trace, jobIdx int, res *pipeline.Result) {
-	s.metrics.observeCompile(res.Elapsed, res.Err)
+// observeCompile feeds one finished compile into both telemetry sinks:
+// the outcome-labeled latency metric, the trace's "compile" span, and,
+// for cache hits, the synthetic "cache" stage (metric, plus a
+// "stage:cache" trace span) — the whole compile was one cache lookup,
+// which the stage hooks never saw. A successful compile is timed by its
+// report's Elapsed, the figure its response carries; a failed one by the
+// clock since start. tr is nil on the batch path, whose stream writer
+// derives the per-job spans from the responses instead.
+func (s *Server) observeCompile(tr *obs.Trace, start time.Time, rep *pipeline.Report, err error) {
+	var elapsed time.Duration
+	hit := false
+	if rep != nil {
+		elapsed, hit = rep.Elapsed, rep.CacheHit
+	} else {
+		elapsed = time.Since(start)
+	}
+	s.metrics.observeCompile(elapsed, err)
+	if hit {
+		s.metrics.stageCache.Record(elapsed)
+	}
 	if tr == nil {
 		return
 	}
-	start := time.Now().Add(-res.Elapsed)
-	tr.Observe("compile", jobIdx, start, res.Elapsed)
-	if res.CacheHit {
-		s.metrics.observeStage("cache", res.Elapsed)
-		tr.Observe("stage:cache", jobIdx, start, res.Elapsed)
+	begin := time.Now().Add(-elapsed)
+	tr.Observe("compile", -1, begin, elapsed)
+	if hit {
+		tr.Observe("stage:cache", -1, begin, elapsed)
 	}
 }
 

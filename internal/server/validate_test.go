@@ -60,7 +60,7 @@ func TestValidateCompileRequest(t *testing.T) {
 // TestToJobRejectsWithFieldErrors pins that the handler path surfaces the
 // typed validation errors as 400s with the field name in the message.
 func TestToJobRejectsWithFieldErrors(t *testing.T) {
-	_, err := toJob(CompileRequest{Workload: "3dft", Select: &SelectConfig{Pdef: -1}})
+	_, err := toSpec(CompileRequest{Workload: "3dft", Select: &SelectConfig{Pdef: -1}}, nil)
 	if err == nil {
 		t.Fatal("invalid request accepted")
 	}

@@ -1,6 +1,6 @@
-// Package store is the unified result-store layer behind the daemon's
-// result cache. It replaces the cache surfaces that grew up
-// independently, pipeline.Cache and pipeline.ShardedCache, with one API:
+// Package store is the unified result-store layer: the compiler's result
+// cache (memory and disk tiers) and the daemon's and router's
+// workload-spec caches share one API:
 //
 //	Store[V]    Get / Put / Stats / Len / Reset / Close
 //	Memory[V]   a sharded in-process LRU tier

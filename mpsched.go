@@ -51,7 +51,7 @@
 //	internal/montium    Montium tile model + cycle simulator
 //	internal/workloads  paper graphs and workload generators
 //	internal/expmt      paper-table reproduction harness
-//	internal/pipeline   concurrent batch engine + result caches
+//	internal/pipeline   staged compiler, batch fan-out + result caches
 //	internal/server     HTTP/JSON compile service (mpschedd core)
 //	internal/server/client  typed client for the service
 //	internal/cliutil    shared CLI helpers + workload catalog
@@ -108,21 +108,10 @@ type (
 	Program = alloc.Program
 	// Tile is the Montium hardware model.
 	Tile = montium.Tile
-	// Pipeline is the concurrent batch-compilation engine.
-	Pipeline = pipeline.Pipeline
-	// PipelineJob is one batch compilation request.
-	PipelineJob = pipeline.Job
-	// PipelineResult is the per-job outcome of a batch run.
-	PipelineResult = pipeline.Result
-	// PipelineOptions configures worker counts and caching.
+	// PipelineOptions configures a Compiler: its result cache.
 	PipelineOptions = pipeline.Options
-	// CompileCache is the content-addressed result cache shared by batches.
-	CompileCache = pipeline.Cache
-	// ShardedCompileCache is the N-way sharded result cache for highly
-	// concurrent serving (many goroutines hitting one pipeline).
-	ShardedCompileCache = pipeline.ShardedCache
 	// ResultCache is the unified result-store surface every compile cache
-	// flavor implements (Get/Put/Stats/Len/Reset/Close) and the type
+	// implements (Get/Put/Stats/Len/Reset/Close) and the type
 	// PipelineOptions.Cache and CompileServerOptions.Cache consume.
 	ResultCache = pipeline.ResultCache
 	// CompileCacheStats is the counter snapshot a ResultCache reports:
@@ -343,36 +332,16 @@ func Width(g *Graph) int { return g.Reach().Width() }
 // pruned graph and the number of nodes removed.
 func EliminateDead(g *Graph) (*Graph, int, error) { return transform.EliminateDead(g) }
 
-// NewPipeline returns a batch compilation engine running select →
-// schedule → allocate across a bounded worker pool, with optional result
-// caching (see NewCompileCache) and the parallel antichain-enumeration
-// backend for large graphs.
-func NewPipeline(opts PipelineOptions) *Pipeline { return pipeline.New(opts) }
-
 // NewCompileCache returns a content-addressed compilation cache holding at
 // most maxEntries results (≤ 0 for the default bound). Share one cache
-// across batches so repeated workloads skip enumeration entirely.
-func NewCompileCache(maxEntries int) *CompileCache { return pipeline.NewCache(maxEntries) }
+// across compiles so repeated workloads skip enumeration entirely.
+func NewCompileCache(maxEntries int) ResultCache { return pipeline.NewShardedCache(maxEntries, 1) }
 
-// CompileBatch compiles every job concurrently, returning one result per
-// job in input order; a failing job never aborts the rest of the batch.
-func CompileBatch(jobs []PipelineJob, opts PipelineOptions) []PipelineResult {
-	return pipeline.Run(jobs, opts)
-}
-
-// NewShardedCompileCache returns a result cache split into `shards`
-// independently-locked shards (≤ 0 for an automatic count) holding at
-// most maxEntries results in total (≤ 0 for the default bound). Prefer it
-// over NewCompileCache when many goroutines share one pipeline — the
-// mpschedd server uses it by default.
-func NewShardedCompileCache(maxEntries, shards int) *ShardedCompileCache {
-	return pipeline.NewShardedCache(maxEntries, shards)
-}
-
-// NewTieredCompileCache returns a result cache whose memory tier (sized
-// as in NewShardedCompileCache) is backed by a persistent disk tier
-// rooted at dir, holding at most maxBytes on disk (≤ 0 for the default
-// bound). Lookups missing memory fall through to disk and promote; puts
+// NewTieredCompileCache returns a result cache whose memory tier holds
+// at most maxEntries results (≤ 0 for the default bound) in `shards`
+// independently-locked shards (≤ 0 for an automatic count), backed by a
+// persistent disk tier rooted at dir, holding at most maxBytes on disk
+// (≤ 0 for the default bound). Lookups missing memory fall through to disk and promote; puts
 // write through. A process reopened over the same dir starts warm — the
 // store behind mpschedd -store-dir. The caller owns the cache: pass it
 // via CompileServerOptions.Cache and Close it after the server drains.
@@ -382,7 +351,7 @@ func NewTieredCompileCache(maxEntries, shards int, dir string, maxBytes int64) (
 
 // NewServer returns the embeddable compile service: an http.Handler
 // serving /v1/compile, /v1/jobs, /v1/workloads, /healthz and /metrics
-// over the batch pipeline. Run it under any http.Server, or use
+// over the staged compiler. Run it under any http.Server, or use
 // cmd/mpschedd for the standalone daemon. Call Drain on shutdown.
 func NewServer(opts CompileServerOptions) *CompileServer { return server.New(opts) }
 
