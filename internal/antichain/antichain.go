@@ -12,15 +12,19 @@
 // keeps the span within the limit, and span only grows as a set grows, so
 // the walk never visits a set that violates it.
 //
-// The census does not visit the last level. Once the growing set has
-// MaxSize−1 members, its candidate set is every full-size antichain below
-// it. Per color, popcount(candidates ∩ color mask) is the antichain count of
-// that child pattern: it is added to the class count, the size histogram
-// and the frequency of every current member at once, and then each
-// candidate adds 1 to its own frequency. Full-size antichains are most of a
-// census (fft:8: 961,532 of 1,146,198), so most antichains are counted, not
-// visited. Streaming walks (ForEach, CountTable) and KeepSets censuses
-// still visit every antichain, over the same filtered candidate sets.
+// The census does not visit the last two levels. Once the growing set A has
+// MaxSize−2 members, its candidate set S holds every node that extends it.
+// Each u in S is one (MaxSize−1)-antichain A+u, and its partner set P(u) =
+// S ∩ inc(u) ∩ the span window of A+u holds every w that completes A+u to
+// a full-size antichain. Membership in P is symmetric (A+u+w is A+w+u), so
+// P(u) covers u's full-size antichains on both sides of u, and per color c
+// popcount(P(u) ∩ color mask) is at once u's frequency in class A+u+c and
+// u's share of that class's count, where each pair is seen from both ends.
+// The classes' counts and their members' frequencies are added once per A.
+// The last two levels are most of a census (fft:8: 1,125,256 of 1,146,198),
+// so most antichains are counted, not visited, and none is iterated as a
+// leaf. Streaming walks (ForEach, CountTable) and KeepSets censuses still
+// visit every antichain, over the same filtered candidate sets.
 //
 // The census hot path is allocation-free per antichain: the pattern of the
 // growing set is maintained incrementally as an interned integer id (see
@@ -44,7 +48,7 @@ import (
 // Config bounds the enumeration.
 type Config struct {
 	// MaxSize is the machine's resource count C: antichains of size 1..C
-	// are enumerated. Must be ≥ 1.
+	// are enumerated. Must be in 1..MaxSizeLimit.
 	MaxSize int
 	// MaxSpan limits Span(A) = U(max ASAP − min ALAP). Negative means
 	// unlimited. The paper's Theorem 1 motivates small limits: scheduling a
@@ -172,15 +176,28 @@ type censusAccumulator struct {
 	classes  []*Class // indexed by pattern id; nil until first antichain
 	n        int      // nodes in the graph
 	keepSets bool
+	// Scratch of countTwoLevels, reused below every set it counts.
+	partners []uint64
+	pairs    []pairCount // indexed by partner color
 }
 
-// newCensusAccumulator hooks a census onto the walk.
+// pairCount accumulates, for one member color cu and one partner color
+// c, the antichains A+u+w with u of color cu and w of color c.
+type pairCount struct {
+	k  int   // pairs, counted from u's end
+	id int32 // pattern id of A+cu+c; 0, the empty pattern, until resolved
+}
+
+// newCensusAccumulator hooks a census onto the walk. bySize is sized by
+// the largest antichain the graph can hold, not by MaxSize.
 func newCensusAccumulator(e *enumerator, cfg Config, n int) *censusAccumulator {
 	a := &censusAccumulator{
 		e:        e,
-		bySize:   make([]int, cfg.MaxSize+1),
+		bySize:   make([]int, min(cfg.MaxSize, n)+1),
 		n:        n,
 		keepSets: cfg.KeepSets,
+		partners: make([]uint64, (n+63)/64),
+		pairs:    make([]pairCount, len(e.cc.Colors)),
 	}
 	e.census = a
 	return a
@@ -212,36 +229,91 @@ func (a *censusAccumulator) visit(pid int32) {
 	}
 }
 
-// countLeaves accounts the whole last level below the current antichain
-// (pattern pid): leaf holds, from word from on, every node completing it
-// to a full-size antichain. The leaves of one color share one child
-// pattern, so their popcount is that class's new antichains, each of which
-// contains every current member; each leaf itself is in exactly one.
-func (a *censusAccumulator) countLeaves(leaf []uint64, from int, pid int32) {
+// add counts k more antichains of class cl, each the current antichain
+// plus grow more members, and each containing every current member.
+func (a *censusAccumulator) add(cl *Class, grow, k int) {
+	a.bySize[len(a.e.current)+grow] += k
+	cl.Count += k
+	for _, nd := range a.e.current {
+		cl.NodeFreq[nd] += k
+	}
+}
+
+// countTwoLevels accounts every antichain one and two members larger than
+// the current antichain A (pattern pid, span levels maxASAP and minALAP)
+// without visiting them. s holds, from word from on, the candidate set S:
+// each u in S is the antichain A+u, and the partners of u, S ∩ inc(u) ∩
+// the span window of A+u, are the nodes w that make A+u+w an antichain.
+// Per partner color c, their popcount k is u's frequency in class A+u+c,
+// and k summed over the u of one color c′ counts each antichain of class
+// A+c′+c once, from u's end, or twice when c′ = c, from both ends. The u
+// are taken one color at a time, so one row of pair counts serves them.
+func (a *censusAccumulator) countTwoLevels(s []uint64, from, maxASAP, minALAP int, pid int32) {
 	e := a.e
-	total := 0
-	for cid, m := range e.cc.Masks {
+	to := len(s)
+	for s[to-1] == 0 {
+		to--
+	}
+	partners, pairs := a.partners, a.pairs
+	for cu, m := range e.cc.Masks {
 		mask := m.Words()
-		k := 0
-		for i := from; i < len(leaf); i++ {
-			k += bits.OnesCount64(leaf[i] & mask[i])
+		var cl *Class // class of A+u, shared by this color's u
+		k1 := 0
+		for i := from; i < to; i++ {
+			for word := s[i] & mask[i]; word != 0; word &= word - 1 {
+				u := i<<6 | bits.TrailingZeros64(word)
+				if cl == nil {
+					cl = a.class(e.table.child(pid, int32(cu)))
+					clear(pairs)
+				}
+				k1++
+				cl.NodeFreq[u]++
+				lo, hi := e.levels.SpanWindow(max(maxASAP, e.asap[u]), min(minALAP, e.alap[u]), e.maxSpan)
+				inc, lw, hw := e.inc[u].Words(), lo.Words(), hi.Words()
+				live := uint64(0)
+				for j := from; j < to; j++ {
+					partners[j] = s[j] & inc[j] & lw[j] & hw[j]
+					live |= partners[j]
+				}
+				if live == 0 {
+					continue
+				}
+				for c, cm := range e.cc.Masks {
+					cw := cm.Words()
+					k := 0
+					for j := from; j < to; j++ {
+						k += bits.OnesCount64(partners[j] & cw[j])
+					}
+					if k == 0 {
+						continue
+					}
+					p := &pairs[c]
+					if p.id == 0 {
+						// Lower color first: both colors' u share one
+						// pattern-table edge.
+						c0, c1 := int32(min(cu, c)), int32(max(cu, c))
+						p.id = e.table.child(e.table.child(pid, c0), c1)
+						a.class(p.id)
+					}
+					a.classes[p.id].NodeFreq[u] += k
+					p.k += k
+				}
+			}
 		}
-		if k == 0 {
+		if cl == nil {
 			continue
 		}
-		cl := a.class(e.table.child(pid, int32(cid)))
-		cl.Count += k
-		total += k
-		for _, nd := range e.current {
-			cl.NodeFreq[nd] += k
+		a.add(cl, 1, k1)
+		// Pairs of a lower partner color were added with that color's u.
+		if p := pairs[cu]; p.k > 0 {
+			a.add(a.classes[p.id], 2, p.k/2)
 		}
-		for i := from; i < len(leaf); i++ {
-			for w := leaf[i] & mask[i]; w != 0; w &= w - 1 {
-				cl.NodeFreq[i<<6|bits.TrailingZeros64(w)]++
+		for _, p := range pairs[cu+1:] {
+			if p.k > 0 {
+				a.add(a.classes[p.id], 2, p.k)
 			}
 		}
 	}
-	a.bySize[len(e.current)+1] += total
 }
 
 // Enumerate finds every antichain of size 1..cfg.MaxSize and span ≤
@@ -259,7 +331,7 @@ func Enumerate(d *dfg.Graph, cfg Config) (*Result, error) {
 	e := an.newWalkState(cfg, true)
 	acc := newCensusAccumulator(e, cfg, an.n)
 	e.run(0, 1)
-	res.BySize = acc.bySize
+	copy(res.BySize, acc.bySize)
 	res.finish(acc.classes, e.table, an.cc.Colors)
 	return res, nil
 }
@@ -289,11 +361,19 @@ type analysis struct {
 	cc     *dfg.ColorClasses
 }
 
+// MaxSizeLimit is the largest Config.MaxSize: a pattern holds at most
+// MaxSize nodes of one color, and the pattern table keys a color's count
+// in two bytes (see countsKey).
+const MaxSizeLimit = 65535
+
 // analyse validates the inputs and loads the graph's analysis. It returns
 // (nil, nil) for the empty graph — nothing to enumerate.
 func analyse(d *dfg.Graph, cfg Config) (*analysis, error) {
 	if cfg.MaxSize < 1 {
 		return nil, fmt.Errorf("antichain: MaxSize %d < 1", cfg.MaxSize)
+	}
+	if cfg.MaxSize > MaxSizeLimit {
+		return nil, fmt.Errorf("antichain: MaxSize %d > %d", cfg.MaxSize, MaxSizeLimit)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -320,9 +400,9 @@ type enumerator struct {
 	levels  *graph.LevelMasks
 	maxSize int
 	maxSpan int
-	// census, when set, counts every antichain; without KeepSets it takes
-	// each last level as one candidate set instead of a visit per
-	// full-size antichain. Otherwise visit is called for every antichain
+	// census, when set, counts every antichain; without KeepSets it counts
+	// the last two levels below each (MaxSize−2)-antichain instead of
+	// visiting them. Otherwise visit is called for every antichain
 	// (members in e.current) with its actual span; false stops the walk.
 	census *censusAccumulator
 	visit  func(span int) bool
@@ -340,10 +420,12 @@ type enumerator struct {
 // newWalkState assembles the mutable DFS state (current set, candidate
 // stack, and a pattern table if needPatterns) over the shared analysis.
 // Both the sequential enumerator and each parallel worker build theirs
-// here.
+// here. No antichain has more than n members, so the state is sized by
+// min(MaxSize, n).
 func (an *analysis) newWalkState(cfg Config, needPatterns bool) *enumerator {
 	words := (an.n + 63) / 64
-	rows := make([]uint64, (cfg.MaxSize-1)*words)
+	depth := min(cfg.MaxSize, an.n)
+	rows := make([]uint64, (depth-1)*words)
 	e := &enumerator{
 		inc:     an.inc,
 		asap:    an.lv.ASAP,
@@ -351,8 +433,8 @@ func (an *analysis) newWalkState(cfg Config, needPatterns bool) *enumerator {
 		levels:  an.levels,
 		maxSize: cfg.MaxSize,
 		maxSpan: cfg.MaxSpan,
-		current: make([]int, 0, cfg.MaxSize),
-		stack:   make([][]uint64, cfg.MaxSize-1),
+		current: make([]int, 0, depth),
+		stack:   make([][]uint64, depth-1),
 	}
 	for i := range e.stack {
 		e.stack[i] = rows[i*words : (i+1)*words : (i+1)*words]
@@ -393,8 +475,8 @@ func (e *enumerator) extend(v int, cand []uint64, maxASAP, minALAP int, pid int3
 	}
 	if ok && len(e.current) < e.maxSize {
 		if next, from := e.candidates(v, cand, maxASAP, minALAP); next != nil {
-			if e.census != nil && !e.census.keepSets && len(e.current) == e.maxSize-1 {
-				e.census.countLeaves(next, from, pid)
+			if e.census != nil && !e.census.keepSets && len(e.current) == e.maxSize-2 {
+				e.census.countTwoLevels(next, from, maxASAP, minALAP, pid)
 			} else {
 				ok = e.descend(next, from, maxASAP, minALAP, pid)
 			}
@@ -481,13 +563,13 @@ func CountTable(d *dfg.Graph, maxSize, maxSpan int) ([][]int, error) {
 	if maxSpan < 0 {
 		return table, nil
 	}
-	for s := range table {
-		table[s] = make([]int, maxSize+1)
-	}
 	cfg := Config{MaxSize: maxSize, MaxSpan: maxSpan}
 	an, err := analyse(d, cfg)
 	if err != nil {
 		return nil, err
+	}
+	for s := range table {
+		table[s] = make([]int, maxSize+1)
 	}
 	if an == nil {
 		return table, nil

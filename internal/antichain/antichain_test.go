@@ -141,6 +141,55 @@ func TestEnumerateRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// A MaxSize past the pattern table's exact keys is an error on every walk,
+// returned before any state is sized by it.
+func TestEnumerateRejectsMaxSizeOverLimit(t *testing.T) {
+	g := workloads.ThreeDFT()
+	cfg := Config{MaxSize: MaxSizeLimit + 1, MaxSpan: 1}
+	if _, err := Enumerate(g, cfg); err == nil {
+		t.Error("Enumerate accepted MaxSize 65536")
+	}
+	if _, err := EnumerateParallel(g, cfg, 2); err == nil {
+		t.Error("EnumerateParallel accepted MaxSize 65536")
+	}
+	if err := ForEach(g, cfg, func([]int) bool { return true }); err == nil {
+		t.Error("ForEach accepted MaxSize 65536")
+	}
+	if _, err := CountTable(g, cfg.MaxSize, 1); err == nil {
+		t.Error("CountTable accepted MaxSize 65536")
+	}
+}
+
+// No antichain has more members than the graph has nodes: the largest
+// MaxSize counts exactly what MaxSize = n counts, and BySize keeps its
+// MaxSize+1 entries.
+func TestEnumerateLargestMaxSizeMatchesNodeCount(t *testing.T) {
+	g := workloads.ThreeDFT()
+	want, err := Enumerate(g, Config{MaxSize: g.N(), MaxSpan: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, census := range map[string]func(Config) (*Result, error){
+		"Enumerate":            func(cfg Config) (*Result, error) { return Enumerate(g, cfg) },
+		"EnumerateParallel(3)": func(cfg Config) (*Result, error) { return EnumerateParallel(g, cfg, 3) },
+	} {
+		got, err := census(Config{MaxSize: MaxSizeLimit, MaxSpan: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.BySize) != MaxSizeLimit+1 {
+			t.Fatalf("%s: BySize has %d entries, want %d", name, len(got.BySize), MaxSizeLimit+1)
+		}
+		for k, c := range got.BySize[g.N()+1:] {
+			if c != 0 {
+				t.Fatalf("%s: %d antichains of size %d in a %d-node graph", name, c, g.N()+1+k, g.N())
+			}
+		}
+		got.BySize = got.BySize[:g.N()+1]
+		requireEquivalentCensus(t, name, want, got)
+	}
+}
+
 // Cross-check the DFS enumeration against brute force over all subsets on
 // random graphs small enough to enumerate exhaustively.
 func TestEnumerateMatchesBruteForce(t *testing.T) {

@@ -63,7 +63,7 @@ func BenchmarkEnumerateButterfly4(b *testing.B) { benchEnumerate(b, benchGraphs(
 
 // The two largest census shapes of the cold compile corpus: the radix-2
 // FFT kernel and the n=96, 3-color random tier. Most of their antichains
-// are full-size leaves, the level the walk counts instead of visiting.
+// are in the last two levels, which the census counts instead of visiting.
 func BenchmarkEnumerateFFT8(b *testing.B) {
 	g, err := workloads.RadixTwoFFT(8)
 	if err != nil {

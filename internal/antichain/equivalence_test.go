@@ -236,7 +236,9 @@ func TestEnumerateKeepSetsEquivalent(t *testing.T) {
 // TestEnumerateEquivalentOnRandomGraphs fuzzes the equivalence over random
 // DAGs and every span regime: small dense graphs, then graphs sized around
 // the 64-bit word edges of the candidate sets (63, 64, 65, 128 and 129
-// nodes), where every walk is held to the reference.
+// nodes), where every walk is held to the reference. Sizes 3, 4 and 5 put
+// the census's two-level count at the roots (split by stride across
+// parallel workers), at depth 2 and at depth 3.
 func TestEnumerateEquivalentOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	for trial := 0; trial < 15; trial++ {
@@ -254,7 +256,7 @@ func TestEnumerateEquivalentOnRandomGraphs(t *testing.T) {
 	for _, n := range []int{63, 64, 65, 128, 129} {
 		g := randomDFG(rng, n, 0.2)
 		for _, span := range []int{-1, 0, 1, 3} {
-			for _, size := range []int{1, 2, 5} {
+			for _, size := range []int{1, 2, 3, 4, 5} {
 				if span < 0 {
 					size = min(size, 3) // unlimited span: C(n, 5) is out of reach
 				}

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
+	"mpsched/internal/cliutil"
 	"mpsched/internal/resilience"
 	"mpsched/internal/server"
+	"mpsched/internal/server/client"
 	"mpsched/internal/wire"
 )
 
@@ -62,6 +66,91 @@ func TestFailureStatusSameOnEveryRoute(t *testing.T) {
 			if status != tc.want {
 				t.Errorf("%s at %s: status %d, want %d", tc.name, route, status, tc.want)
 			}
+		}
+	}
+}
+
+// TestHugeCapacityRejectedOnEveryRoute: a pattern capacity past the
+// census's limit is a 400 naming select.c on every route and codec, before
+// anything is sized by it, and the daemon stays up. An allocation sized by
+// C = 2³³ fails with a fatal out-of-memory error, which no panic recovery
+// catches.
+func TestHugeCapacityRejectedOnEveryRoute(t *testing.T) {
+	_, c := newTestServer(t, server.Options{})
+	ctx := context.Background()
+	const huge = 1 << 33
+	body := fmt.Sprintf(`{"workload":"3dft","select":{"c":%d}}`, huge)
+	for _, route := range []string{"/v1/compile", "/v1/jobs", "/v1/batch"} {
+		b := body
+		if route == "/v1/batch" {
+			b = `{"jobs":[` + b + `]}`
+		}
+		resp, err := http.Post(c.BaseURL()+route, wire.ContentTypeJSON, strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, msg := resp.StatusCode, ""
+		if route == "/v1/batch" && status == http.StatusOK {
+			var item server.BatchItem
+			if err := json.NewDecoder(resp.Body).Decode(&item); err != nil {
+				t.Fatalf("%s: batch item: %v", route, err)
+			}
+			status, msg = item.Status, item.Error
+		} else {
+			raw, _ := io.ReadAll(resp.Body)
+			msg = string(raw)
+		}
+		resp.Body.Close()
+		if status != http.StatusBadRequest || !strings.Contains(msg, "select.c") {
+			t.Errorf("%s: status %d %q, want 400 naming select.c", route, status, msg)
+		}
+	}
+
+	req := server.CompileRequest{Workload: "3dft", Select: &server.SelectConfig{C: huge}}
+	bin := c.WithCodec(wire.Binary)
+	_, err := bin.Compile(ctx, req)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, "select.c") {
+		t.Errorf("binary /v1/compile: err %v, want a 400 naming select.c", err)
+	}
+	items, err := bin.CompileBatch(ctx, []server.CompileRequest{req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := items[0]; it.Status != http.StatusBadRequest || !strings.Contains(it.Error, "select.c") {
+		t.Errorf("binary /v1/batch item: status %d %q, want 400 naming select.c", it.Status, it.Error)
+	}
+
+	h, err := c.Healthz(ctx)
+	if err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after the rejected requests: %+v, %v", h, err)
+	}
+}
+
+// TestLargestCapacityMatchesNodeCount: no antichain has more members than
+// the graph has nodes, so the largest accepted capacity compiles exactly
+// as a capacity of the node count does. (fir:12,2 agrees too, but its
+// census at C = n holds 29M antichains, seconds per compile.)
+func TestLargestCapacityMatchesNodeCount(t *testing.T) {
+	_, c := newTestServer(t, server.Options{})
+	ctx := context.Background()
+	for _, w := range []string{"3dft", "ndft:4", "butterfly:3", "random:seed=7,n=40"} {
+		g, err := cliutil.Generate(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compile := func(capacity int) *server.CompileResponse {
+			resp, err := c.Compile(ctx, server.CompileRequest{Workload: w, Select: &server.SelectConfig{C: capacity}})
+			if err != nil {
+				t.Fatalf("%s at c=%d: %v", w, capacity, err)
+			}
+			return resp
+		}
+		got, want := compile(65535), compile(g.N())
+		if !reflect.DeepEqual(got.Patterns, want.Patterns) || got.Cycles != want.Cycles ||
+			!reflect.DeepEqual(got.CycleOf, want.CycleOf) || !reflect.DeepEqual(got.PatternOf, want.PatternOf) ||
+			!reflect.DeepEqual(got.Census, want.Census) {
+			t.Errorf("%s: c=65535 compiled %v in %d cycles, c=%d %v in %d", w, got.Patterns, got.Cycles, g.N(), want.Patterns, want.Cycles)
 		}
 	}
 }

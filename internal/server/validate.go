@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"mpsched/internal/antichain"
 	"mpsched/internal/cliutil"
 	"mpsched/internal/pipeline"
 )
@@ -55,6 +56,9 @@ func validateRequest(r CompileRequest) error {
 	if c := r.Select; c != nil {
 		if c.C < 0 {
 			return fieldErrf("select.c", "%d < 0", c.C)
+		}
+		if c.C > antichain.MaxSizeLimit {
+			return fieldErrf("select.c", "%d > %d, the largest pattern capacity", c.C, antichain.MaxSizeLimit)
 		}
 		if c.Pdef < 0 {
 			return fieldErrf("select.pdef", "%d < 0 (0 selects the default %d)", c.Pdef, defaultPdef)

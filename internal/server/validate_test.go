@@ -18,6 +18,8 @@ func TestValidateCompileRequest(t *testing.T) {
 		{"no graph", CompileRequest{}, "workload"},
 		{"both graphs", CompileRequest{Workload: "3dft", DFG: dfg}, "workload"},
 		{"negative c", CompileRequest{Workload: "3dft", Select: &SelectConfig{C: -1}}, "select.c"},
+		{"largest c ok", CompileRequest{Workload: "3dft", Select: &SelectConfig{C: 65535}}, ""},
+		{"c over the pattern key limit", CompileRequest{Workload: "3dft", Select: &SelectConfig{C: 65536}}, "select.c"},
 		{"negative pdef", CompileRequest{Workload: "3dft", Select: &SelectConfig{Pdef: -2}}, "select.pdef"},
 		{"bad span", CompileRequest{Workload: "3dft", Select: &SelectConfig{Span: -3}}, "select.span"},
 		{"unlimited span ok", CompileRequest{Workload: "3dft", Select: &SelectConfig{Span: -1}}, ""},
