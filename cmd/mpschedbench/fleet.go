@@ -2,19 +2,19 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
-	"os/signal"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"mpsched/internal/cliutil"
 	"mpsched/internal/fleet"
 	"mpsched/internal/pipeline"
 	"mpsched/internal/server"
@@ -220,28 +220,6 @@ func runBackend(addr, storeDir string, storeMax int64, stdout, stderr io.Writer)
 		opts.Cache = cache
 	}
 	srv := server.New(opts)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(stderr, "mpschedbench:", err)
-		return 1
-	}
-	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Fprintf(stdout, "mpschedbench backend listening on %s\n", ln.Addr())
-
-	select {
-	case <-sigCh:
-	case err := <-serveErr:
-		fmt.Fprintln(stderr, "mpschedbench:", err)
-		return 1
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_ = hs.Shutdown(ctx)
-	_ = srv.Drain(ctx)
-	return 0
+	logger := log.New(stderr, "mpschedbench backend: ", log.LstdFlags)
+	return cliutil.Serve(addr, srv, "mpschedbench backend listening on %s", 30*time.Second, stdout, logger, nil, srv.Drain)
 }

@@ -56,6 +56,9 @@ func main() {
 }
 
 func run(argv []string, stdout, stderr io.Writer) int {
+	// Backend children relay their stderr here from exec's copy
+	// goroutines; one lock orders those writes with the bench's own.
+	stderr = &forwardWriter{w: stderr}
 	fs := flag.NewFlagSet("mpschedbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (

@@ -38,18 +38,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"mpsched/internal/cliutil"
@@ -137,47 +131,5 @@ func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
 		Logger:        slog.New(slog.NewTextHandler(stderr, nil)),
 	})
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Print(err)
-		return 1
-	}
-	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Fprintf(stdout, "mpschedd listening on %s\n", ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	select {
-	case sig := <-sigCh:
-		logger.Printf("received %v, draining (timeout %s)", sig, *drainTimeout)
-	case err := <-serveErr:
-		logger.Printf("serve: %v", err)
-		return 1
-	}
-
-	// Stop accepting new connections first, then drain the queue. Each
-	// phase gets its own -drain-timeout budget: a slow in-flight sync
-	// compile holding Shutdown open must not eat the window the flag
-	// promises to queued async jobs.
-	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancelHTTP()
-	if err := hs.Shutdown(httpCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Printf("http shutdown: %v", err)
-	}
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancelDrain()
-	if err := srv.Drain(drainCtx); err != nil {
-		logger.Printf("drain incomplete: %v", err)
-		return 1
-	}
-	logger.Print("drained, bye")
-	return 0
+	return cliutil.Serve(*addr, srv, "mpschedd listening on %s", *drainTimeout, stdout, logger, ready, srv.Drain)
 }

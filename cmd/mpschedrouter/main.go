@@ -26,23 +26,18 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"mpsched/internal/cliutil"
 	"mpsched/internal/fleet"
+	"mpsched/internal/server"
 	"mpsched/internal/wire"
 )
 
@@ -67,8 +62,8 @@ func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fwdTimeout    = fs.Duration("forward-timeout", fleet.DefaultForwardTimeout, "per-attempt forward timeout for requests without their own deadline")
 		maxBody       = fs.Int64("max-body", 0, "request body size limit in bytes (0 = default)")
 		maxBatch      = fs.Int("max-batch", 0, "most jobs accepted per /v1/batch envelope (0 = default)")
-		slowTrace     = fs.Duration("slow-trace", time.Second, "log any request trace slower than this with its span breakdown (negative disables)")
-		traceBuffer   = fs.Int("trace-buffer", 64, "recent request traces kept for GET /debug/traces")
+		slowTrace     = fs.Duration("slow-trace", server.DefaultSlowTrace, "log any request trace slower than this with its span breakdown (negative disables)")
+		traceBuffer   = fs.Int("trace-buffer", server.DefaultTraceBuffer, "recent request traces kept for GET /debug/traces")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight forwards")
 	)
 	if code, done := cliutil.ParseFlags(fs, argv); done {
@@ -116,38 +111,6 @@ func run(argv []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	defer rt.Close()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Print(err)
-		return 1
-	}
-	hs := &http.Server{Handler: rt, ReadHeaderTimeout: 10 * time.Second}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Fprintf(stdout, "mpschedrouter listening on %s (%d backends)\n", ln.Addr(), len(urls))
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	select {
-	case sig := <-sigCh:
-		logger.Printf("received %v, shutting down (timeout %s)", sig, *drainTimeout)
-	case err := <-serveErr:
-		logger.Printf("serve: %v", err)
-		return 1
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Printf("http shutdown: %v", err)
-		return 1
-	}
-	logger.Print("bye")
-	return 0
+	banner := fmt.Sprintf("mpschedrouter listening on %%s (%d backends)", len(urls))
+	return cliutil.Serve(*addr, rt, banner, *drainTimeout, stdout, logger, ready, nil)
 }

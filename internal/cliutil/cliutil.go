@@ -4,15 +4,23 @@
 package cliutil
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"math"
 	"math/rand"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 
 	"mpsched/internal/dfg"
 	"mpsched/internal/sched"
@@ -34,6 +42,64 @@ func ParseFlags(fs *flag.FlagSet, argv []string) (code int, done bool) {
 	default:
 		return 2, true
 	}
+}
+
+// Serve is the body of the daemons' main: it listens on addr and serves h
+// until SIGINT or SIGTERM. Once listening it prints banner, a format
+// whose one verb takes the bound address, to stdout, and sends the
+// address on ready when that is non-nil. On a signal it stops accepting
+// connections and waits up to timeout for the requests in flight, then
+// runs drain, the daemon's second shutdown phase, when non-nil, with a
+// timeout of its own: a slow request holding the first phase open must
+// not eat the window the second one promises. Serve returns the exit
+// code: 0 after a clean shutdown, 1 when listening, serving or either
+// shutdown phase fails.
+func Serve(addr string, h http.Handler, banner string, timeout time.Duration, stdout io.Writer, logger *log.Logger, ready chan<- string, drain func(context.Context) error) int {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		logger.Print(err)
+		return 1
+	}
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+	fmt.Fprintf(stdout, banner+"\n", ln.Addr())
+	if ready != nil {
+		ready <- ln.Addr().String()
+	}
+
+	select {
+	case sig := <-sigCh:
+		logger.Printf("received %v, draining (timeout %s)", sig, timeout)
+	case err := <-serveErr:
+		logger.Printf("serve: %v", err)
+		return 1
+	}
+
+	code := 0
+	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), timeout)
+	defer cancelHTTP()
+	if err := hs.Shutdown(httpCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		logger.Printf("http shutdown: %v", err)
+		code = 1
+	}
+	if drain != nil {
+		drainCtx, cancelDrain := context.WithTimeout(context.Background(), timeout)
+		defer cancelDrain()
+		if err := drain(drainCtx); err != nil {
+			logger.Printf("drain incomplete: %v", err)
+			return 1
+		}
+	}
+	if code == 0 {
+		logger.Print("drained, bye")
+	}
+	return code
 }
 
 // Workload describes one generator family for catalogs (the dfgtool help

@@ -16,6 +16,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
@@ -24,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mpsched/internal/wire"
 )
 
 // Config sets the injected-fault rates. Rates are probabilities in
@@ -268,12 +271,11 @@ func (i *Injector) Middleware(next http.Handler) http.Handler {
 			return
 		case faultErr:
 			i.errs.Add(1)
-			writeJSONError(w, http.StatusInternalServerError, "faults: injected error")
+			wire.WriteError(w, http.StatusInternalServerError, errors.New("faults: injected error"))
 			return
 		case faultReject:
 			i.rejects.Add(1)
-			w.Header().Set("Retry-After", "1")
-			writeJSONError(w, http.StatusTooManyRequests, "faults: injected backpressure")
+			wire.WriteRetryLater(w, http.StatusTooManyRequests, errors.New("faults: injected backpressure"))
 			return
 		case faultTruncate:
 			i.truncates.Add(1)
@@ -307,12 +309,6 @@ func (i *Injector) CompilePanic(label string) {
 		i.panics.Add(1)
 		panic(fmt.Sprintf("faults: injected compile panic (%s)", label))
 	}
-}
-
-func writeJSONError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, "{\"error\":%q}\n", msg)
 }
 
 // abort kills the connection without a response: hijack and close when

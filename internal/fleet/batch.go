@@ -3,12 +3,12 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
 	"mpsched/internal/obs"
+	"mpsched/internal/resilience"
 	"mpsched/internal/server/client"
 	"mpsched/internal/wire"
 )
@@ -22,31 +22,16 @@ import (
 // deadline, no backend) becomes its own item, never an envelope fault.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr := obs.FromContext(r.Context())
-	codec := requestCodec(r)
-	var b wire.BatchRequest
-	body := http.MaxBytesReader(w, r.Body, rt.maxBodyBytes)
 	dt := tr.Begin("decode")
-	err := codec.DecodeBatch(body, &b)
+	b, ok := wire.ReadBatch(w, r, rt.opts.MaxBodyBytes, rt.opts.MaxBatchJobs)
 	dt.End()
+	if !ok {
+		return
+	}
+	tr.AdoptID(b.Jobs[0].TraceID)
+	hdrBudget, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
 	if err != nil {
-		rt.writeDecodeError(w, "batch", err)
-		return
-	}
-	if len(b.Jobs) == 0 {
-		rt.writeError(w, http.StatusBadRequest, errors.New("empty batch: provide at least one job"))
-		return
-	}
-	if len(b.Jobs) > rt.maxBatchJobs {
-		rt.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d jobs over the limit %d; split the envelope", len(b.Jobs), rt.maxBatchJobs))
-		return
-	}
-	if len(b.Jobs) > 0 {
-		tr.AdoptID(b.Jobs[0].TraceID)
-	}
-	hdrBudget, err := requestBudget(r, 0)
-	if err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if hdrBudget < 0 {
@@ -64,10 +49,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var immediate []wire.BatchItem
 	groups := map[int][]int{} // owner backend index → original job indices
 	for i := range b.Jobs {
-		budgets[i] = minBudget(hdrBudget, b.Jobs[i].Deadline)
+		budgets[i] = resilience.MinBudget(hdrBudget, b.Jobs[i].Deadline)
 		if budgets[i] < 0 {
 			immediate = append(immediate, wire.BatchItem{Index: i, Status: http.StatusGatewayTimeout,
 				Error: "deadline expired before the forward started"})
+			continue
+		}
+		if err := b.JobErr(i); err != nil {
+			immediate = append(immediate, wire.BatchItem{Index: i, Status: http.StatusBadRequest, Error: err.Error()})
 			continue
 		}
 		key, err := rt.requestKey(&b.Jobs[i])
@@ -85,9 +74,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	at.End()
 
-	w.Header().Set("Content-Type", responseCodec(r).StreamContentType())
+	w.Header().Set("Content-Type", wire.ResponseCodec(r).StreamContentType())
 	w.WriteHeader(http.StatusOK)
-	lw := &lockedItemWriter{iw: responseCodec(r).NewItemWriter(w)}
+	lw := &lockedItemWriter{iw: wire.ResponseCodec(r).NewItemWriter(w)}
 	if f, ok := w.(http.Flusher); ok {
 		lw.fl = f
 	}

@@ -9,11 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mpsched/internal/dfg"
 	"mpsched/internal/resilience"
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
@@ -614,4 +616,52 @@ func TestRouterKillBackendMidStorm(t *testing.T) {
 func only429(err error) bool {
 	var api *client.APIError
 	return errors.As(err, &api) && api.StatusCode == http.StatusTooManyRequests
+}
+
+// TestRouterBadGraphFailsOnlyItsBatchItem: through the router, a batch
+// job whose inline graph does not decode is its own 400 item in either
+// codec, with the same text, and its neighbour still compiles.
+func TestRouterBadGraphFailsOnlyItsBatchItem(t *testing.T) {
+	f := newTestFleet(t, 2, nil)
+	g := dfg.NewGraph("loop")
+	a := g.MustAddNode(dfg.Node{Name: "a", Color: "a"})
+	b := g.MustAddNode(dfg.Node{Name: "b", Color: "a"})
+	g.MustAddDep(a, b)
+	g.MustAddDep(b, a)
+	var texts []string
+	for _, codec := range wire.Codecs() {
+		items, err := client.New(f.rts.URL).WithCodec(codec).CompileBatch(context.Background(),
+			[]server.CompileRequest{{Workload: "3dft"}, {Graph: g}})
+		if err != nil {
+			t.Fatalf("%s envelope: %v", codec.Name(), err)
+		}
+		sort.Slice(items, func(i, j int) bool { return items[i].Index < items[j].Index })
+		if items[0].Status != http.StatusOK || items[1].Status != http.StatusBadRequest {
+			t.Fatalf("%s envelope: statuses %d, %d; want 200, 400", codec.Name(), items[0].Status, items[1].Status)
+		}
+		texts = append(texts, items[1].Error)
+	}
+	if texts[0] != texts[1] || !strings.Contains(texts[0], `dfg "loop": dependency cycle`) {
+		t.Errorf("bad-graph item text differs by codec:\n json:   %s\n binary: %s", texts[0], texts[1])
+	}
+}
+
+// TestRouterTracesPageParam: ?n= on the router's /debug/traces is a
+// whole integer in [1, 1024]; anything else is a 400.
+func TestRouterTracesPageParam(t *testing.T) {
+	f := newTestFleet(t, 1, nil)
+	for q, want := range map[string]int{
+		"5abc": http.StatusBadRequest, "3.9": http.StatusBadRequest, "0": http.StatusBadRequest,
+		"1025": http.StatusBadRequest, "x": http.StatusBadRequest,
+		"1": http.StatusOK, "1024": http.StatusOK,
+	} {
+		resp, err := http.Get(f.rts.URL + "/debug/traces?n=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("?n=%s: status %d, want %d", q, resp.StatusCode, want)
+		}
+	}
 }

@@ -21,6 +21,13 @@
 //     to a new owner is compiled there, and when every replica is down
 //     the request gets a 503 with Retry-After.
 //
+// The router's HTTP front is mpschedd's: obs.Edge counts, times and
+// traces its routes and serves /debug/traces, internal/wire reads its
+// bodies and writes its answers, resilience.MinBudget merges its
+// deadlines, and its /metrics families are declared on an obs.Registry
+// (metrics.go). Only routing, forwarding and failover are the router's
+// own.
+//
 // Traces and deadlines propagate through the hop: the router decrements
 // X-Mpsched-Deadline by its own elapsed time before forwarding, reuses
 // the client's X-Mpsched-Trace ID on the backend leg, and records a

@@ -15,6 +15,7 @@ import (
 	"mpsched/internal/dfg"
 	"mpsched/internal/obs"
 	"mpsched/internal/resilience"
+	"mpsched/internal/server"
 	"mpsched/internal/server/client"
 	"mpsched/internal/store"
 	"mpsched/internal/wire"
@@ -75,10 +76,9 @@ const DefaultForwardTimeout = 30 * time.Second
 // Construct with New, stop the probers with Close.
 type Router struct {
 	opts    Options
-	fwd     wire.Codec
 	pool    *pool
 	metrics *routerMetrics
-	traces  *obs.Recorder
+	start   time.Time
 	mux     *http.ServeMux
 	// root is the client the per-backend forwarding clients derive from;
 	// they share its resilience layer, so its stats are fleet-wide.
@@ -88,9 +88,6 @@ type Router struct {
 	// here only for ring placement — the backend still resolves its own).
 	// The bound is about hostile spec churn, not legitimate use.
 	specs *store.Memory[*dfg.Graph]
-
-	maxBodyBytes int64
-	maxBatchJobs int
 }
 
 // New builds a router over opts.Backends and starts its health probers.
@@ -109,50 +106,42 @@ func New(opts Options) (*Router, error) {
 	if opts.Resilience != nil {
 		res = *opts.Resilience
 	}
+	if opts.MaxBodyBytes <= 0 {
+		opts.MaxBodyBytes = server.DefaultMaxBodyBytes
+	}
+	if opts.MaxBatchJobs <= 0 {
+		opts.MaxBatchJobs = server.DefaultMaxBatchJobs
+	}
+	if opts.TraceBuffer <= 0 {
+		opts.TraceBuffer = server.DefaultTraceBuffer
+	}
+	if opts.SlowTrace == 0 {
+		opts.SlowTrace = server.DefaultSlowTrace
+	}
 	rt := &Router{
-		opts:         opts,
-		fwd:          fwd,
-		metrics:      newRouterMetrics(),
-		traces:       obs.NewRecorder(traceBuffer(opts.TraceBuffer), slowTrace(opts.SlowTrace), opts.Logger),
-		root:         client.New(opts.Backends[0]).WithResilience(res),
-		specs:        store.NewMemory[*dfg.Graph](512, 1),
-		maxBodyBytes: opts.MaxBodyBytes,
-		maxBatchJobs: opts.MaxBatchJobs,
-	}
-	if rt.maxBodyBytes <= 0 {
-		rt.maxBodyBytes = 8 << 20
-	}
-	if rt.maxBatchJobs <= 0 {
-		rt.maxBatchJobs = 256
+		opts:  opts,
+		start: time.Now(),
+		root:  client.New(opts.Backends[0]).WithResilience(res),
+		specs: store.NewMemory[*dfg.Graph](512, 1),
 	}
 	rt.pool = newPool(rt.root, opts.Backends, fwd, opts.ProbeTimeout, opts.VNodes, opts.FailAfter)
 	rt.pool.run(opts.ProbeInterval)
+	rt.metrics = newRouterMetrics(rt.pool, rt.root, rt.start)
 
+	// The same edge mpschedd serves through, so a trace ID set by the
+	// client identifies the request at every hop.
 	rt.mux = http.NewServeMux()
-	rt.route("POST /v1/compile", true, rt.handleCompile)
-	rt.route("POST /v1/batch", true, rt.handleBatch)
-	rt.route("POST /v1/jobs", true, rt.handleSubmitJob)
-	rt.route("GET /v1/jobs/{id}", false, rt.handleGetJob)
-	rt.route("GET /v1/workloads", false, rt.handleWorkloads)
-	rt.route("GET /healthz", false, rt.handleHealthz)
-	rt.route("GET /metrics", false, rt.handleMetrics)
-	rt.mux.HandleFunc("GET /debug/traces", rt.handleTraces)
-	rt.mux.HandleFunc("GET /debug/traces/{id}", rt.handleTraceByID)
+	edge := obs.NewEdge(rt.mux, obs.NewRecorder(opts.TraceBuffer, opts.SlowTrace, opts.Logger),
+		rt.metrics.requests, rt.metrics.inflight,
+		func(route, _ string) *obs.LockedHistogram { return rt.metrics.requestSeconds.With(route) })
+	edge.Route("POST /v1/compile", true, rt.handleCompile)
+	edge.Route("POST /v1/batch", true, rt.handleBatch)
+	edge.Route("POST /v1/jobs", true, rt.handleSubmitJob)
+	edge.Route("GET /v1/jobs/{id}", false, rt.handleGetJob)
+	edge.Route("GET /v1/workloads", false, wire.ServeWorkloads)
+	edge.Route("GET /healthz", false, rt.handleHealthz)
+	edge.Route("GET /metrics", false, rt.metrics.reg.ServeHTTP)
 	return rt, nil
-}
-
-func traceBuffer(n int) int {
-	if n <= 0 {
-		return 64
-	}
-	return n
-}
-
-func slowTrace(d time.Duration) time.Duration {
-	if d == 0 {
-		return time.Second
-	}
-	return d
 }
 
 // ServeHTTP implements http.Handler.
@@ -168,98 +157,7 @@ func (rt *Router) Close() {
 // Backends exposes the pool for tests and status reporting.
 func (rt *Router) Backends() []*Backend { return rt.pool.backends }
 
-// route registers a handler with request accounting and, for the
-// compile path, a per-request trace — the same shape as mpschedd's
-// route wrapper, so a trace ID set by the client identifies the request
-// at every hop.
-func (rt *Router) route(pattern string, traced bool, h http.HandlerFunc) {
-	rt.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		rt.metrics.incRequest(pattern)
-		rt.metrics.inflight.Add(1)
-		defer rt.metrics.inflight.Add(-1)
-		start := time.Now()
-		if !traced {
-			h(w, r)
-			rt.metrics.observeRequest(pattern, time.Since(start))
-			return
-		}
-		tr := obs.NewTrace(r.Header.Get(obs.TraceHeader), pattern, requestCodec(r).Name())
-		sw := newHopWriter(w, tr)
-		h(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
-		d := time.Since(start)
-		tr.Finish(sw.Status(), d)
-		rt.traces.Record(tr)
-		rt.metrics.observeRequest(pattern, d)
-	})
-}
-
-// hopWriter captures the response status for the trace and echoes the
-// effective trace ID lazily at first write, after body decode may have
-// adopted an in-frame ID (mpschedd's statusWriter, which is private to
-// that package).
-type hopWriter struct {
-	http.ResponseWriter
-	flusher http.Flusher
-	trace   *obs.Trace
-	status  int
-}
-
-func newHopWriter(w http.ResponseWriter, tr *obs.Trace) *hopWriter {
-	f, _ := w.(http.Flusher)
-	return &hopWriter{ResponseWriter: w, flusher: f, trace: tr}
-}
-
-func (w *hopWriter) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
-		w.Header().Set(obs.TraceHeader, w.trace.ID())
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *hopWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *hopWriter) Flush() {
-	if w.flusher != nil {
-		w.flusher.Flush()
-	}
-}
-
-func (w *hopWriter) Status() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
-}
-
-// ---- codec negotiation and response plumbing ----
-
-func requestCodec(r *http.Request) wire.Codec {
-	req, _ := wire.Negotiate(r.Header.Get("Content-Type"), "")
-	return req
-}
-
-func responseCodec(r *http.Request) wire.Codec {
-	_, resp := wire.Negotiate(r.Header.Get("Content-Type"), r.Header.Get("Accept"))
-	return resp
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body)
-}
-
-func (rt *Router) writeError(w http.ResponseWriter, status int, err error) {
-	rt.writeJSON(w, status, wire.ErrorResponse{Error: strings.ReplaceAll(err.Error(), "\n", " ")})
-}
+// ---- response plumbing ----
 
 // writeAPIError relays a backend's non-2xx answer verbatim — status,
 // message and the Retry-After pacing hint — so backpressure (429) and
@@ -272,49 +170,19 @@ func (rt *Router) writeAPIError(w http.ResponseWriter, api *client.APIError) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	rt.writeJSON(w, api.StatusCode, wire.ErrorResponse{Error: api.Message})
+	wire.WriteJSON(w, api.StatusCode, wire.ErrorResponse{Error: api.Message})
 }
 
-// writeUnavailable is the router's own 503: every replica for the key
-// is down.
-func (rt *Router) writeUnavailable(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	rt.writeError(w, http.StatusServiceUnavailable, errors.New("no backend available for this request; retry later"))
-}
+// errNoBackend is the router's own 503: every replica for the key is
+// down.
+var errNoBackend = errors.New("no backend available for this request; retry later")
 
 func (rt *Router) writeExpired(w http.ResponseWriter, budget time.Duration) {
-	rt.writeError(w, http.StatusGatewayTimeout,
+	wire.WriteError(w, http.StatusGatewayTimeout,
 		fmt.Errorf("deadline expired %v before the forward started", -budget))
 }
 
-func (rt *Router) writeResult(w http.ResponseWriter, r *http.Request, resp *wire.CompileResponse) {
-	codec := responseCodec(r)
-	w.Header().Set("Content-Type", codec.ContentType())
-	w.WriteHeader(http.StatusOK)
-	_ = codec.EncodeResponse(w, resp)
-}
-
-// ---- deadline plumbing (mirrors internal/server/resilience.go) ----
-
-func minBudget(a, b time.Duration) time.Duration {
-	switch {
-	case a == 0:
-		return b
-	case b == 0:
-		return a
-	case a < b:
-		return a
-	}
-	return b
-}
-
-func requestBudget(r *http.Request, frame time.Duration) (time.Duration, error) {
-	hdr, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
-	if err != nil {
-		return 0, err
-	}
-	return minBudget(hdr, frame), nil
-}
+// ---- deadline plumbing ----
 
 // forwardTimeout clamps one attempt: the caller's remaining budget when
 // it has one, the configured ceiling otherwise. The resulting context
@@ -493,17 +361,6 @@ func (rt *Router) classify(ctx context.Context, b *Backend, err error) error {
 	return errFailover
 }
 
-// writeDecodeError answers a body that did not decode: 413 when it ran
-// over the size limit, 400 otherwise.
-func (rt *Router) writeDecodeError(w http.ResponseWriter, what string, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		rt.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit))
-		return
-	}
-	rt.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", what, err))
-}
-
 // ---- handlers ----
 
 // decodeCompile is the preamble /v1/compile and /v1/jobs share: decode
@@ -512,23 +369,23 @@ func (rt *Router) writeDecodeError(w http.ResponseWriter, what string, err error
 // already answered the request.
 func (rt *Router) decodeCompile(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (req wire.CompileRequest, key string, budget time.Duration, ok bool) {
 	dt := tr.Begin("decode")
-	err := requestCodec(r).DecodeRequest(http.MaxBytesReader(w, r.Body, rt.maxBodyBytes), &req)
+	req, ok = wire.ReadRequest(w, r, rt.opts.MaxBodyBytes)
 	dt.End()
-	if err != nil {
-		rt.writeDecodeError(w, "request", err)
+	if !ok {
 		return req, "", 0, false
 	}
 	tr.AdoptID(req.TraceID)
-	if budget, err = requestBudget(r, req.Deadline); err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
+	hdr, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return req, "", 0, false
 	}
-	if budget < 0 {
+	if budget = resilience.MinBudget(hdr, req.Deadline); budget < 0 {
 		rt.writeExpired(w, budget)
 		return req, "", 0, false
 	}
 	if key, err = rt.requestKey(&req); err != nil {
-		rt.writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return req, "", 0, false
 	}
 	return req, key, budget, true
@@ -553,7 +410,7 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 		resp, err := rt.forwardOnce(r.Context(), tr, b, req, budget, start, i > 0)
 		if err == nil {
-			rt.writeResult(w, r, resp)
+			wire.WriteResponse(w, r, resp)
 			return
 		}
 		if errors.Is(err, errFailover) {
@@ -565,11 +422,11 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// The client's context died mid-forward; status for the log only.
-		rt.writeError(w, http.StatusRequestTimeout, err)
+		wire.WriteError(w, http.StatusRequestTimeout, err)
 		return
 	}
 	// Every replica for the key is down.
-	rt.writeUnavailable(w)
+	wire.WriteRetryLater(w, http.StatusServiceUnavailable, errNoBackend)
 }
 
 func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
@@ -580,7 +437,7 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	owner, ok := rt.pool.ring.Load().owner(fnv1a64(key))
 	if !ok {
-		rt.writeUnavailable(w)
+		wire.WriteRetryLater(w, http.StatusServiceUnavailable, errNoBackend)
 		return
 	}
 	// Submissions are not idempotent — a blind replay could enqueue the
@@ -603,14 +460,14 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		rt.writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s unreachable: %w", b.URL, err))
+		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("backend %s unreachable: %w", b.URL, err))
 		return
 	}
 	rt.pool.noteSuccess(b)
 	// The fleet-wide job ID carries the owning backend: "<idx>-<id>".
 	// Backend IDs are bare hex, so the first dash splits unambiguously.
 	resp.ID = strconv.Itoa(owner) + "-" + resp.ID
-	rt.writeJSON(w, http.StatusAccepted, resp)
+	wire.WriteJSON(w, http.StatusAccepted, resp)
 }
 
 func (rt *Router) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -618,7 +475,7 @@ func (rt *Router) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	prefix, rest, found := strings.Cut(id, "-")
 	idx, err := strconv.Atoi(prefix)
 	if !found || err != nil || idx < 0 || idx >= len(rt.pool.backends) {
-		rt.writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
 		return
 	}
 	b := rt.pool.backends[idx]
@@ -629,16 +486,11 @@ func (rt *Router) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			rt.writeAPIError(w, api)
 			return
 		}
-		rt.writeError(w, http.StatusBadGateway, fmt.Errorf("backend %s unreachable: %w", b.URL, err))
+		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("backend %s unreachable: %w", b.URL, err))
 		return
 	}
 	resp.ID = id
-	rt.writeJSON(w, http.StatusOK, resp)
-}
-
-func (rt *Router) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	// The catalog is static and compiled into the router — no forward.
-	rt.writeJSON(w, http.StatusOK, wire.WorkloadsResponse{Workloads: cliutil.Catalog()})
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // routerHealth is the body of the router's GET /healthz. Status stays
@@ -653,37 +505,10 @@ type routerHealth struct {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, http.StatusOK, routerHealth{
+	wire.WriteJSON(w, http.StatusOK, routerHealth{
 		Status:        "ok",
-		UptimeSeconds: time.Since(rt.metrics.start).Seconds(),
+		UptimeSeconds: time.Since(rt.start).Seconds(),
 		Backends:      len(rt.pool.backends),
 		BackendsUp:    rt.pool.upCount(),
 	})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.render(w, rt.pool, rt.root.ResilienceStats())
-}
-
-func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	n := 32
-	if q := r.URL.Query().Get("n"); q != "" {
-		if _, err := fmt.Sscanf(q, "%d", &n); err != nil || n < 1 || n > 1024 {
-			rt.writeError(w, http.StatusBadRequest, errors.New("n must be an integer in [1, 1024]"))
-			return
-		}
-	}
-	rt.writeJSON(w, http.StatusOK, struct {
-		Traces []obs.TraceData `json:"traces"`
-	}{rt.traces.Recent(n)})
-}
-
-func (rt *Router) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	td, ok := rt.traces.Get(r.PathValue("id"))
-	if !ok {
-		rt.writeError(w, http.StatusNotFound, fmt.Errorf("no trace %q in the ring", r.PathValue("id")))
-		return
-	}
-	rt.writeJSON(w, http.StatusOK, td)
 }

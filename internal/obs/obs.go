@@ -1,9 +1,12 @@
-// Package obs is the serving stack's zero-dependency observability
-// layer: per-request traces made of named spans, a fixed-size recorder
-// that backs mpschedd's /debug/traces endpoints and its slow-trace log,
-// the log-linear latency histogram shared by the load generator and the
-// server's /metrics quantiles (hist.go), and a parser for the Prometheus
-// text exposition so clients can diff a server's counters around a run
+// Package obs is the serving stack's observability layer, on the
+// standard library alone plus internal/wire for the HTTP bodies:
+// per-request traces made of named spans, a fixed-size recorder behind
+// the /debug/traces endpoints and the slow-trace log, the log-linear
+// latency histogram shared by the load generator and the /metrics
+// quantiles (hist.go), the metric registry both daemons declare their
+// /metrics surface on (registry.go), the instrumented HTTP edge both
+// daemons serve through (edge.go), and a parser for the Prometheus text
+// exposition so clients can diff a server's counters around a run
 // (promtext.go).
 //
 // A Trace is created at the HTTP edge (one per request, identified by

@@ -53,6 +53,22 @@ func ParseDeadline(s string) (time.Duration, error) {
 	return d, nil
 }
 
+// MinBudget merges two budgets a request carries — the DeadlineHeader
+// value and, for the binary codec, the in-frame field — into the one
+// that applies: the smaller, where 0 means none. Neither side can extend
+// the other.
+func MinBudget(a, b time.Duration) time.Duration {
+	switch {
+	case a == 0:
+		return b
+	case b == 0:
+		return a
+	case a < b:
+		return a
+	}
+	return b
+}
+
 // RetryPolicy is capped exponential backoff with full jitter: attempt n
 // waits a uniform random duration in [0, min(MaxDelay, BaseDelay·2ⁿ)].
 // Full jitter (rather than equal or decorrelated) is deliberate — a

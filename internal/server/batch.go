@@ -9,6 +9,8 @@ import (
 
 	"mpsched/internal/obs"
 	"mpsched/internal/pipeline"
+	"mpsched/internal/resilience"
+	"mpsched/internal/wire"
 )
 
 // handleBatch serves POST /v1/batch: one envelope of N compile jobs, one
@@ -34,36 +36,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr := obs.FromContext(r.Context())
-	codec := requestCodec(r)
-	var b BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	dt := tr.Begin("decode")
-	err := codec.DecodeBatch(body, &b)
+	b, ok := wire.ReadBatch(w, r, s.opts.MaxBodyBytes, s.opts.MaxBatchJobs)
 	dt.End()
-	if err != nil {
-		s.writeDecodeError(w, "batch", err)
-		return
-	}
-	if len(b.Jobs) == 0 {
-		s.writeError(w, http.StatusBadRequest, errors.New("empty batch: provide at least one job"))
-		return
-	}
-	if len(b.Jobs) > s.opts.MaxBatchJobs {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d jobs over the limit %d; split the envelope", len(b.Jobs), s.opts.MaxBatchJobs))
+	if !ok {
 		return
 	}
 	if s.draining.Load() {
 		s.metrics.batchRejected.Add(int64(len(b.Jobs)))
-		s.writeRejected(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+		wire.WriteRetryLater(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return
 	}
 	// The envelope-level budget comes from the deadline header; each job
 	// may additionally carry its own in the binary frame. The effective
 	// per-job budget is the smaller of the two.
-	hdrBudget, err := requestDeadline(r, 0)
+	hdrBudget, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if hdrBudget < 0 {
@@ -83,11 +72,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var failed []BatchItem
 	var admitted []pending
 	for i := range b.Jobs {
-		budget := minBudget(hdrBudget, b.Jobs[i].Deadline)
+		budget := resilience.MinBudget(hdrBudget, b.Jobs[i].Deadline)
 		if budget < 0 {
 			s.metrics.deadlineExpired.Add(1)
 			failed = append(failed, BatchItem{Index: i, Status: http.StatusGatewayTimeout,
 				Error: "deadline expired before the compile started"})
+			continue
+		}
+		if err := b.JobErr(i); err != nil {
+			failed = append(failed, BatchItem{Index: i, Status: http.StatusBadRequest, Error: errString(err)})
 			continue
 		}
 		spec, err := s.resolveSpec(b.Jobs[i])
@@ -117,9 +110,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// append-growth copies on the storm path.
 	tr.Grow(len(admitted) + 4)
 
-	w.Header().Set("Content-Type", responseCodec(r).StreamContentType())
+	w.Header().Set("Content-Type", wire.ResponseCodec(r).StreamContentType())
 	w.WriteHeader(http.StatusOK)
-	iw := responseCodec(r).NewItemWriter(w)
+	iw := wire.ResponseCodec(r).NewItemWriter(w)
 	flusher, _ := w.(http.Flusher)
 
 	// One writer goroutine owns the stream; compile goroutines hand it

@@ -9,10 +9,12 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"mpsched/internal/cliutil"
+	"mpsched/internal/dfg"
 	"mpsched/internal/resilience"
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
@@ -183,5 +185,46 @@ func TestSpanSweepNameOnWire(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte(`"name":"fleet[spans=0,1,2]"`)) {
 		t.Errorf("JSON body does not carry the swept name: %s", raw)
+	}
+}
+
+// TestBadGraphFailsOnlyItsBatchItem: in a /v1/batch envelope of either
+// codec, a job whose inline graph does not decode is its own 400 item,
+// with the same error text, and its neighbour still compiles. The binary
+// codec decodes graphs inside the envelope frame, where such a graph
+// used to fail the whole envelope.
+func TestBadGraphFailsOnlyItsBatchItem(t *testing.T) {
+	_, c := newTestServer(t, server.Options{})
+	checkBadGraphItem(t, c)
+}
+
+// cyclicGraph is the two-node cycle of the "cyclic inline graph" case
+// above, built in memory so the binary codec can frame it.
+func cyclicGraph() *dfg.Graph {
+	g := dfg.NewGraph("loop")
+	a := g.MustAddNode(dfg.Node{Name: "a", Color: "a"})
+	b := g.MustAddNode(dfg.Node{Name: "b", Color: "a"})
+	g.MustAddDep(a, b)
+	g.MustAddDep(b, a)
+	return g
+}
+
+func checkBadGraphItem(t *testing.T, c *client.Client) {
+	t.Helper()
+	var texts []string
+	for _, codec := range wire.Codecs() {
+		items, err := c.WithCodec(codec).CompileBatch(context.Background(),
+			[]server.CompileRequest{{Workload: "3dft"}, {Graph: cyclicGraph()}})
+		if err != nil {
+			t.Fatalf("%s envelope: %v", codec.Name(), err)
+		}
+		sort.Slice(items, func(i, j int) bool { return items[i].Index < items[j].Index })
+		if items[0].Status != http.StatusOK || items[1].Status != http.StatusBadRequest {
+			t.Fatalf("%s envelope: statuses %d, %d; want 200, 400", codec.Name(), items[0].Status, items[1].Status)
+		}
+		texts = append(texts, items[1].Error)
+	}
+	if texts[0] != texts[1] || !strings.Contains(texts[0], `dfg "loop": dependency cycle`) {
+		t.Errorf("bad-graph item text differs by codec:\n json:   %s\n binary: %s", texts[0], texts[1])
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"mpsched/internal/obs"
 	"mpsched/internal/pipeline"
 	"mpsched/internal/resilience"
+	"mpsched/internal/wire"
 )
 
 // This file is the server half of the resilience layer (see
@@ -23,31 +24,6 @@ import (
 // errOverloaded is the brownout rejection body. It names the signal so
 // an operator reading client logs knows which metric to look at.
 var errOverloaded = errors.New("server overloaded (queue-wait p99 over the shed threshold); retry later")
-
-// requestDeadline merges the two ways a request carries its remaining
-// time budget — the X-Mpsched-Deadline header and, for the binary
-// codec, the in-frame field — into one effective budget. Zero means no
-// deadline; negative means the budget expired in flight. When both are
-// present the smaller wins: neither side can extend the other.
-func requestDeadline(r *http.Request, frame time.Duration) (time.Duration, error) {
-	hdr, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
-	if err != nil {
-		return 0, err
-	}
-	return minBudget(hdr, frame), nil
-}
-
-func minBudget(a, b time.Duration) time.Duration {
-	switch {
-	case a == 0:
-		return b
-	case b == 0:
-		return a
-	case a < b:
-		return a
-	}
-	return b
-}
 
 // withBudget bounds ctx by a remaining budget. Budget 0 (no deadline)
 // returns ctx unchanged with a no-op cancel, so the default path stays
@@ -121,18 +97,8 @@ func (s *Server) compileFailureStatus(reqCtx, compileCtx context.Context, err er
 // immediate 504.
 func (s *Server) writeExpired(w http.ResponseWriter, budget time.Duration) {
 	s.metrics.deadlineExpired.Add(1)
-	s.writeError(w, http.StatusGatewayTimeout,
+	wire.WriteError(w, http.StatusGatewayTimeout,
 		fmt.Errorf("deadline expired %v before the compile started", -budget))
-}
-
-// writeRejected is the one funnel for backpressure responses — queue
-// full, draining, brownout shedding. Every rejection carries
-// Retry-After so a well-behaved client paces itself instead of
-// hammering an overloaded server (previously the sync 429 path sent a
-// bare status with no pacing hint).
-func (s *Server) writeRejected(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Retry-After", "1")
-	s.writeError(w, status, err)
 }
 
 // shedSync reports whether the brownout controller currently refuses
@@ -145,7 +111,7 @@ func (s *Server) shedSyncWork(w http.ResponseWriter) bool {
 		return false
 	}
 	s.metrics.shedSync.Add(1)
-	s.writeRejected(w, http.StatusTooManyRequests, errOverloaded)
+	wire.WriteRetryLater(w, http.StatusTooManyRequests, errOverloaded)
 	return true
 }
 
@@ -157,32 +123,34 @@ func (s *Server) shedAsyncWork(w http.ResponseWriter) bool {
 		return false
 	}
 	s.metrics.shedAsync.Add(1)
-	s.writeRejected(w, http.StatusTooManyRequests, errOverloaded)
+	wire.WriteRetryLater(w, http.StatusTooManyRequests, errOverloaded)
 	return true
 }
 
-// safely runs a handler inside the server's panic perimeter: a panic is
-// recovered, counted, logged with its stack, and answered with a 500
-// when the response has not started. http.ErrAbortHandler passes
-// through — it is net/http's sanctioned way to abort a connection (the
-// fault injector's drop uses it), not a bug to report.
-func (s *Server) safely(w http.ResponseWriter, r *http.Request, h http.HandlerFunc) {
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		if rec == http.ErrAbortHandler {
-			panic(rec)
-		}
-		s.metrics.panics.Add(1)
-		s.logger().Error("handler panic recovered",
-			"route", r.URL.Path, "panic", rec, "stack", string(debug.Stack()))
-		if sw, ok := w.(*statusWriter); !ok || sw.status == 0 {
-			s.writeError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", rec))
-		}
-	}()
-	h(w, r)
+// safe wraps h in the server's panic perimeter: a panic is recovered,
+// counted, logged with its stack, and answered with a 500 when the
+// response has not started. http.ErrAbortHandler passes through — it is
+// net/http's sanctioned way to abort a connection (the fault injector's
+// drop uses it), not a bug to report.
+func (s *Server) safe(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			rec := recover()
+			if rec == nil {
+				return
+			}
+			if rec == http.ErrAbortHandler {
+				panic(rec)
+			}
+			s.metrics.panics.Add(1)
+			s.logger().Error("handler panic recovered",
+				"route", r.URL.Path, "panic", rec, "stack", string(debug.Stack()))
+			if sw, ok := w.(*obs.StatusWriter); !ok || !sw.Started() {
+				wire.WriteError(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", rec))
+			}
+		}()
+		h(w, r)
+	}
 }
 
 func (s *Server) logger() *slog.Logger {

@@ -25,11 +25,16 @@
 // job-control and introspection endpoints, like errors, always speak
 // JSON. See wire.CompileRequest for the request shape and
 // internal/dfg/io.go for the graph wire format.
+//
+// The HTTP edge is shared with the fleet router (internal/fleet): routes
+// are counted, timed and traced by obs.Edge, bodies are read and errors
+// written by internal/wire, and the /metrics families are declared on an
+// obs.Registry (metrics.go). What stays here is the daemon's own: the
+// panic perimeter, admission, shedding and the compile path.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -40,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mpsched/internal/cliutil"
 	"mpsched/internal/dfg"
 	"mpsched/internal/faults"
 	"mpsched/internal/obs"
@@ -181,9 +185,6 @@ type Server struct {
 	// shed is the brownout controller, fed by async queue waits; nil when
 	// shedding is disabled (negative ShedThreshold).
 	shed *resilience.Shedder
-	// traces is the recent-request ring behind /debug/traces and the
-	// slow-trace log; every compile-path request records one trace.
-	traces *obs.Recorder
 
 	// batchSem bounds in-flight batch jobs across all /v1/batch envelopes
 	// at QueueDepth; admission is a per-job try-acquire, so an oversized
@@ -239,9 +240,7 @@ func newServer(opts Options, startWorkers bool) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:      opts,
-		metrics:   newMetrics(),
 		store:     newJobStore(opts.MaxStoredJobs),
-		traces:    obs.NewRecorder(opts.TraceBuffer, opts.SlowTrace, opts.Logger),
 		queue:     make(chan *asyncJob, opts.QueueDepth),
 		batchSem:  make(chan struct{}, opts.QueueDepth),
 		specs:     store.NewMemory[*dfg.Graph](maxSpecCacheEntries, 1),
@@ -258,18 +257,22 @@ func newServer(opts Options, startWorkers bool) *Server {
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.shed = resilience.NewShedder(opts.ShedThreshold, opts.ShedWindow)
 
+	s.metrics = newMetrics(s)
+
+	// Every route runs inside the panic perimeter (safe). The compile
+	// path is traced: each request's trace lands in the ring behind
+	// /debug/traces and, when slow, in the slow-trace log.
 	s.mux = http.NewServeMux()
-	s.route("POST /v1/compile", true, s.handleCompile)
-	s.route("POST /v1/batch", true, s.handleBatch)
-	s.route("POST /v1/jobs", true, s.handleSubmitJob)
-	s.route("GET /v1/jobs/{id}", false, s.handleGetJob)
-	s.route("GET /v1/workloads", false, s.handleWorkloads)
-	s.route("GET /healthz", false, s.handleHealthz)
-	s.route("GET /metrics", false, s.handleMetrics)
-	// The trace endpoints are registered directly on the mux, like pprof,
-	// so the debug subtree stays out of the request metrics.
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceByID)
+	edge := obs.NewEdge(s.mux, obs.NewRecorder(opts.TraceBuffer, opts.SlowTrace, opts.Logger),
+		s.metrics.requests, s.metrics.inflightRequests,
+		func(route, codec string) *obs.LockedHistogram { return s.metrics.requestSeconds.With(route, codec) })
+	edge.Route("POST /v1/compile", true, s.safe(s.handleCompile))
+	edge.Route("POST /v1/batch", true, s.safe(s.handleBatch))
+	edge.Route("POST /v1/jobs", true, s.safe(s.handleSubmitJob))
+	edge.Route("GET /v1/jobs/{id}", false, s.safe(s.handleGetJob))
+	edge.Route("GET /v1/workloads", false, s.safe(wire.ServeWorkloads))
+	edge.Route("GET /healthz", false, s.safe(s.handleHealthz))
+	edge.Route("GET /metrics", false, s.safe(s.metrics.reg.ServeHTTP))
 	if opts.EnablePprof {
 		// Registered directly on the mux (not via route) so the debug
 		// subtree stays out of the request metrics. pprof.Index also
@@ -319,35 +322,6 @@ func batchWorkers(queueWorkers int) int {
 	return 8
 }
 
-// route registers a handler with request accounting: the requests_total
-// counter, the in-flight gauge and the per-route × per-codec latency
-// histogram. Traced routes (the compile path) additionally get a
-// per-request obs.Trace — created from the X-Mpsched-Trace header (or
-// generated), carried in the request context for handlers to attach
-// spans, echoed on the response, and recorded into the /debug/traces
-// ring when the request finishes.
-func (s *Server) route(pattern string, traced bool, h http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		s.metrics.incRequest(pattern)
-		s.metrics.inflightRequests.Add(1)
-		defer s.metrics.inflightRequests.Add(-1)
-		codec := requestCodec(r).Name()
-		start := time.Now()
-		if !traced {
-			s.safely(w, r, h)
-			s.metrics.observeRequest(pattern, codec, time.Since(start))
-			return
-		}
-		tr := obs.NewTrace(r.Header.Get(obs.TraceHeader), pattern, codec)
-		sw := newStatusWriter(w, tr)
-		s.safely(sw, r.WithContext(obs.WithTrace(r.Context(), tr)), h)
-		d := time.Since(start)
-		tr.Finish(sw.Status(), d)
-		s.traces.Record(tr)
-		s.metrics.observeRequest(pattern, codec, d)
-	})
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
@@ -385,7 +359,7 @@ func (s *Server) worker() {
 func (s *Server) process(j *asyncJob) {
 	if !j.submitted.IsZero() {
 		wait := time.Since(j.submitted)
-		s.metrics.observeQueueWait(wait)
+		s.metrics.queueWait.Record(wait)
 		s.shed.Observe(wait)
 		j.trace.Observe("queue_wait", -1, j.submitted, wait)
 	}
@@ -484,7 +458,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if n := spec.Graph.N(); n > s.opts.MaxSyncNodes {
-		s.writeError(w, http.StatusRequestEntityTooLarge,
+		wire.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("graph has %d nodes, over the synchronous limit %d; submit it to POST /v1/jobs", n, s.opts.MaxSyncNodes))
 		return
 	}
@@ -494,12 +468,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	spec.Hook = s.stageHook(tr, -1)
 	rep, err := s.compileJob(cctx, tr, spec)
 	if err != nil {
-		s.writeError(w, s.compileFailureStatus(r.Context(), cctx, err), err)
+		wire.WriteError(w, s.compileFailureStatus(r.Context(), cctx, err), err)
 		return
 	}
 	resp := s.toResponse(rep, spec.StopAfter)
 	resp.TraceID = tr.ID()
-	s.writeResult(w, r, resp)
+	et := tr.Begin("encode")
+	wire.WriteResponse(w, r, resp)
+	et.End()
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
@@ -527,7 +503,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.drainMu.RUnlock()
 		at.End()
 		s.metrics.jobsRejected.Add(1)
-		s.writeRejected(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+		wire.WriteRetryLater(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return
 	}
 	accepted := false
@@ -541,14 +517,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	at.End()
 	if !accepted {
 		s.metrics.jobsRejected.Add(1)
-		s.writeRejected(w, http.StatusTooManyRequests,
+		wire.WriteRetryLater(w, http.StatusTooManyRequests,
 			fmt.Errorf("job queue full (%d waiting); retry later", s.opts.QueueDepth))
 		return
 	}
 	s.store.add(j)
 	s.metrics.jobsSubmitted.Add(1)
 	et := tr.Begin("encode")
-	s.writeJSON(w, http.StatusAccepted, j.snapshot())
+	wire.WriteJSON(w, http.StatusAccepted, j.snapshot())
 	et.End()
 }
 
@@ -556,18 +532,14 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.store.get(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, j.snapshot())
-}
-
-func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, WorkloadsResponse{Workloads: cliutil.Catalog()})
+	wire.WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, HealthResponse{
+	wire.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
 		QueueDepth:    len(s.queue),
@@ -575,68 +547,34 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var hits, misses int64
-	entries := 0
-	var tiers []store.TierStats
-	if s.cache != nil {
-		st := s.cache.Stats()
-		hits, misses, entries = st.Hits, st.Misses, st.Entries
-		// A tiered store additionally exposes per-tier hit/miss/evict/size
-		// breakdowns; plain memory caches render only the totals above.
-		if t, ok := s.cache.(store.Tiers); ok {
-			tiers = t.Tiers()
-		}
-	}
-	s.metrics.render(w, len(s.queue), s.opts.QueueDepth, hits, misses, entries, tiers)
-}
-
 // ---- plumbing ----
-
-// requestCodec picks the body codec from Content-Type. Unknown or absent
-// types fall back to JSON — exactly the pre-codec behaviour, so curl
-// without headers and every existing client are unchanged. The rule
-// itself lives in wire.Negotiate, shared with the fleet router.
-func requestCodec(r *http.Request) wire.Codec {
-	req, _ := wire.Negotiate(r.Header.Get("Content-Type"), "")
-	return req
-}
-
-// responseCodec picks the response codec: an explicit Accept for a
-// registered type wins, otherwise responses mirror the request codec.
-func responseCodec(r *http.Request) wire.Codec {
-	_, resp := wire.Negotiate(r.Header.Get("Content-Type"), r.Header.Get("Accept"))
-	return resp
-}
 
 // decodeCompile is the preamble /v1/compile and /v1/jobs share: decode
 // the body, adopt an in-frame trace ID, merge the header and frame
 // deadlines (504 once expired) and resolve the request to a spec (400).
 // When it returns false it has already answered the request.
 func (s *Server) decodeCompile(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (spec pipeline.Spec, budget time.Duration, ok bool) {
-	var req CompileRequest
 	dt := tr.Begin("decode")
-	err := requestCodec(r).DecodeRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), &req)
+	req, ok := wire.ReadRequest(w, r, s.opts.MaxBodyBytes)
 	dt.End()
-	if err != nil {
-		s.writeDecodeError(w, "request", err)
+	if !ok {
 		return spec, 0, false
 	}
 	// The binary codec carries the trace ID inside the frame, which only
 	// exists after decode; the echo header is written lazily at first
 	// WriteHeader, so the adopted ID still wins.
 	tr.AdoptID(req.TraceID)
-	if budget, err = requestDeadline(r, req.Deadline); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	hdr, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return spec, 0, false
 	}
-	if budget < 0 {
+	if budget = resilience.MinBudget(hdr, req.Deadline); budget < 0 {
 		s.writeExpired(w, budget)
 		return spec, 0, false
 	}
 	if spec, err = s.resolveSpec(req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return spec, 0, false
 	}
 	return spec, budget, true
@@ -661,36 +599,3 @@ func (s *Server) resolveSpec(req CompileRequest) (pipeline.Spec, error) {
 // graphs are shared anyway, so the bound is about hostile spec churn,
 // not memory from legitimate use.
 const maxSpecCacheEntries = 512
-
-// writeDecodeError answers a body that did not decode: 413 when it ran
-// over the size limit, 400 otherwise.
-func (s *Server) writeDecodeError(w http.ResponseWriter, what string, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooLarge.Limit))
-		return
-	}
-	s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s body: %w", what, err))
-}
-
-// writeResult writes a compile result in the negotiated response codec.
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, resp *CompileResponse) {
-	et := obs.FromContext(r.Context()).Begin("encode")
-	codec := responseCodec(r)
-	w.Header().Set("Content-Type", codec.ContentType())
-	w.WriteHeader(http.StatusOK)
-	_ = codec.EncodeResponse(w, resp) // the connection failing mid-response is the client's problem
-	et.End()
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(body) // the connection failing mid-response is the client's problem
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, ErrorResponse{Error: errString(err)})
-}

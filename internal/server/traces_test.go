@@ -359,3 +359,23 @@ func TestDebugTracesRecent(t *testing.T) {
 		}
 	}
 }
+
+// TestDebugTracesPageParam: ?n= is a whole integer in [1, 1024];
+// trailing garbage, fractions and out-of-range values are a 400.
+func TestDebugTracesPageParam(t *testing.T) {
+	_, c := newTestServer(t, server.Options{})
+	for q, want := range map[string]int{
+		"5abc": http.StatusBadRequest, "3.9": http.StatusBadRequest, "0": http.StatusBadRequest,
+		"1025": http.StatusBadRequest, "x": http.StatusBadRequest,
+		"1": http.StatusOK, "1024": http.StatusOK,
+	} {
+		resp, err := http.Get(c.BaseURL() + "/debug/traces?n=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("?n=%s: status %d, want %d", q, resp.StatusCode, want)
+		}
+	}
+}

@@ -98,7 +98,11 @@ func (binaryCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
 		return err
 	}
 	rd := reader{buf: data}
-	if err := decodeRequest(&rd, req); err != nil {
+	graphErr, err := decodeRequest(&rd, req)
+	if err == nil {
+		err = graphErr
+	}
+	if err != nil {
 		return err
 	}
 	return rd.expectEOF()
@@ -162,6 +166,7 @@ func (binaryCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 		return rd.err
 	}
 	jobs := make([]CompileRequest, 0, n)
+	var errs []error
 	for i := 0; i < n; i++ {
 		frame := rd.bytes()
 		if rd.err != nil {
@@ -169,18 +174,25 @@ func (binaryCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 		}
 		sub := reader{buf: frame}
 		var req CompileRequest
-		if err := decodeRequest(&sub, &req); err != nil {
+		graphErr, err := decodeRequest(&sub, &req)
+		if err == nil {
+			err = sub.expectEOF()
+		}
+		if err != nil {
 			return fmt.Errorf("batch job %d: %w", i, err)
 		}
-		if err := sub.expectEOF(); err != nil {
-			return fmt.Errorf("batch job %d: %w", i, err)
+		if graphErr != nil {
+			if errs == nil {
+				errs = make([]error, n)
+			}
+			errs[i] = graphErr
 		}
 		jobs = append(jobs, req)
 	}
 	if err := rd.expectEOF(); err != nil {
 		return err
 	}
-	b.Jobs = jobs
+	b.Jobs, b.errs = jobs, errs
 	return nil
 }
 
@@ -329,16 +341,19 @@ func appendRequest(buf []byte, req *CompileRequest) []byte {
 	return buf
 }
 
-func decodeRequest(rd *reader, req *CompileRequest) error {
+// decodeRequest decodes one request frame. err is a fault of the
+// framing; graphErr reports an inline graph whose frame was read intact
+// but did not decode, in which case the rest of the request still is.
+func decodeRequest(rd *reader, req *CompileRequest) (graphErr, err error) {
 	if got := string(rd.take(len(requestMagic))); got != requestMagic && rd.err == nil {
-		return fmt.Errorf("%w: bad request magic", ErrFormat)
+		return nil, fmt.Errorf("%w: bad request magic", ErrFormat)
 	}
 	if v := rd.byte(); v != binaryVersion && rd.err == nil {
-		return fmt.Errorf("%w: unknown request version %d", ErrFormat, v)
+		return nil, fmt.Errorf("%w: unknown request version %d", ErrFormat, v)
 	}
 	flags := rd.byte()
 	if rd.err == nil && flags&^byte(reqFlagsMask) != 0 {
-		return fmt.Errorf("%w: unknown request flags %#x", ErrFormat, flags)
+		return nil, fmt.Errorf("%w: unknown request flags %#x", ErrFormat, flags)
 	}
 	*req = CompileRequest{
 		Name:      rd.string(),
@@ -353,17 +368,16 @@ func decodeRequest(rd *reader, req *CompileRequest) error {
 	if flags&reqHasGraph != 0 {
 		n := int(rd.u32())
 		if rd.err == nil && n > len(rd.buf)-rd.off {
-			return fmt.Errorf("%w: graph length %d exceeds %d remaining bytes", ErrFormat, n, len(rd.buf)-rd.off)
+			return nil, fmt.Errorf("%w: graph length %d exceeds %d remaining bytes", ErrFormat, n, len(rd.buf)-rd.off)
 		}
 		frame := rd.take(n)
 		if rd.err != nil {
-			return rd.err
+			return nil, rd.err
 		}
 		var g dfg.Graph
-		if err := g.UnmarshalBinary(frame); err != nil {
-			return err
+		if graphErr = g.UnmarshalBinary(frame); graphErr == nil {
+			req.Graph = &g
 		}
-		req.Graph = &g
 	}
 	if flags&reqHasSelect != 0 {
 		req.Select = &SelectConfig{
@@ -397,7 +411,7 @@ func decodeRequest(rd *reader, req *CompileRequest) error {
 	if flags&reqHasDeadline != 0 {
 		req.Deadline = time.Duration(rd.uvarint())
 	}
-	return rd.err
+	return graphErr, rd.err
 }
 
 // ---- response framing ----

@@ -171,6 +171,20 @@ type WorkloadsResponse struct {
 // order, not job order — consumers match on Index.
 type BatchRequest struct {
 	Jobs []CompileRequest `json:"jobs"`
+	// errs holds, by job index, why a decoded job cannot run (see JobErr).
+	errs []error
+}
+
+// JobErr reports why job i of a decoded envelope cannot run: with the
+// binary codec, its graph frame arrived intact but did not decode. Such
+// a job fails alone, as a 400 item, exactly like a JSON job whose dfg
+// does not decode; broken envelope framing still fails the whole
+// envelope. Nil for every other job.
+func (b *BatchRequest) JobErr(i int) error {
+	if i < len(b.errs) {
+		return b.errs[i]
+	}
+	return nil
 }
 
 // BatchItem is one job's outcome inside a /v1/batch response stream.
