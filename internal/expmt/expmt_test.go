@@ -151,3 +151,56 @@ func TestFigReports(t *testing.T) {
 		t.Errorf("fig4: %d/%d\n%s", m, total, f4.Render())
 	}
 }
+
+// TestRenderDeterministic: every report renders the same text on every
+// run, so EXPERIMENTS.md regenerates byte for byte.
+func TestRenderDeterministic(t *testing.T) {
+	render := func() string {
+		reports, err := All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, r := range reports {
+			sb.WriteString(r.Render())
+		}
+		return sb.String()
+	}
+	first := render()
+	for i := 0; i < 5; i++ {
+		if got := render(); got != first {
+			t.Fatalf("run %d rendered different text than run 0", i+1)
+		}
+	}
+}
+
+// TestMatchedCountsHold pins each report's paper-vs-measured count to the
+// reproduction recorded in EXPERIMENTS.md: no report may match fewer
+// cells, and none may silently drop or add a cell. A change that makes
+// more cells match raises the floor here and regenerates EXPERIMENTS.md.
+func TestMatchedCountsHold(t *testing.T) {
+	want := map[string][2]int{ // id → {matched, total}
+		"table1": {22, 22}, "table2": {15, 15}, "table3": {1, 3}, "table4": {4, 4},
+		"table5": {25, 25}, "table6": {29, 29}, "table7": {7, 20}, "fig2": {5, 5},
+		"fig4": {2, 2}, "theorem1": {1, 1}, "extras": {1, 1},
+	}
+	reports, err := All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != len(want) {
+		t.Fatalf("%d reports, want %d", len(reports), len(want))
+	}
+	for _, r := range reports {
+		match, total := r.Matched()
+		w, ok := want[r.ID]
+		switch {
+		case !ok:
+			t.Errorf("%s: no recorded count", r.ID)
+		case total != w[1]:
+			t.Errorf("%s: %d cells, want %d", r.ID, total, w[1])
+		case match < w[0]:
+			t.Errorf("%s: %d/%d cells match, below the recorded %d\n%s", r.ID, match, total, w[0], r.Render())
+		}
+	}
+}

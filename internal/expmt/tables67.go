@@ -56,18 +56,23 @@ func Table6() (*Report, error) {
 		return nil, err
 	}
 	body.WriteString("\nselection rounds (C=2, Pdef=2, ε=0.5, α=20):\n")
-	wantPrio := []map[string]float64{
-		{"a": 26, "b": 24, "a,a": 88, "b,b": 84},
-		{"b": 24, "b,b": 84},
+	// Each round's published priorities, in the paper's order.
+	type prio struct {
+		key  string
+		want float64
+	}
+	wantPrio := [][]prio{
+		{{"a", 26}, {"b", 24}, {"a,a", 88}, {"b,b", 84}},
+		{{"b", 24}, {"b,b", 84}},
 	}
 	wantChosen := []string{"a,a", "b,b"}
 	for i, step := range sel.Steps {
 		fmt.Fprintf(&body, "  round %d: chose %s (f=%.2f)\n", i+1, step.Chosen, step.Priority)
-		for key, want := range wantPrio[i] {
+		for _, p := range wantPrio[i] {
 			r.Comparisons = append(r.Comparisons, Comparison{
-				Label:    fmt.Sprintf("round %d f({%s})", i+1, key),
-				Paper:    trimF(want),
-				Measured: trimF(step.Priorities[key]),
+				Label:    fmt.Sprintf("round %d f({%s})", i+1, p.key),
+				Paper:    trimF(p.want),
+				Measured: trimF(step.Priorities[p.key]),
 			})
 		}
 		r.Comparisons = append(r.Comparisons, Comparison{

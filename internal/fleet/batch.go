@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mpsched/internal/obs"
-	"mpsched/internal/resilience"
 	"mpsched/internal/server/client"
 	"mpsched/internal/wire"
 )
@@ -23,15 +22,9 @@ import (
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr := obs.FromContext(r.Context())
 	dt := tr.Begin("decode")
-	b, ok := wire.ReadBatch(w, r, rt.opts.MaxBodyBytes, rt.opts.MaxBatchJobs)
+	b, hdrBudget, ok := wire.ReadBatch(w, r, rt.opts.MaxBodyBytes, rt.opts.MaxBatchJobs, tr.AdoptID)
 	dt.End()
 	if !ok {
-		return
-	}
-	tr.AdoptID(b.Jobs[0].TraceID)
-	hdrBudget, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
-	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if hdrBudget < 0 {
@@ -44,19 +37,13 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	at := tr.Begin("admit")
 	ring := rt.pool.ring.Load()
-	budgets := make([]time.Duration, len(b.Jobs))
 	keys := make([]string, len(b.Jobs))
 	var immediate []wire.BatchItem
 	groups := map[int][]int{} // owner backend index → original job indices
 	for i := range b.Jobs {
-		budgets[i] = resilience.MinBudget(hdrBudget, b.Jobs[i].Deadline)
-		if budgets[i] < 0 {
+		if b.Jobs[i].Deadline < 0 {
 			immediate = append(immediate, wire.BatchItem{Index: i, Status: http.StatusGatewayTimeout,
 				Error: "deadline expired before the forward started"})
-			continue
-		}
-		if err := b.JobErr(i); err != nil {
-			immediate = append(immediate, wire.BatchItem{Index: i, Status: http.StatusBadRequest, Error: err.Error()})
 			continue
 		}
 		key, err := rt.requestKey(&b.Jobs[i])
@@ -87,7 +74,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(owner int, idxs []int) {
 			defer wg.Done()
-			rt.forwardBatchGroup(r, tr, lw, b.Jobs, budgets, keys, idxs, owner, start)
+			rt.forwardBatchGroup(r, tr, lw, b.Jobs, keys, idxs, owner, start)
 		}(owner, idxs)
 	}
 	wg.Wait()
@@ -105,7 +92,7 @@ func unavailableItem(idx int) wire.BatchItem {
 // forward (the client layer validates exactly one item per job), so a
 // retried sub-envelope can never duplicate or lose an item — the
 // invariant the kill-a-backend chaos test pins.
-func (rt *Router) forwardBatchGroup(r *http.Request, tr *obs.Trace, lw *lockedItemWriter, jobs []wire.CompileRequest, budgets []time.Duration, keys []string, idxs []int, owner int, start time.Time) {
+func (rt *Router) forwardBatchGroup(r *http.Request, tr *obs.Trace, lw *lockedItemWriter, jobs []wire.CompileRequest, keys []string, idxs []int, owner int, start time.Time) {
 	seq := rt.pool.ring.Load().sequence(fnv1a64(keys[idxs[0]]), make([]int, 0, len(rt.pool.backends)))
 	// The snapshot above may already have moved on; make sure the group's
 	// owner is attempted first regardless.
@@ -132,8 +119,8 @@ func (rt *Router) forwardBatchGroup(r *http.Request, tr *obs.Trace, lw *lockedIt
 		var expired []wire.BatchItem
 		for _, oi := range remaining {
 			freq := jobs[oi]
-			if budgets[oi] > 0 {
-				rem := budgets[oi] - time.Since(start)
+			if freq.Deadline > 0 {
+				rem := freq.Deadline - time.Since(start)
 				if rem <= 0 {
 					expired = append(expired, wire.BatchItem{Index: oi, Status: http.StatusGatewayTimeout,
 						Error: "deadline expired before the forward started"})
@@ -153,31 +140,27 @@ func (rt *Router) forwardBatchGroup(r *http.Request, tr *obs.Trace, lw *lockedIt
 		}
 		remaining = subIdx
 
-		fctx, cancel := rt.attemptContext(r, start)
-		hop := tr.Begin("hop")
-		items, err := b.c.CompileBatch(fctx, sub)
-		hop.End()
-		cancel()
-		b.forwarded.Add(1)
-		if attempt > 0 {
-			b.rerouted.Add(1)
-		}
+		// Per-job budgets ride the frames; the envelope-level header the
+		// attempt emits only needs to cap a hung backend.
+		var items []wire.BatchItem
+		err := rt.attempt(r.Context(), tr, b, 0, start, attempt > 0, func(ctx context.Context) (err error) {
+			items, err = b.c.CompileBatch(ctx, sub)
+			return err
+		})
 		if err == nil {
-			rt.pool.noteSuccess(b)
 			for i := range items {
 				items[i].Index = subIdx[items[i].Index]
 			}
 			lw.writeAll(items)
 			return
 		}
-		cerr := rt.classify(r.Context(), b, err)
-		if errors.Is(cerr, errFailover) {
+		if errors.Is(err, errFailover) {
 			continue
 		}
 		// The backend answered the envelope with a 4xx (shedding, refusal):
 		// relay it per item so neighbours in other groups are untouched.
 		var api *client.APIError
-		if errors.As(cerr, &api) {
+		if errors.As(err, &api) {
 			out := make([]wire.BatchItem, len(remaining))
 			for i, oi := range remaining {
 				out[i] = wire.BatchItem{Index: oi, Status: api.StatusCode, Error: api.Message}
@@ -195,13 +178,6 @@ func (rt *Router) forwardBatchGroup(r *http.Request, tr *obs.Trace, lw *lockedIt
 		out = append(out, unavailableItem(oi))
 	}
 	lw.writeAll(out)
-}
-
-// attemptContext bounds one sub-envelope forward by the configured
-// ceiling. Per-job budgets ride the frames; the envelope-level header
-// emitted from this context only needs to cap a hung backend.
-func (rt *Router) attemptContext(r *http.Request, start time.Time) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), rt.forwardTimeout(0, start))
 }
 
 // lockedItemWriter serialises merge-order writes from the per-group

@@ -204,7 +204,7 @@ func TestRouterTraceAndDeadlineHop(t *testing.T) {
 	mux.HandleFunc("POST /v1/compile", func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		gotTrace = r.Header.Get("X-Mpsched-Trace")
-		gotDeadline = r.Header.Get(resilience.DeadlineHeader)
+		gotDeadline = r.Header.Get(wire.DeadlineHeader)
 		mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(wire.CompileResponse{Name: "stub", Cycles: 3})
@@ -242,7 +242,7 @@ func TestRouterTraceAndDeadlineHop(t *testing.T) {
 	if trace != "tracehop0001" {
 		t.Fatalf("backend saw trace %q, want the client's ID propagated", trace)
 	}
-	d, err := resilience.ParseDeadline(dl)
+	d, err := wire.ParseDeadline(dl)
 	if err != nil || d <= 0 {
 		t.Fatalf("backend deadline header %q: parsed %v, %v", dl, d, err)
 	}
@@ -643,6 +643,39 @@ func TestRouterBadGraphFailsOnlyItsBatchItem(t *testing.T) {
 	}
 	if texts[0] != texts[1] || !strings.Contains(texts[0], `dfg "loop": dependency cycle`) {
 		t.Errorf("bad-graph item text differs by codec:\n json:   %s\n binary: %s", texts[0], texts[1])
+	}
+}
+
+// TestRouterBadGraphSameAnswerOnEveryRoute: through the router, a single
+// request whose inline graph does not decode is a 400 at /v1/compile and
+// at /v1/jobs, whose text is the graph's own error in either codec.
+func TestRouterBadGraphSameAnswerOnEveryRoute(t *testing.T) {
+	f := newTestFleet(t, 2, nil)
+	g := dfg.NewGraph("loop")
+	a := g.MustAddNode(dfg.Node{Name: "a", Color: "a"})
+	b := g.MustAddNode(dfg.Node{Name: "b", Color: "a"})
+	g.MustAddDep(a, b)
+	g.MustAddDep(b, a)
+	ctx := context.Background()
+	for _, route := range []string{"/v1/compile", "/v1/jobs"} {
+		var texts []string
+		for _, codec := range wire.Codecs() {
+			c, req := client.New(f.rts.URL).WithCodec(codec), server.CompileRequest{Graph: g}
+			var err error
+			if route == "/v1/compile" {
+				_, err = c.Compile(ctx, req)
+			} else {
+				_, err = c.SubmitJob(ctx, req)
+			}
+			var api *client.APIError
+			if !errors.As(err, &api) || api.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: %v, want a 400", codec.Name(), route, err)
+			}
+			texts = append(texts, api.Message)
+		}
+		if texts[0] != texts[1] || !strings.Contains(texts[0], `dfg "loop": dependency cycle`) {
+			t.Errorf("%s: bad-graph text differs by codec:\n json:   %s\n binary: %s", route, texts[0], texts[1])
+		}
 	}
 }
 

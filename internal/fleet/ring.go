@@ -23,10 +23,11 @@
 //
 // The router's HTTP front is mpschedd's: obs.Edge counts, times and
 // traces its routes and serves /debug/traces, internal/wire reads its
-// bodies and writes its answers, resilience.MinBudget merges its
-// deadlines, and its /metrics families are declared on an obs.Registry
+// requests — decoded, with their deadlines merged — and writes its
+// answers, and its /metrics families are declared on an obs.Registry
 // (metrics.go). Only routing, forwarding and failover are the router's
-// own.
+// own: every forward, whether a /v1/compile failover step, a /v1/jobs
+// submission or a batch sub-envelope, runs through one attempt function.
 //
 // Traces and deadlines propagate through the hop: the router decrements
 // X-Mpsched-Deadline by its own elapsed time before forwarding, reuses

@@ -92,7 +92,7 @@ func TestRouteKeyStable(t *testing.T) {
 	}{
 		{wire.CompileRequest{Workload: "fft:8"},
 			"75a5c67415d47c2cff2b385500413eb9d9094b597110a2909e11b2161285634a||fft:8|||||"},
-		{wire.CompileRequest{DFG: json.RawMessage(`{"name":"pair","nodes":[{"name":"a","color":"a"},{"name":"b","color":"a"}],"edges":[[0,1]]}`)},
+		{wire.CompileRequest{Graph: decodeGraph(t, `{"name":"pair","nodes":[{"name":"a","color":"a"},{"name":"b","color":"a"}],"edges":[[0,1]]}`)},
 			"a13897678186aed6d69484b54f96f6b0931142c5afbaf6ece8c9c3b873e7089a|||||||"},
 		{wire.CompileRequest{Workload: "3dft", Name: "my-3dft"},
 			"9258cb20120ab8edd73315f204e42efbf31231b565040610f993e749c2e88b70|my-3dft|3dft|||||"},
@@ -117,6 +117,16 @@ func TestRouteKeyStable(t *testing.T) {
 			t.Errorf("routing key moved:\n got  %q\n want %q", got, tc.want)
 		}
 	}
+}
+
+// decodeGraph decodes an inline graph as a codec does.
+func decodeGraph(t *testing.T, src string) *dfg.Graph {
+	t.Helper()
+	var g dfg.Graph
+	if err := json.Unmarshal([]byte(src), &g); err != nil {
+		t.Fatal(err)
+	}
+	return &g
 }
 
 // TestSpecCacheSharesGraphs: the router resolves a repeated workload

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -118,6 +117,9 @@ func New(opts Options) (*Router, error) {
 	if opts.SlowTrace == 0 {
 		opts.SlowTrace = server.DefaultSlowTrace
 	}
+	if opts.ForwardTimeout <= 0 {
+		opts.ForwardTimeout = DefaultForwardTimeout
+	}
 	rt := &Router{
 		opts:  opts,
 		start: time.Now(),
@@ -182,34 +184,15 @@ func (rt *Router) writeExpired(w http.ResponseWriter, budget time.Duration) {
 		fmt.Errorf("deadline expired %v before the forward started", -budget))
 }
 
-// ---- deadline plumbing ----
-
-// forwardTimeout clamps one attempt: the caller's remaining budget when
-// it has one, the configured ceiling otherwise. The resulting context
-// deadline is what do1 re-emits as X-Mpsched-Deadline — the budget
-// reaches the backend already decremented by the router's elapsed time.
-func (rt *Router) forwardTimeout(budget time.Duration, start time.Time) time.Duration {
-	limit := rt.opts.ForwardTimeout
-	if limit <= 0 {
-		limit = DefaultForwardTimeout
-	}
-	if budget <= 0 {
-		return limit
-	}
-	rem := budget - time.Since(start)
-	if rem < limit {
-		return rem
-	}
-	return limit
-}
-
 // ---- request key resolution ----
 
-// requestKey resolves a compile request to its routing key (see
-// routeKey). An inline DFG is decoded here once and re-attached as
-// Graph, so the forward leg carries the compact decoded form instead of
-// re-parsing JSON per failover attempt. Failures are client faults (400).
+// requestKey resolves a decoded compile request to its routing key (see
+// routeKey). Failures are client faults (400); an inline graph that did
+// not decode fails with its own error.
 func (rt *Router) requestKey(req *wire.CompileRequest) (string, error) {
+	if err := req.GraphErr(); err != nil {
+		return "", err
+	}
 	var fp string
 	switch {
 	case req.Workload != "":
@@ -220,14 +203,6 @@ func (rt *Router) requestKey(req *wire.CompileRequest) (string, error) {
 		fp = g.Fingerprint()
 	case req.Graph != nil:
 		fp = req.Graph.Fingerprint()
-	case len(req.DFG) > 0:
-		var g dfg.Graph
-		if err := json.Unmarshal(req.DFG, &g); err != nil {
-			return "", err
-		}
-		req.Graph = &g
-		req.DFG = nil
-		fp = g.Fingerprint()
 	default:
 		return "", errors.New("one of workload, dfg or graph is required")
 	}
@@ -298,26 +273,34 @@ func routeKey(fp string, req *wire.CompileRequest) string {
 
 // ---- forwarding core ----
 
-// errFailover is the sentinel forwardOnce returns when the attempt
-// failed in a way the next ring replica might serve: transport faults,
-// backend 5xx, an open per-backend breaker.
+// errFailover is the sentinel attempt returns when the forward failed
+// in a way the next ring replica might serve: transport faults, backend
+// 5xx, an open per-backend breaker.
 var errFailover = errors.New("fleet: attempt failed, try the next replica")
 
-// forwardOnce runs one compile attempt against one backend and
-// classifies the outcome. A non-nil response is success. An *APIError
-// below 500 passes through to the caller unchanged (the backend
-// answered — it is alive, and the fault is the request's). errFailover
-// means try the next replica; any other error is terminal (the client's
-// own context died).
-func (rt *Router) forwardOnce(ctx context.Context, tr *obs.Trace, b *Backend, req wire.CompileRequest, budget time.Duration, start time.Time, rerouted bool) (*wire.CompileResponse, error) {
-	fctx, cancel := context.WithTimeout(ctx, rt.forwardTimeout(budget, start))
+// attempt runs one forward against b — call, inside a "hop" span — and
+// counts it, rerouted when b is not the first replica tried. call's
+// context is bounded by what is left of budget since start, or by the
+// forward ceiling when that is sooner or budget is 0; the client
+// re-emits that deadline as X-Mpsched-Deadline, so the budget reaches
+// the backend already decremented by the router's elapsed time.
+//
+// nil is success. Anything the backend answered below 500 passes
+// through unchanged as its *APIError: the backend is alive, and the
+// fault is the request's. Transport-class faults count toward demoting
+// b and 5xx does not — mpschedd isolates panics per request, so a 500
+// indicts the request, not the node — but both return errFailover: try
+// the next replica. Any other error is terminal: the client's own
+// context died.
+func (rt *Router) attempt(ctx context.Context, tr *obs.Trace, b *Backend, budget time.Duration, start time.Time, rerouted bool, call func(context.Context) error) error {
+	timeout := rt.opts.ForwardTimeout
+	if rem := budget - time.Since(start); budget > 0 && rem < timeout {
+		timeout = rem
+	}
+	fctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req.TraceID = tr.ID()
-	// The context deadline re-emits the decremented budget in the header;
-	// clearing the frame field keeps the two from disagreeing.
-	req.Deadline = 0
 	hop := tr.Begin("hop")
-	resp, err := b.c.Compile(fctx, req)
+	err := call(fctx)
 	hop.End()
 	b.forwarded.Add(1)
 	if rerouted {
@@ -325,17 +308,8 @@ func (rt *Router) forwardOnce(ctx context.Context, tr *obs.Trace, b *Backend, re
 	}
 	if err == nil {
 		rt.pool.noteSuccess(b)
-		return resp, nil
+		return nil
 	}
-	return nil, rt.classify(ctx, b, err)
-}
-
-// classify maps a forward error to the router's reaction: demote and
-// fail over on transport-class faults, fail over (without demotion) on
-// 5xx — mpschedd isolates panics per request, so a 500 indicts the
-// request, not the node — and pass anything the backend answered with
-// below 500 through untouched.
-func (rt *Router) classify(ctx context.Context, b *Backend, err error) error {
 	if ctx.Err() != nil {
 		// The client's own context died (gone away, or out of budget) —
 		// no replica can help.
@@ -363,31 +337,30 @@ func (rt *Router) classify(ctx context.Context, b *Backend, err error) error {
 
 // ---- handlers ----
 
-// decodeCompile is the preamble /v1/compile and /v1/jobs share: decode
-// the body, adopt an in-frame trace ID, merge the header and frame
-// deadlines, and resolve the routing key. When it returns false it has
-// already answered the request.
+// decodeCompile is the preamble /v1/compile and /v1/jobs share: read
+// the request, adopting an in-frame trace ID, answer an expired budget
+// (504) and resolve the routing key (400). The request comes back ready
+// to forward: under the trace's ID, its budget returned and cleared from
+// the frame, which the attempt context's header carries instead. When
+// it returns false it has already answered the request.
 func (rt *Router) decodeCompile(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (req wire.CompileRequest, key string, budget time.Duration, ok bool) {
 	dt := tr.Begin("decode")
-	req, ok = wire.ReadRequest(w, r, rt.opts.MaxBodyBytes)
+	req, ok = wire.ReadRequest(w, r, rt.opts.MaxBodyBytes, tr.AdoptID)
 	dt.End()
 	if !ok {
 		return req, "", 0, false
 	}
-	tr.AdoptID(req.TraceID)
-	hdr, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
+	if req.Deadline < 0 {
+		rt.writeExpired(w, req.Deadline)
+		return req, "", 0, false
+	}
+	key, err := rt.requestKey(&req)
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, err)
 		return req, "", 0, false
 	}
-	if budget = resilience.MinBudget(hdr, req.Deadline); budget < 0 {
-		rt.writeExpired(w, budget)
-		return req, "", 0, false
-	}
-	if key, err = rt.requestKey(&req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err)
-		return req, "", 0, false
-	}
+	budget = req.Deadline
+	req.TraceID, req.Deadline = tr.ID(), 0
 	return req, key, budget, true
 }
 
@@ -408,7 +381,11 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 			rt.writeExpired(w, budget-time.Since(start))
 			return
 		}
-		resp, err := rt.forwardOnce(r.Context(), tr, b, req, budget, start, i > 0)
+		var resp *wire.CompileResponse
+		err := rt.attempt(r.Context(), tr, b, budget, start, i > 0, func(ctx context.Context) (err error) {
+			resp, err = b.c.Compile(ctx, req)
+			return err
+		})
 		if err == nil {
 			wire.WriteResponse(w, r, resp)
 			return
@@ -443,27 +420,21 @@ func (rt *Router) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	// Submissions are not idempotent — a blind replay could enqueue the
 	// job twice — so they go to the owner only, no failover.
 	b := rt.pool.backends[owner]
-	start := time.Now()
-	fctx, cancel := context.WithTimeout(r.Context(), rt.forwardTimeout(budget, start))
-	defer cancel()
-	req.TraceID = tr.ID()
-	req.Deadline = 0
-	hop := tr.Begin("hop")
-	resp, err := b.c.SubmitJob(fctx, req)
-	hop.End()
-	b.forwarded.Add(1)
+	var resp *wire.JobResponse
+	var callErr error
+	err := rt.attempt(r.Context(), tr, b, budget, time.Now(), false, func(ctx context.Context) error {
+		resp, callErr = b.c.SubmitJob(ctx, req)
+		return callErr
+	})
 	if err != nil {
-		if cerr := rt.classify(r.Context(), b, err); !errors.Is(cerr, errFailover) {
-			var api *client.APIError
-			if errors.As(cerr, &api) {
-				rt.writeAPIError(w, api)
-				return
-			}
+		var api *client.APIError
+		if errors.As(err, &api) {
+			rt.writeAPIError(w, api)
+			return
 		}
-		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("backend %s unreachable: %w", b.URL, err))
+		wire.WriteError(w, http.StatusBadGateway, fmt.Errorf("backend %s unreachable: %w", b.URL, callErr))
 		return
 	}
-	rt.pool.noteSuccess(b)
 	// The fleet-wide job ID carries the owning backend: "<idx>-<id>".
 	// Backend IDs are bare hex, so the first dash splits unambiguously.
 	resp.ID = strconv.Itoa(owner) + "-" + resp.ID

@@ -7,43 +7,6 @@ import (
 	"time"
 )
 
-func TestParseDeadline(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    time.Duration
-		wantErr bool
-	}{
-		{"", 0, false},
-		{"250ms", 250 * time.Millisecond, false},
-		{"1.5s", 1500 * time.Millisecond, false},
-		{"250", 250 * time.Millisecond, false}, // bare int = ms
-		{"-5ms", -time.Nanosecond, false},      // expired budgets normalise to one negative sentinel
-		{"0", -time.Nanosecond, false},         // explicit zero = exhausted, not "no deadline"
-		{"0ms", -time.Nanosecond, false},
-		{"soon", 0, true},
-		{"12parsecs", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseDeadline(c.in)
-		if (err != nil) != c.wantErr {
-			t.Errorf("ParseDeadline(%q) err = %v, wantErr %v", c.in, err, c.wantErr)
-			continue
-		}
-		if err == nil && got != c.want {
-			t.Errorf("ParseDeadline(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestFormatDeadlineRoundTrip(t *testing.T) {
-	for _, d := range []time.Duration{time.Millisecond, 250 * time.Millisecond, 3 * time.Second} {
-		got, err := ParseDeadline(FormatDeadline(d))
-		if err != nil || got != d {
-			t.Fatalf("round trip %v: got %v, err %v", d, got, err)
-		}
-	}
-}
-
 func TestRetryDelayFirstRetryImmediate(t *testing.T) {
 	p := RetryPolicy{BaseDelay: 2 * time.Millisecond, Rand: func() float64 { return 0.999 }}
 	if d := p.Delay(1, 0); d != 0 {

@@ -1,8 +1,9 @@
 // Package resilience holds the failure policies the serving stack
 // composes around compiles: client-side retries with capped exponential
 // backoff and full jitter, tail-latency hedging, per-endpoint circuit
-// breakers, and server-side brownout load shedding, plus the deadline
-// header both sides use to propagate a request's remaining budget.
+// breakers, and server-side brownout load shedding. The deadline header
+// that propagates a request's remaining budget is part of the wire (see
+// wire.DeadlineHeader).
 //
 // Every policy here is mechanism, not wiring: the pieces carry no HTTP
 // or pipeline dependencies, so internal/server, internal/server/client
@@ -12,62 +13,9 @@ package resilience
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
-	"strconv"
 	"time"
 )
-
-// DeadlineHeader carries a request's remaining time budget as a Go
-// duration string (e.g. "250ms"). The server turns it into a context
-// deadline around the compile, so work for a client that has already
-// given up is cancelled at the next stage boundary instead of burning a
-// worker. The binary codec additionally frames the deadline inline (see
-// wire.CompileRequest.Deadline); when both are present the smaller wins.
-const DeadlineHeader = "X-Mpsched-Deadline"
-
-// FormatDeadline renders a budget for the DeadlineHeader.
-func FormatDeadline(d time.Duration) string { return d.String() }
-
-// ParseDeadline parses a DeadlineHeader value: a Go duration string, or
-// a bare integer meaning milliseconds. The zero string means no
-// deadline. A parsed budget ≤ 0 is valid — it means "already expired" —
-// and is returned as a negative duration, because the zero value is
-// reserved for "no deadline": a client that explicitly says "0" has run
-// out of budget, not declined to set one.
-func ParseDeadline(s string) (time.Duration, error) {
-	if s == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		ms, ierr := strconv.ParseInt(s, 10, 64)
-		if ierr != nil {
-			return 0, fmt.Errorf("resilience: bad deadline %q: want a duration like \"250ms\" or integer milliseconds", s)
-		}
-		d = time.Duration(ms) * time.Millisecond
-	}
-	if d <= 0 {
-		return -time.Nanosecond, nil
-	}
-	return d, nil
-}
-
-// MinBudget merges two budgets a request carries — the DeadlineHeader
-// value and, for the binary codec, the in-frame field — into the one
-// that applies: the smaller, where 0 means none. Neither side can extend
-// the other.
-func MinBudget(a, b time.Duration) time.Duration {
-	switch {
-	case a == 0:
-		return b
-	case b == 0:
-		return a
-	case a < b:
-		return a
-	}
-	return b
-}
 
 // RetryPolicy is capped exponential backoff with full jitter: attempt n
 // waits a uniform random duration in [0, min(MaxDelay, BaseDelay·2ⁿ)].

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"sort"
 	"strings"
 	"sync"
@@ -48,20 +47,23 @@ type badRequestError struct{ err error }
 func (e badRequestError) Error() string { return e.err.Error() }
 func (e badRequestError) Unwrap() error { return e.err }
 
-// toSpec resolves the request into a compile spec. All failures are
-// badRequestError: nothing has been compiled yet, so the fault is in the
-// request. Shape checks live in validateRequest; this function only
-// resolves the graph and converts the wire configs. A non-nil graph is a
-// pre-resolved substitute for req.Workload (the server's spec cache
-// path — see Server.resolveSpec).
+// toSpec resolves a decoded request into a compile spec. All failures
+// are badRequestError: nothing has been compiled yet, so the fault is in
+// the request. In order: an inline graph that did not decode, then the
+// shape checks of validateRequest, then workload generation; the rest
+// converts the wire configs. A non-nil graph is a pre-resolved
+// substitute for req.Workload (the server's spec cache path — see
+// Server.resolveSpec).
 func toSpec(req CompileRequest, cached *dfg.Graph) (pipeline.Spec, error) {
-	spec := pipeline.Spec{Name: req.Name}
+	spec := pipeline.Spec{Name: req.Name, Graph: req.Graph}
+	if err := req.GraphErr(); err != nil {
+		return spec, badRequestError{err}
+	}
 	if err := validateRequest(req); err != nil {
 		return spec, badRequestError{err}
 	}
 
-	switch {
-	case req.Workload != "":
+	if req.Workload != "" {
 		g := cached
 		if g == nil {
 			var err error
@@ -73,14 +75,6 @@ func toSpec(req CompileRequest, cached *dfg.Graph) (pipeline.Spec, error) {
 		if spec.Name == "" {
 			spec.Name = req.Workload
 		}
-	case req.Graph != nil:
-		spec.Graph = req.Graph
-	default:
-		var g dfg.Graph
-		if err := json.Unmarshal(req.DFG, &g); err != nil {
-			return spec, badRequestError{err}
-		}
-		spec.Graph = &g
 	}
 
 	sel := patsel.Config{Pdef: defaultPdef}

@@ -9,7 +9,6 @@ import (
 
 	"mpsched/internal/obs"
 	"mpsched/internal/pipeline"
-	"mpsched/internal/resilience"
 	"mpsched/internal/wire"
 )
 
@@ -37,7 +36,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := obs.FromContext(r.Context())
 	dt := tr.Begin("decode")
-	b, ok := wire.ReadBatch(w, r, s.opts.MaxBodyBytes, s.opts.MaxBatchJobs)
+	// The envelope-level budget comes from the deadline header; each job
+	// may additionally carry its own in the binary frame, and its Deadline
+	// is the smaller of the two.
+	b, hdrBudget, ok := wire.ReadBatch(w, r, s.opts.MaxBodyBytes, s.opts.MaxBatchJobs, nil)
 	dt.End()
 	if !ok {
 		return
@@ -45,14 +47,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.metrics.batchRejected.Add(int64(len(b.Jobs)))
 		wire.WriteRetryLater(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
-	}
-	// The envelope-level budget comes from the deadline header; each job
-	// may additionally carry its own in the binary frame. The effective
-	// per-job budget is the smaller of the two.
-	hdrBudget, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
-	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if hdrBudget < 0 {
@@ -72,15 +66,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var failed []BatchItem
 	var admitted []pending
 	for i := range b.Jobs {
-		budget := resilience.MinBudget(hdrBudget, b.Jobs[i].Deadline)
+		budget := b.Jobs[i].Deadline
 		if budget < 0 {
 			s.metrics.deadlineExpired.Add(1)
 			failed = append(failed, BatchItem{Index: i, Status: http.StatusGatewayTimeout,
 				Error: "deadline expired before the compile started"})
-			continue
-		}
-		if err := b.JobErr(i); err != nil {
-			failed = append(failed, BatchItem{Index: i, Status: http.StatusBadRequest, Error: errString(err)})
 			continue
 		}
 		spec, err := s.resolveSpec(b.Jobs[i])

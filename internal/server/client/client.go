@@ -26,7 +26,6 @@ import (
 
 	"mpsched/internal/cliutil"
 	"mpsched/internal/obs"
-	"mpsched/internal/resilience"
 	"mpsched/internal/server"
 	"mpsched/internal/wire"
 )
@@ -394,7 +393,7 @@ func (c *Client) do1(ctx context.Context, method, url, contentType, accept, trac
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		if remaining := time.Until(dl); remaining > 0 {
-			req.Header.Set(resilience.DeadlineHeader, resilience.FormatDeadline(remaining))
+			req.Header.Set(wire.DeadlineHeader, wire.FormatDeadline(remaining))
 		}
 	}
 	resp, err := c.hc.Do(req)

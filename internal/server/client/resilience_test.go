@@ -230,7 +230,7 @@ func TestHedgeRescuesTail(t *testing.T) {
 func TestDeadlineHeaderFromContext(t *testing.T) {
 	got := make(chan string, 1)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		got <- r.Header.Get(resilience.DeadlineHeader)
+		got <- r.Header.Get(wire.DeadlineHeader)
 		compileOK(w)
 	}))
 	defer ts.Close()
@@ -241,7 +241,7 @@ func TestDeadlineHeaderFromContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr := <-got
-	budget, err := resilience.ParseDeadline(hdr)
+	budget, err := wire.ParseDeadline(hdr)
 	if err != nil || budget <= 0 || budget > 30*time.Second {
 		t.Errorf("deadline header %q (parsed %v, err %v), want a budget in (0s, 30s]", hdr, budget, err)
 	}

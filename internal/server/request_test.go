@@ -15,7 +15,6 @@ import (
 
 	"mpsched/internal/cliutil"
 	"mpsched/internal/dfg"
-	"mpsched/internal/resilience"
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
 	"mpsched/internal/wire"
@@ -50,7 +49,7 @@ func TestFailureStatusSameOnEveryRoute(t *testing.T) {
 			}
 			req.Header.Set("Content-Type", wire.ContentTypeJSON)
 			if tc.deadline != "" {
-				req.Header.Set(resilience.DeadlineHeader, tc.deadline)
+				req.Header.Set(wire.DeadlineHeader, tc.deadline)
 			}
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
@@ -198,6 +197,14 @@ func TestBadGraphFailsOnlyItsBatchItem(t *testing.T) {
 	checkBadGraphItem(t, c)
 }
 
+// TestBadGraphSameAnswerOnEveryRoute: a single request whose inline
+// graph does not decode is a 400 at /v1/compile and at /v1/jobs, whose
+// text is the graph's own error in either codec.
+func TestBadGraphSameAnswerOnEveryRoute(t *testing.T) {
+	_, c := newTestServer(t, server.Options{})
+	checkBadGraphRequest(t, c)
+}
+
 // cyclicGraph is the two-node cycle of the "cyclic inline graph" case
 // above, built in memory so the binary codec can frame it.
 func cyclicGraph() *dfg.Graph {
@@ -226,5 +233,30 @@ func checkBadGraphItem(t *testing.T, c *client.Client) {
 	}
 	if texts[0] != texts[1] || !strings.Contains(texts[0], `dfg "loop": dependency cycle`) {
 		t.Errorf("bad-graph item text differs by codec:\n json:   %s\n binary: %s", texts[0], texts[1])
+	}
+}
+
+func checkBadGraphRequest(t *testing.T, c *client.Client) {
+	t.Helper()
+	ctx := context.Background()
+	for _, route := range []string{"/v1/compile", "/v1/jobs"} {
+		var texts []string
+		for _, codec := range wire.Codecs() {
+			cc, req := c.WithCodec(codec), server.CompileRequest{Graph: cyclicGraph()}
+			var err error
+			if route == "/v1/compile" {
+				_, err = cc.Compile(ctx, req)
+			} else {
+				_, err = cc.SubmitJob(ctx, req)
+			}
+			var api *client.APIError
+			if !errors.As(err, &api) || api.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: %v, want a 400", codec.Name(), route, err)
+			}
+			texts = append(texts, api.Message)
+		}
+		if texts[0] != texts[1] || !strings.Contains(texts[0], `dfg "loop": dependency cycle`) {
+			t.Errorf("%s: bad-graph text differs by codec:\n json:   %s\n binary: %s", route, texts[0], texts[1])
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"mpsched/internal/faults"
-	"mpsched/internal/resilience"
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
 	"mpsched/internal/wire"
@@ -31,7 +30,7 @@ func TestDeadlineHeaderExpired(t *testing.T) {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(resilience.DeadlineHeader, "-5ms")
+		req.Header.Set(wire.DeadlineHeader, "-5ms")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +45,7 @@ func TestDeadlineHeaderExpired(t *testing.T) {
 	// A generous budget compiles normally.
 	req, _ := http.NewRequest(http.MethodPost, c.BaseURL()+"/v1/compile", strings.NewReader(`{"workload":"3dft"}`))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(resilience.DeadlineHeader, "30s")
+	req.Header.Set(wire.DeadlineHeader, "30s")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func TestDeadlineHeaderExpired(t *testing.T) {
 	// A malformed deadline is the client's fault.
 	req, _ = http.NewRequest(http.MethodPost, c.BaseURL()+"/v1/compile", strings.NewReader(`{"workload":"3dft"}`))
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(resilience.DeadlineHeader, "whenever")
+	req.Header.Set(wire.DeadlineHeader, "whenever")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -27,10 +27,11 @@
 // internal/dfg/io.go for the graph wire format.
 //
 // The HTTP edge is shared with the fleet router (internal/fleet): routes
-// are counted, timed and traced by obs.Edge, bodies are read and errors
-// written by internal/wire, and the /metrics families are declared on an
-// obs.Registry (metrics.go). What stays here is the daemon's own: the
-// panic perimeter, admission, shedding and the compile path.
+// are counted, timed and traced by obs.Edge, requests are read (decoded,
+// deadlines merged) and errors written by internal/wire, and the
+// /metrics families are declared on an obs.Registry (metrics.go). What
+// stays here is the daemon's own: the panic perimeter, admission,
+// shedding and the compile path.
 package server
 
 import (
@@ -549,35 +550,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // ---- plumbing ----
 
-// decodeCompile is the preamble /v1/compile and /v1/jobs share: decode
-// the body, adopt an in-frame trace ID, merge the header and frame
-// deadlines (504 once expired) and resolve the request to a spec (400).
-// When it returns false it has already answered the request.
+// decodeCompile is the preamble /v1/compile and /v1/jobs share: read
+// the request, adopting an in-frame trace ID, answer an expired budget
+// (504) and resolve the request to a spec (400). When it returns false
+// it has already answered the request.
 func (s *Server) decodeCompile(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (spec pipeline.Spec, budget time.Duration, ok bool) {
 	dt := tr.Begin("decode")
-	req, ok := wire.ReadRequest(w, r, s.opts.MaxBodyBytes)
+	// The binary codec carries the trace ID inside the frame, which only
+	// exists after decode; the echo header is written lazily at first
+	// WriteHeader, so the adopted ID still wins.
+	req, ok := wire.ReadRequest(w, r, s.opts.MaxBodyBytes, tr.AdoptID)
 	dt.End()
 	if !ok {
 		return spec, 0, false
 	}
-	// The binary codec carries the trace ID inside the frame, which only
-	// exists after decode; the echo header is written lazily at first
-	// WriteHeader, so the adopted ID still wins.
-	tr.AdoptID(req.TraceID)
-	hdr, err := resilience.ParseDeadline(r.Header.Get(resilience.DeadlineHeader))
+	if req.Deadline < 0 {
+		s.writeExpired(w, req.Deadline)
+		return spec, 0, false
+	}
+	spec, err := s.resolveSpec(req)
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, err)
 		return spec, 0, false
 	}
-	if budget = resilience.MinBudget(hdr, req.Deadline); budget < 0 {
-		s.writeExpired(w, budget)
-		return spec, 0, false
-	}
-	if spec, err = s.resolveSpec(req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, err)
-		return spec, 0, false
-	}
-	return spec, budget, true
+	return spec, req.Deadline, true
 }
 
 // resolveSpec is toSpec with the workload-spec cache in front: a storm of

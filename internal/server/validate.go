@@ -33,23 +33,18 @@ var stopStages = map[string]pipeline.Stage{
 	"schedule": pipeline.StageSchedule,
 }
 
-// validateRequest checks everything about the request that can be
+// validateRequest checks everything about a decoded request that can be
 // checked without touching a graph, returning a *FieldError naming the
-// first offending field. Graph resolution (workload generation, DFG
-// decoding) stays in toJob — those failures carry their own diagnostics.
-// (A function, not a method: CompileRequest is an alias into
-// internal/wire, which stays free of server policy.)
+// first offending field. Workload generation stays in toSpec, and an
+// inline graph arrives decoded (or as its GraphErr) — those failures
+// carry their own diagnostics. (A function, not a method:
+// CompileRequest is an alias into internal/wire, which stays free of
+// server policy.)
 func validateRequest(r CompileRequest) error {
-	sources := 0
-	for _, has := range []bool{r.Workload != "", len(r.DFG) > 0, r.Graph != nil} {
-		if has {
-			sources++
-		}
-	}
 	switch {
-	case sources > 1:
+	case r.Workload != "" && r.Graph != nil:
 		return fieldErrf("workload", "provide either workload or dfg, not both")
-	case sources == 0:
+	case r.Workload == "" && r.Graph == nil:
 		return fieldErrf("workload", "provide a graph: workload (see /v1/workloads) or inline dfg")
 	}
 

@@ -4,19 +4,24 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"mpsched/internal/dfg"
 )
 
 func TestValidateCompileRequest(t *testing.T) {
-	dfg := json.RawMessage(`{"name":"g","nodes":[]}`)
+	var g dfg.Graph
+	if err := json.Unmarshal([]byte(`{"name":"g","nodes":[]}`), &g); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name  string
 		req   CompileRequest
 		field string // expected FieldError.Field, "" = valid
 	}{
 		{"workload ok", CompileRequest{Workload: "3dft"}, ""},
-		{"dfg ok", CompileRequest{DFG: dfg}, ""},
+		{"dfg ok", CompileRequest{Graph: &g}, ""},
 		{"no graph", CompileRequest{}, "workload"},
-		{"both graphs", CompileRequest{Workload: "3dft", DFG: dfg}, "workload"},
+		{"both graphs", CompileRequest{Workload: "3dft", Graph: &g}, "workload"},
 		{"negative c", CompileRequest{Workload: "3dft", Select: &SelectConfig{C: -1}}, "select.c"},
 		{"largest c ok", CompileRequest{Workload: "3dft", Select: &SelectConfig{C: 65535}}, ""},
 		{"c over the pattern key limit", CompileRequest{Workload: "3dft", Select: &SelectConfig{C: 65536}}, "select.c"},

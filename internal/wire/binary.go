@@ -98,11 +98,7 @@ func (binaryCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
 		return err
 	}
 	rd := reader{buf: data}
-	graphErr, err := decodeRequest(&rd, req)
-	if err == nil {
-		err = graphErr
-	}
-	if err != nil {
+	if err := decodeRequest(&rd, req); err != nil {
 		return err
 	}
 	return rd.expectEOF()
@@ -166,7 +162,6 @@ func (binaryCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 		return rd.err
 	}
 	jobs := make([]CompileRequest, 0, n)
-	var errs []error
 	for i := 0; i < n; i++ {
 		frame := rd.bytes()
 		if rd.err != nil {
@@ -174,25 +169,19 @@ func (binaryCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 		}
 		sub := reader{buf: frame}
 		var req CompileRequest
-		graphErr, err := decodeRequest(&sub, &req)
+		err := decodeRequest(&sub, &req)
 		if err == nil {
 			err = sub.expectEOF()
 		}
 		if err != nil {
 			return fmt.Errorf("batch job %d: %w", i, err)
 		}
-		if graphErr != nil {
-			if errs == nil {
-				errs = make([]error, n)
-			}
-			errs[i] = graphErr
-		}
 		jobs = append(jobs, req)
 	}
 	if err := rd.expectEOF(); err != nil {
 		return err
 	}
-	b.Jobs, b.errs = jobs, errs
+	b.Jobs = jobs
 	return nil
 }
 
@@ -341,44 +330,44 @@ func appendRequest(buf []byte, req *CompileRequest) []byte {
 	return buf
 }
 
-// decodeRequest decodes one request frame. err is a fault of the
-// framing; graphErr reports an inline graph whose frame was read intact
-// but did not decode, in which case the rest of the request still is.
-func decodeRequest(rd *reader, req *CompileRequest) (graphErr, err error) {
+// decodeRequest decodes one request frame. The error is a fault of the
+// framing; an inline graph that was read intact but did not decode is
+// the request's own fault (graphErr), and the rest of it still decodes.
+func decodeRequest(rd *reader, req *CompileRequest) error {
 	if got := string(rd.take(len(requestMagic))); got != requestMagic && rd.err == nil {
-		return nil, fmt.Errorf("%w: bad request magic", ErrFormat)
+		return fmt.Errorf("%w: bad request magic", ErrFormat)
 	}
 	if v := rd.byte(); v != binaryVersion && rd.err == nil {
-		return nil, fmt.Errorf("%w: unknown request version %d", ErrFormat, v)
+		return fmt.Errorf("%w: unknown request version %d", ErrFormat, v)
 	}
 	flags := rd.byte()
 	if rd.err == nil && flags&^byte(reqFlagsMask) != 0 {
-		return nil, fmt.Errorf("%w: unknown request flags %#x", ErrFormat, flags)
+		return fmt.Errorf("%w: unknown request flags %#x", ErrFormat, flags)
 	}
 	*req = CompileRequest{
 		Name:      rd.string(),
 		Workload:  rd.string(),
 		StopAfter: rd.string(),
 	}
+	var dfgJSON []byte
 	if flags&reqHasDFG != 0 {
-		if raw := rd.bytes(); rd.err == nil {
-			req.DFG = append([]byte(nil), raw...)
-		}
+		dfgJSON = rd.bytes()
 	}
 	if flags&reqHasGraph != 0 {
 		n := int(rd.u32())
 		if rd.err == nil && n > len(rd.buf)-rd.off {
-			return nil, fmt.Errorf("%w: graph length %d exceeds %d remaining bytes", ErrFormat, n, len(rd.buf)-rd.off)
+			return fmt.Errorf("%w: graph length %d exceeds %d remaining bytes", ErrFormat, n, len(rd.buf)-rd.off)
 		}
 		frame := rd.take(n)
 		if rd.err != nil {
-			return nil, rd.err
+			return rd.err
 		}
 		var g dfg.Graph
-		if graphErr = g.UnmarshalBinary(frame); graphErr == nil {
+		if req.graphErr = g.UnmarshalBinary(frame); req.graphErr == nil {
 			req.Graph = &g
 		}
 	}
+	req.decodeDFG(dfgJSON)
 	if flags&reqHasSelect != 0 {
 		req.Select = &SelectConfig{
 			C:       int(rd.varint()),
@@ -411,7 +400,7 @@ func decodeRequest(rd *reader, req *CompileRequest) (graphErr, err error) {
 	if flags&reqHasDeadline != 0 {
 		req.Deadline = time.Duration(rd.uvarint())
 	}
-	return graphErr, rd.err
+	return rd.err
 }
 
 // ---- response framing ----

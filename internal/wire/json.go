@@ -42,7 +42,11 @@ func (jsonCodec) EncodeRequest(w io.Writer, req *CompileRequest) error {
 func (jsonCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(req)
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	req.decodeDFG(req.DFG)
+	return nil
 }
 
 func (jsonCodec) EncodeResponse(w io.Writer, resp *CompileResponse) error {
@@ -69,7 +73,13 @@ func (jsonCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
 func (jsonCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return dec.Decode(b)
+	if err := dec.Decode(b); err != nil {
+		return err
+	}
+	for i := range b.Jobs {
+		b.Jobs[i].decodeDFG(b.Jobs[i].DFG)
+	}
+	return nil
 }
 
 // NewItemWriter streams items as NDJSON: json.Encoder terminates every

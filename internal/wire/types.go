@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"time"
 
 	"mpsched/internal/cliutil"
@@ -20,7 +21,8 @@ type CompileRequest struct {
 	Name string `json:"name,omitempty"`
 	// Workload is a generator spec, e.g. "fft:8" or "fir:8,4".
 	Workload string `json:"workload,omitempty"`
-	// DFG is an inline graph in the dfg JSON wire format.
+	// DFG is an inline graph in the dfg JSON wire format. Decoding moves
+	// it into Graph: a decoded request never carries DFG.
 	DFG json.RawMessage `json:"dfg,omitempty"`
 	// Graph is an inline graph in decoded form. It never appears in JSON
 	// bodies (the JSON codec converts it to DFG on encode); the binary
@@ -49,11 +51,42 @@ type CompileRequest struct {
 	// effective ID.
 	TraceID string `json:"-"`
 	// Deadline is the request's remaining time budget. Like TraceID it
-	// never appears in JSON bodies — HTTP carries it in the
-	// X-Mpsched-Deadline header (see internal/resilience) — but the
-	// binary codec frames it inline so each job in a batch envelope can
-	// carry its own budget. Zero means no deadline.
+	// never appears in JSON bodies — HTTP carries it in the DeadlineHeader
+	// — but the binary codec frames it inline so each job in a batch
+	// envelope can carry its own budget. Zero means no deadline. On a
+	// request from ReadRequest or ReadBatch it is the effective budget,
+	// the header's and the frame's merged, and negative once expired.
 	Deadline time.Duration `json:"-"`
+	// graphErr is why the inline graph did not decode (see GraphErr).
+	graphErr error
+}
+
+// GraphErr reports why the request's inline graph did not decode — it
+// did not parse or validate, or a binary frame carried both inline
+// forms — or nil. The rest of the request decoded regardless.
+func (r *CompileRequest) GraphErr() error { return r.graphErr }
+
+// errTwoGraphs is the graph fault of a binary frame carrying both inline
+// forms, in the words a server gives any request with two graph sources.
+var errTwoGraphs = errors.New("workload: provide either workload or dfg, not both")
+
+// decodeDFG decodes raw, an inline graph in the dfg JSON wire format,
+// into Graph, or keeps why it did not decode in graphErr; an earlier
+// graph fault stands. DFG is cleared either way.
+func (r *CompileRequest) decodeDFG(raw []byte) {
+	r.DFG = nil
+	if len(raw) == 0 || r.graphErr != nil {
+		return
+	}
+	var g dfg.Graph
+	switch err := json.Unmarshal(raw, &g); {
+	case err != nil:
+		r.graphErr = err
+	case r.Graph != nil:
+		r.graphErr = errTwoGraphs
+	default:
+		r.Graph = &g
+	}
 }
 
 // SelectConfig is the wire form of patsel.Config.
@@ -171,20 +204,6 @@ type WorkloadsResponse struct {
 // order, not job order — consumers match on Index.
 type BatchRequest struct {
 	Jobs []CompileRequest `json:"jobs"`
-	// errs holds, by job index, why a decoded job cannot run (see JobErr).
-	errs []error
-}
-
-// JobErr reports why job i of a decoded envelope cannot run: with the
-// binary codec, its graph frame arrived intact but did not decode. Such
-// a job fails alone, as a 400 item, exactly like a JSON job whose dfg
-// does not decode; broken envelope framing still fails the whole
-// envelope. Nil for every other job.
-func (b *BatchRequest) JobErr(i int) error {
-	if i < len(b.errs) {
-		return b.errs[i]
-	}
-	return nil
 }
 
 // BatchItem is one job's outcome inside a /v1/batch response stream.

@@ -24,6 +24,12 @@
 // trip; results stream back as BatchItems in completion order through an
 // ItemWriter/ItemReader pair. JSON streams items as NDJSON, Binary as
 // length-prefixed frames.
+//
+// Decoding: this package is the one place a compile request is decoded,
+// for mpschedd and mpschedrouter alike. Both codecs decode an inline
+// graph into CompileRequest.Graph, keeping one that does not decode as
+// the request's own GraphErr, and ReadRequest and ReadBatch merge the
+// DeadlineHeader into each request's Deadline.
 package wire
 
 import (
@@ -62,7 +68,8 @@ type Codec interface {
 	EncodeRequest(w io.Writer, req *CompileRequest) error
 	// DecodeRequest reads one request body. Read errors from r (e.g.
 	// *http.MaxBytesError) pass through un-wrapped so callers can map
-	// them to statuses.
+	// them to statuses. An inline graph that does not decode is
+	// req.GraphErr, not an error.
 	DecodeRequest(r io.Reader, req *CompileRequest) error
 	EncodeResponse(w io.Writer, resp *CompileResponse) error
 	DecodeResponse(r io.Reader, resp *CompileResponse) error

@@ -199,11 +199,7 @@ func TestCrossCodecCatalog(t *testing.T) {
 		if err := Binary.DecodeRequest(&viaBin, &fromBin); err != nil {
 			t.Fatalf("%s: binary decode: %v", w.Example, err)
 		}
-		var gj dfg.Graph
-		if err := json.Unmarshal(fromJSON.DFG, &gj); err != nil {
-			t.Fatalf("%s: embedded dfg: %v", w.Example, err)
-		}
-		if gj.Fingerprint() != g.Fingerprint() {
+		if fromJSON.Graph == nil || fromJSON.Graph.Fingerprint() != g.Fingerprint() {
 			t.Fatalf("%s: JSON codec changed the graph fingerprint", w.Example)
 		}
 		if fromBin.Graph == nil || fromBin.Graph.Fingerprint() != g.Fingerprint() {
@@ -299,7 +295,8 @@ func TestBinaryHostileInput(t *testing.T) {
 	}
 
 	// A hostile graph inside an otherwise valid request must surface the
-	// dfg typed error, not a panic or silent acceptance.
+	// dfg typed error, not a panic or silent acceptance: as the request's
+	// own graph fault, with the body around it decoded.
 	g, err := cliutil.Generate("fig4")
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +310,10 @@ func TestBinaryHostileInput(t *testing.T) {
 	// flags+3 empty strings+4-byte length = byte 11 onward).
 	data[len(data)-1] ^= 0xff
 	var req CompileRequest
-	if err := Binary.DecodeRequest(bytes.NewReader(data), &req); err == nil {
+	if err := Binary.DecodeRequest(bytes.NewReader(data), &req); err != nil {
+		t.Fatalf("a mangled embedded graph failed the body: %v", err)
+	}
+	if req.GraphErr() == nil || req.Graph != nil {
 		t.Fatal("mangled embedded graph decoded without error")
 	}
 }
@@ -457,5 +457,42 @@ func TestZeroValueRoundTrip(t *testing.T) {
 				t.Fatalf("zero response round-tripped to %+v", resp)
 			}
 		})
+	}
+}
+
+func TestParseDeadline(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    time.Duration
+		wantErr bool
+	}{
+		{"", 0, false},
+		{"250ms", 250 * time.Millisecond, false},
+		{"1.5s", 1500 * time.Millisecond, false},
+		{"250", 250 * time.Millisecond, false}, // bare int = ms
+		{"-5ms", -time.Nanosecond, false},      // expired budgets normalise to one negative sentinel
+		{"0", -time.Nanosecond, false},         // explicit zero = exhausted, not "no deadline"
+		{"0ms", -time.Nanosecond, false},
+		{"soon", 0, true},
+		{"12parsecs", 0, true},
+	}
+	for _, c := range cases {
+		got, err := ParseDeadline(c.in)
+		if (err != nil) != c.wantErr {
+			t.Errorf("ParseDeadline(%q) err = %v, wantErr %v", c.in, err, c.wantErr)
+			continue
+		}
+		if err == nil && got != c.want {
+			t.Errorf("ParseDeadline(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+func TestFormatDeadlineRoundTrip(t *testing.T) {
+	for _, d := range []time.Duration{time.Millisecond, 250 * time.Millisecond, 3 * time.Second} {
+		got, err := ParseDeadline(FormatDeadline(d))
+		if err != nil || got != d {
+			t.Fatalf("round trip %v: got %v, err %v", d, got, err)
+		}
 	}
 }
