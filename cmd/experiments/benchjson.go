@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"mpsched/internal/dfg"
 	"mpsched/internal/patsel"
 	"mpsched/internal/pipeline"
+	"mpsched/internal/wire"
 )
 
 // enumBenchSpecs are the core enumeration workloads, matching
@@ -97,7 +99,8 @@ func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 	}
 
 	// Graph ingest on the warm serving path: fingerprint and binary decode,
-	// means per graph over the hot set (run in smoke mode too — both are
+	// means per graph over the hot set, and one design-space batch envelope
+	// decode (run in smoke mode too — each is at most a few hundred
 	// microseconds).
 	ingest, err := ingestResults()
 	if err != nil {
@@ -240,7 +243,12 @@ func throughputResult(name string, r testing.BenchmarkResult, batch int) benchfm
 // ingestResults measures Ingest/fingerprint and Ingest/unmarshal-binary:
 // the mean cost per graph of hashing and of decoding (with validation) the
 // 32-graph hot set, iteration i taking graph i mod 32, as internal/dfg's
-// BenchmarkFingerprint and BenchmarkUnmarshalBinary do.
+// BenchmarkFingerprint and BenchmarkUnmarshalBinary do. Ingest/decode-batch64
+// is the cost of decoding one binary /v1/batch envelope of the design-space
+// shape: the first 8 hot-set graphs, each at select.pdef 1 to 8. The codec
+// decodes each distinct graph of an envelope once; decoding every job's
+// graph instead takes about 5 times as long and 6 times the allocations,
+// past the CI gate's 3x tolerance.
 func ingestResults() ([]benchfmt.Result, error) {
 	var hot []*dfg.Graph
 	var frames [][]byte
@@ -275,7 +283,30 @@ func ingestResults() ([]benchfmt.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []benchfmt.Result{toResult("Ingest/fingerprint", fp, 0), toResult("Ingest/unmarshal-binary", dec, 0)}, nil
+	var env bytes.Buffer
+	var jobs []wire.CompileRequest
+	for pdef := 1; pdef <= 8; pdef++ {
+		for _, g := range hot[:8] {
+			jobs = append(jobs, wire.CompileRequest{Graph: g, Select: &wire.SelectConfig{Pdef: pdef}})
+		}
+	}
+	if err := wire.Binary.EncodeBatch(&env, &wire.BatchRequest{Jobs: jobs}); err != nil {
+		return nil, err
+	}
+	batch, err := measure(func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			var got wire.BatchRequest
+			if err := wire.Binary.DecodeBatch(bytes.NewReader(env.Bytes()), &got); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []benchfmt.Result{toResult("Ingest/fingerprint", fp, 0), toResult("Ingest/unmarshal-binary", dec, 0),
+		toResult("Ingest/decode-batch64", batch, 0)}, nil
 }
 
 // benchFleet is the 16-job mixed batch the top-level pipeline benchmarks

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"mpsched/internal/cliutil"
 	"mpsched/internal/dfg"
 	"mpsched/internal/resilience"
 	"mpsched/internal/server"
@@ -35,10 +37,16 @@ type testFleet struct {
 // in tests is exact (a hedged duplicate can double-compile a miss).
 func newTestFleet(t *testing.T, n int, mutate func(*Options)) *testFleet {
 	t.Helper()
+	return newTestFleetOf(t, n, server.Options{}, mutate)
+}
+
+// newTestFleetOf is newTestFleet over backends built with srvOpts.
+func newTestFleetOf(t *testing.T, n int, srvOpts server.Options, mutate func(*Options)) *testFleet {
+	t.Helper()
 	f := &testFleet{}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		srv := server.New(server.Options{})
+		srv := server.New(srvOpts)
 		ts := httptest.NewServer(srv)
 		f.servers = append(f.servers, srv)
 		f.backends = append(f.backends, ts)
@@ -675,6 +683,96 @@ func TestRouterBadGraphSameAnswerOnEveryRoute(t *testing.T) {
 		}
 		if texts[0] != texts[1] || !strings.Contains(texts[0], `dfg "loop": dependency cycle`) {
 			t.Errorf("%s: bad-graph text differs by codec:\n json:   %s\n binary: %s", route, texts[0], texts[1])
+		}
+	}
+}
+
+// TestRouterFieldChecksMatchDaemon: through the router, a request the
+// daemon rejects before any compile — a bad field next to an unknown
+// workload, no graph at all, an inline graph sent as JSON null — gets
+// the daemon's own status and body, in either codec, at /v1/compile,
+// at /v1/jobs and as a /v1/batch item.
+func TestRouterFieldChecksMatchDaemon(t *testing.T) {
+	f := newTestFleet(t, 1, nil)
+	for _, tc := range []struct {
+		name string
+		req  server.CompileRequest
+		want string
+	}{
+		{"bad field, unknown workload", server.CompileRequest{Workload: "nope:9", Select: &server.SelectConfig{Pdef: -1}}, "select.pdef: -1 < 0"},
+		{"no graph", server.CompileRequest{}, "workload: provide a graph"},
+		{"null graph", server.CompileRequest{DFG: json.RawMessage("null")}, "workload: provide a graph"},
+	} {
+		for _, codec := range wire.Codecs() {
+			var single, batch bytes.Buffer
+			if err := codec.EncodeRequest(&single, &tc.req); err != nil {
+				t.Fatal(err)
+			}
+			if err := codec.EncodeBatch(&batch, &wire.BatchRequest{Jobs: []wire.CompileRequest{tc.req}}); err != nil {
+				t.Fatal(err)
+			}
+			for route, body := range map[string][]byte{"/v1/compile": single.Bytes(), "/v1/jobs": single.Bytes(), "/v1/batch": batch.Bytes()} {
+				post := func(base string) (int, string) {
+					resp, err := http.Post(base+route, codec.ContentType(), bytes.NewReader(body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer resp.Body.Close()
+					raw, err := io.ReadAll(resp.Body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return resp.StatusCode, string(raw)
+				}
+				ds, db := post(f.backends[0].URL)
+				rs, rb := post(f.rts.URL)
+				if ds != rs || db != rb {
+					t.Errorf("%s, %s %s: daemon %d %q, router %d %q", tc.name, codec.Name(), route, ds, db, rs, rb)
+				}
+				if !strings.Contains(db, tc.want) {
+					t.Errorf("%s, %s %s: daemon answered %d %q, want it to say %q", tc.name, codec.Name(), route, ds, db, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchSharedGraphCold: 16 jobs of one envelope carry one inline
+// graph at different select.pdef to daemons with the result cache off,
+// so each daemon compiles its jobs at once on the one graph its envelope
+// decodes to. Every job answers as it does compiled alone, at a daemon
+// and through the router (whose sub-envelopes share the graph too); run
+// with -race, this checks the graph's lazy analyses under that sharing.
+func TestBatchSharedGraphCold(t *testing.T) {
+	f := newTestFleetOf(t, 2, server.Options{CacheEntries: -1}, nil)
+	ctx := context.Background()
+	g, err := cliutil.Generate("3dft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]server.CompileRequest, 16)
+	for i := range jobs {
+		jobs[i] = server.CompileRequest{Graph: g, Select: &server.SelectConfig{Pdef: i + 1}}
+	}
+	for _, target := range []string{f.backends[0].URL, f.rts.URL} {
+		for _, codec := range wire.Codecs() {
+			c := client.New(target).WithCodec(codec)
+			items, err := c.CompileBatch(ctx, jobs)
+			if err != nil {
+				t.Fatalf("%s %s: %v", target, codec.Name(), err)
+			}
+			for _, it := range items {
+				alone, err := c.Compile(ctx, jobs[it.Index])
+				if err != nil || it.Status != http.StatusOK {
+					t.Fatalf("%s %s job %d: item %d %q, alone %v", target, codec.Name(), it.Index, it.Status, it.Error, err)
+				}
+				got := it.Result
+				if got.Cycles != alone.Cycles || !reflect.DeepEqual(got.Patterns, alone.Patterns) ||
+					!reflect.DeepEqual(got.CycleOf, alone.CycleOf) || !reflect.DeepEqual(got.Census, alone.Census) {
+					t.Errorf("%s %s pdef %d: batch compiled %v in %d cycles, alone %v in %d",
+						target, codec.Name(), it.Index+1, got.Patterns, got.Cycles, alone.Patterns, alone.Cycles)
+				}
+			}
 		}
 	}
 }

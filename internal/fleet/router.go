@@ -187,26 +187,24 @@ func (rt *Router) writeExpired(w http.ResponseWriter, budget time.Duration) {
 // ---- request key resolution ----
 
 // requestKey resolves a decoded compile request to its routing key (see
-// routeKey). Failures are client faults (400); an inline graph that did
-// not decode fails with its own error.
+// routeKey). Failures are client faults (400), checked in the daemon's
+// order so both answer alike: an inline graph that did not decode, then
+// the daemon's field checks, then the workload spec.
 func (rt *Router) requestKey(req *wire.CompileRequest) (string, error) {
 	if err := req.GraphErr(); err != nil {
 		return "", err
 	}
-	var fp string
-	switch {
-	case req.Workload != "":
-		g, err := rt.workloadGraph(req.Workload)
-		if err != nil {
+	if err := server.ValidateRequest(*req); err != nil {
+		return "", err
+	}
+	g := req.Graph
+	if req.Workload != "" {
+		var err error
+		if g, err = rt.workloadGraph(req.Workload); err != nil {
 			return "", err
 		}
-		fp = g.Fingerprint()
-	case req.Graph != nil:
-		fp = req.Graph.Fingerprint()
-	default:
-		return "", errors.New("one of workload, dfg or graph is required")
 	}
-	return routeKey(fp, req), nil
+	return routeKey(g.Fingerprint(), req), nil
 }
 
 // workloadGraph generates a workload spec's graph through the spec

@@ -50,7 +50,7 @@ func (e badRequestError) Unwrap() error { return e.err }
 // toSpec resolves a decoded request into a compile spec. All failures
 // are badRequestError: nothing has been compiled yet, so the fault is in
 // the request. In order: an inline graph that did not decode, then the
-// shape checks of validateRequest, then workload generation; the rest
+// shape checks of ValidateRequest, then workload generation; the rest
 // converts the wire configs. A non-nil graph is a pre-resolved
 // substitute for req.Workload (the server's spec cache path — see
 // Server.resolveSpec).
@@ -59,7 +59,7 @@ func toSpec(req CompileRequest, cached *dfg.Graph) (pipeline.Spec, error) {
 	if err := req.GraphErr(); err != nil {
 		return spec, badRequestError{err}
 	}
-	if err := validateRequest(req); err != nil {
+	if err := ValidateRequest(req); err != nil {
 		return spec, badRequestError{err}
 	}
 

@@ -61,7 +61,8 @@ func BenchmarkBatchBinary64(b *testing.B) {
 // workloads, each carrying its graph in the binary frame, against a hot
 // result cache. Workload specs hit the server's spec cache and never
 // reach graph ingest; inline graphs are decoded, validated and
-// fingerprinted on every job, as the warm-batch benchmark workload does.
+// fingerprinted once per distinct graph of the envelope (the 64 draws
+// repeat some), as in the warm-batch benchmark workload.
 func BenchmarkBatchBinary64Inline(b *testing.B) {
 	s := server.New(server.Options{})
 	defer s.Drain(context.Background())

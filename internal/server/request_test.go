@@ -36,6 +36,7 @@ func TestFailureStatusSameOnEveryRoute(t *testing.T) {
 		{"expired deadline", `{"workload":"3dft"}`, "-5ms", http.StatusGatewayTimeout},
 		{"unknown workload", `{"workload":"nope:9"}`, "", http.StatusBadRequest},
 		{"cyclic inline graph", cyclic, "", http.StatusBadRequest},
+		{"null inline graph", `{"dfg":null}`, "", http.StatusBadRequest},
 		{"oversized body", fmt.Sprintf(`{"workload":"3dft","name":%q}`, strings.Repeat("x", 1024)), "", http.StatusRequestEntityTooLarge},
 	} {
 		for _, route := range []string{"/v1/compile", "/v1/jobs", "/v1/batch"} {

@@ -33,14 +33,16 @@ var stopStages = map[string]pipeline.Stage{
 	"schedule": pipeline.StageSchedule,
 }
 
-// validateRequest checks everything about a decoded request that can be
+// ValidateRequest checks everything about a decoded request that can be
 // checked without touching a graph, returning a *FieldError naming the
-// first offending field. Workload generation stays in toSpec, and an
-// inline graph arrives decoded (or as its GraphErr) — those failures
-// carry their own diagnostics. (A function, not a method:
+// first offending field. The daemon calls it in toSpec and the router
+// before it routes a request, so both answer a bad request alike.
+// Workload generation stays in toSpec, and an inline graph arrives
+// decoded (or as its GraphErr) — those failures carry their own
+// diagnostics. (A function, not a method:
 // CompileRequest is an alias into internal/wire, which stays free of
 // server policy.)
-func validateRequest(r CompileRequest) error {
+func ValidateRequest(r CompileRequest) error {
 	switch {
 	case r.Workload != "" && r.Graph != nil:
 		return fieldErrf("workload", "provide either workload or dfg, not both")

@@ -46,7 +46,7 @@ func TestValidateCompileRequest(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateRequest(tc.req)
+			err := ValidateRequest(tc.req)
 			if tc.field == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

@@ -19,8 +19,9 @@ import (
 // length followed by raw bytes, floats are 8-byte little-endian IEEE
 // 754. Graphs travel in the dfg binary framing (internal/dfg/binary.go)
 // with its interned color tables. Encoders append into sync.Pool-backed
-// buffers and issue one Write per message, so a hot client or server
-// allocates nothing per call on the encode path.
+// buffers and issue one Write per message, so on a hot client or server
+// the encode path allocates little beyond what the dfg encoder takes per
+// graph, which an envelope pays once per distinct graph.
 //
 //	request   "MPQ" 0x01, flags byte, name, workload, stop_after,
 //	          [DFG bytes] [graph bytes] [select] [sched] [spans] [trace]
@@ -86,7 +87,7 @@ func putBuf(b *[]byte) { *b = (*b)[:0]; bufPool.Put(b) }
 func (binaryCodec) EncodeRequest(w io.Writer, req *CompileRequest) error {
 	bp := getBuf()
 	defer putBuf(bp)
-	buf := appendRequest((*bp)[:0], req)
+	buf := appendRequest((*bp)[:0], req, nil)
 	*bp = buf
 	_, err := w.Write(buf)
 	return err
@@ -98,7 +99,7 @@ func (binaryCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
 		return err
 	}
 	rd := reader{buf: data}
-	if err := decodeRequest(&rd, req); err != nil {
+	if err := decodeRequest(&rd, req, nil, nil); err != nil {
 		return err
 	}
 	return rd.expectEOF()
@@ -134,13 +135,17 @@ func (binaryCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
 	buf := append((*bp)[:0], batchMagic...)
 	buf = append(buf, binaryVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Jobs)))
+	// Job frames accumulate in sub instead of overwriting each other, so
+	// the graph frames recorded in graphs stay valid for later jobs.
+	graphs := map[*dfg.Graph][]byte{}
+	frames := (*sub)[:0]
 	for i := range b.Jobs {
-		frame := appendRequest((*sub)[:0], &b.Jobs[i])
-		*sub = frame
-		buf = binary.AppendUvarint(buf, uint64(len(frame)))
-		buf = append(buf, frame...)
+		start := len(frames)
+		frames = appendRequest(frames, &b.Jobs[i], graphs)
+		buf = binary.AppendUvarint(buf, uint64(len(frames)-start))
+		buf = append(buf, frames[start:]...)
 	}
-	*bp = buf
+	*sub, *bp = frames, buf
 	_, err := w.Write(buf)
 	return err
 }
@@ -162,6 +167,7 @@ func (binaryCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 		return rd.err
 	}
 	jobs := make([]CompileRequest, 0, n)
+	graphs, texts := graphMemo{}, graphMemo{}
 	for i := 0; i < n; i++ {
 		frame := rd.bytes()
 		if rd.err != nil {
@@ -169,7 +175,7 @@ func (binaryCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 		}
 		sub := reader{buf: frame}
 		var req CompileRequest
-		err := decodeRequest(&sub, &req)
+		err := decodeRequest(&sub, &req, graphs, texts)
 		if err == nil {
 			err = sub.expectEOF()
 		}
@@ -261,7 +267,12 @@ func (ir *binItemReader) ReadItem(it *BatchItem) error {
 
 // ---- request framing ----
 
-func appendRequest(buf []byte, req *CompileRequest) []byte {
+// appendRequest appends req's frame to buf. graphs, when non-nil, holds
+// the frames of the graphs already encoded into the envelope, by graph:
+// a graph found there is copied instead of encoded again, and one that
+// is not is encoded and recorded, as a slice of buf that the caller
+// must not overwrite while graphs is in use.
+func appendRequest(buf []byte, req *CompileRequest, graphs map[*dfg.Graph][]byte) []byte {
 	buf = append(buf, requestMagic...)
 	buf = append(buf, binaryVersion)
 	var flags byte
@@ -299,7 +310,14 @@ func appendRequest(buf []byte, req *CompileRequest) []byte {
 		// delegate to the graph decoder with exact bounds.
 		mark := len(buf)
 		buf = append(buf, 0, 0, 0, 0) // room for a 4-byte fixed prefix
-		buf = req.Graph.AppendBinary(buf)
+		if frame, ok := graphs[req.Graph]; ok {
+			buf = append(buf, frame...)
+		} else {
+			buf = req.Graph.AppendBinary(buf)
+			if graphs != nil {
+				graphs[req.Graph] = buf[mark+4:]
+			}
+		}
 		binary.LittleEndian.PutUint32(buf[mark:], uint32(len(buf)-mark-4))
 	}
 	if c := req.Select; c != nil {
@@ -333,7 +351,10 @@ func appendRequest(buf []byte, req *CompileRequest) []byte {
 // decodeRequest decodes one request frame. The error is a fault of the
 // framing; an inline graph that was read intact but did not decode is
 // the request's own fault (graphErr), and the rest of it still decodes.
-func decodeRequest(rd *reader, req *CompileRequest) error {
+// Inline graphs decode through the envelope's memos, graphs for the dfg
+// binary framing and texts for dfg JSON, which are nil for a single
+// request.
+func decodeRequest(rd *reader, req *CompileRequest, graphs, texts graphMemo) error {
 	if got := string(rd.take(len(requestMagic))); got != requestMagic && rd.err == nil {
 		return fmt.Errorf("%w: bad request magic", ErrFormat)
 	}
@@ -362,12 +383,9 @@ func decodeRequest(rd *reader, req *CompileRequest) error {
 		if rd.err != nil {
 			return rd.err
 		}
-		var g dfg.Graph
-		if req.graphErr = g.UnmarshalBinary(frame); req.graphErr == nil {
-			req.Graph = &g
-		}
+		req.Graph, req.graphErr = graphs.decode(frame, decodeBinaryGraph)
 	}
-	req.decodeDFG(dfgJSON)
+	req.decodeDFG(dfgJSON, texts)
 	if flags&reqHasSelect != 0 {
 		req.Select = &SelectConfig{
 			C:       int(rd.varint()),

@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/json"
 	"io"
+
+	"mpsched/internal/dfg"
 )
 
 // jsonCodec is the original serving wire format. Encoded bytes are
@@ -16,14 +18,22 @@ func (jsonCodec) ContentType() string       { return ContentTypeJSON }
 func (jsonCodec) StreamContentType() string { return StreamContentTypeJSON }
 
 // withDFG returns req with any decoded Graph lowered to the DFG JSON
-// field, since JSON bodies carry graphs only in that shape.
-func withDFG(req *CompileRequest) (*CompileRequest, error) {
+// field, since JSON bodies carry graphs only in that shape. texts, when
+// non-nil, holds the graphs already lowered for the envelope, by graph,
+// and gains this one.
+func withDFG(req *CompileRequest, texts map[*dfg.Graph][]byte) (*CompileRequest, error) {
 	if req.Graph == nil || len(req.DFG) != 0 {
 		return req, nil
 	}
-	data, err := json.Marshal(req.Graph)
-	if err != nil {
-		return nil, err
+	data, ok := texts[req.Graph]
+	if !ok {
+		var err error
+		if data, err = json.Marshal(req.Graph); err != nil {
+			return nil, err
+		}
+		if texts != nil {
+			texts[req.Graph] = data
+		}
 	}
 	clone := *req
 	clone.DFG = data
@@ -32,7 +42,7 @@ func withDFG(req *CompileRequest) (*CompileRequest, error) {
 }
 
 func (jsonCodec) EncodeRequest(w io.Writer, req *CompileRequest) error {
-	req, err := withDFG(req)
+	req, err := withDFG(req, nil)
 	if err != nil {
 		return err
 	}
@@ -45,7 +55,7 @@ func (jsonCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
 	if err := dec.Decode(req); err != nil {
 		return err
 	}
-	req.decodeDFG(req.DFG)
+	req.decodeDFG(req.DFG, nil)
 	return nil
 }
 
@@ -60,8 +70,9 @@ func (jsonCodec) DecodeResponse(r io.Reader, resp *CompileResponse) error {
 func (jsonCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
 	jobs := b.Jobs
 	out := BatchRequest{Jobs: make([]CompileRequest, len(jobs))}
+	texts := map[*dfg.Graph][]byte{}
 	for i := range jobs {
-		req, err := withDFG(&jobs[i])
+		req, err := withDFG(&jobs[i], texts)
 		if err != nil {
 			return err
 		}
@@ -76,8 +87,9 @@ func (jsonCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 	if err := dec.Decode(b); err != nil {
 		return err
 	}
+	texts := graphMemo{}
 	for i := range b.Jobs {
-		b.Jobs[i].decodeDFG(b.Jobs[i].DFG)
+		b.Jobs[i].decodeDFG(b.Jobs[i].DFG, texts)
 	}
 	return nil
 }

@@ -29,7 +29,10 @@
 // for mpschedd and mpschedrouter alike. Both codecs decode an inline
 // graph into CompileRequest.Graph, keeping one that does not decode as
 // the request's own GraphErr, and ReadRequest and ReadBatch merge the
-// DeadlineHeader into each request's Deadline.
+// DeadlineHeader into each request's Deadline. Within one batch
+// envelope, jobs with equal graph bytes share one decoded graph (or
+// GraphErr), and EncodeBatch encodes a graph that several jobs share
+// once; nothing is shared across requests.
 package wire
 
 import (
