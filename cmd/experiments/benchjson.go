@@ -6,6 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"mpsched/internal/antichain"
@@ -14,6 +17,7 @@ import (
 	"mpsched/internal/dfg"
 	"mpsched/internal/patsel"
 	"mpsched/internal/pipeline"
+	"mpsched/internal/server"
 	"mpsched/internal/wire"
 )
 
@@ -37,9 +41,9 @@ var enumBenchSpecs = []struct {
 // runBenchJSON measures the core benchmarks via testing.Benchmark and
 // writes the JSON report (the benchfmt schema) to path, echoing a summary
 // line per benchmark. Smoke mode runs only the smoke census subset, the
-// 3DFT kernels and the ingest kernels — enough for CI to prove the
-// generation path still works and to gate them, without paying for real
-// measurement.
+// 3DFT kernels, the ingest kernels and the warm batch handler — enough
+// for CI to prove the generation path still works and to gate them,
+// without paying for real measurement.
 func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 	report := benchfmt.NewReport()
 
@@ -107,6 +111,14 @@ func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	report.Results = append(report.Results, ingest...)
+
+	// The warm batch handler (run in smoke mode too: about a millisecond
+	// an envelope).
+	serve, err := serveResult()
+	if err != nil {
+		return fail(err)
+	}
+	report.Results = append(report.Results, serve)
 
 	// CountTable: the paper's Table 5 span sweep, now single-pass.
 	g3, err := cliutil.Generate("3dft")
@@ -250,14 +262,12 @@ func throughputResult(name string, r testing.BenchmarkResult, batch int) benchfm
 // graph instead takes about 5 times as long and 6 times the allocations,
 // past the CI gate's 3x tolerance.
 func ingestResults() ([]benchfmt.Result, error) {
-	var hot []*dfg.Graph
+	hot, err := hotSet()
+	if err != nil {
+		return nil, err
+	}
 	var frames [][]byte
-	for _, spec := range cliutil.HotSetSpecs(1) {
-		g, err := cliutil.Generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		hot = append(hot, g)
+	for _, g := range hot {
 		frames = append(frames, g.AppendBinary(nil))
 	}
 	fp, err := measure(func(b *testing.B) error {
@@ -307,6 +317,87 @@ func ingestResults() ([]benchfmt.Result, error) {
 	}
 	return []benchfmt.Result{toResult("Ingest/fingerprint", fp, 0), toResult("Ingest/unmarshal-binary", dec, 0),
 		toResult("Ingest/decode-batch64", batch, 0)}, nil
+}
+
+// serveResult measures Serve/batch64-inline: the daemon's /v1/batch
+// handler answering one binary envelope of 64 jobs drawn at random from
+// the seed-1 hot set, every graph inline and every job a cache hit — the
+// warm-batch workload's server side without the network or the client,
+// as internal/server's BenchmarkBatchBinary64Inline measures it. Its
+// bytes per envelope are what the warm path leaves the collector.
+func serveResult() (benchfmt.Result, error) {
+	s := server.New(server.Options{})
+	defer s.Drain(context.Background())
+
+	hot, err := hotSet()
+	if err != nil {
+		return benchfmt.Result{}, err
+	}
+	encode := func(gs []*dfg.Graph) ([]byte, error) {
+		var env wire.BatchRequest
+		for _, g := range gs {
+			env.Jobs = append(env.Jobs, wire.CompileRequest{Graph: g})
+		}
+		var buf bytes.Buffer
+		err := wire.Binary.EncodeBatch(&buf, &env)
+		return buf.Bytes(), err
+	}
+	rng := rand.New(rand.NewSource(1))
+	jobs := make([]*dfg.Graph, 64)
+	for i := range jobs {
+		jobs[i] = hot[rng.Intn(len(hot))]
+	}
+	warm, err := encode(hot)
+	if err != nil {
+		return benchfmt.Result{}, err
+	}
+	raw, err := encode(jobs)
+	if err != nil {
+		return benchfmt.Result{}, err
+	}
+	post := func(body []byte) error {
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+		req.Header.Set("Content-Type", wire.ContentTypeBinary)
+		req.Header.Set("Accept", wire.ContentTypeBinary)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("Serve/batch64-inline: /v1/batch answered %d", rec.Code)
+		}
+		return nil
+	}
+	// Compile the hot set, then post it again so the response memo holds
+	// every result, as on a warmed daemon.
+	for i := 0; i < 2; i++ {
+		if err := post(warm); err != nil {
+			return benchfmt.Result{}, err
+		}
+	}
+	r, err := measure(func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			if err := post(raw); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return benchfmt.Result{}, err
+	}
+	return toResult("Serve/batch64-inline", r, 0), nil
+}
+
+// hotSet generates the seed-1 hot set of the warm workloads.
+func hotSet() ([]*dfg.Graph, error) {
+	var hot []*dfg.Graph
+	for _, spec := range cliutil.HotSetSpecs(1) {
+		g, err := cliutil.Generate(spec)
+		if err != nil {
+			return nil, err
+		}
+		hot = append(hot, g)
+	}
+	return hot, nil
 }
 
 // benchFleet is the 16-job mixed batch the top-level pipeline benchmarks

@@ -10,6 +10,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"slices"
 	"sort"
 	"strconv"
@@ -136,6 +137,9 @@ type Graph struct {
 	nodes []Node
 	g     *graph.Digraph
 
+	// byName maps node names to ids. The decoders leave it nil, since
+	// serving a decoded graph never looks a node up by name; names()
+	// builds it on first use.
 	byName map[string]int
 
 	mu          sync.Mutex
@@ -150,7 +154,7 @@ type Graph struct {
 
 // NewGraph returns an empty DFG with the given name.
 func NewGraph(name string) *Graph {
-	return &Graph{Name: name, g: &graph.Digraph{}, byName: map[string]int{}}
+	return &Graph{Name: name, g: &graph.Digraph{}}
 }
 
 // N returns the number of nodes.
@@ -162,28 +166,48 @@ func (d *Graph) M() int { return d.g.M() }
 // AddNode appends a node and returns its id. Names must be unique and
 // non-empty; colors must be non-empty.
 func (d *Graph) AddNode(n Node) (int, error) {
-	if err := d.checkNewNode(&n); err != nil {
+	if err := checkNode(&n); err != nil {
 		return 0, err
+	}
+	names := d.names()
+	if _, dup := names[n.Name]; dup {
+		return 0, duplicateName(n.Name)
 	}
 	id := d.g.AddNode()
 	d.nodes = append(d.nodes, n)
-	d.byName[n.Name] = id
+	names[n.Name] = id
 	d.invalidate()
 	return id, nil
 }
 
-// checkNewNode holds AddNode's checks, shared with the decoders' assembler.
-func (d *Graph) checkNewNode(n *Node) error {
+// checkNode holds AddNode's checks of the node alone, shared with the
+// decoders' assembler; each checks for a duplicate name against its own
+// index, and reports it with duplicateName.
+func checkNode(n *Node) error {
 	if n.Name == "" {
 		return fmt.Errorf("dfg: node with empty name")
 	}
 	if n.Color == "" {
 		return fmt.Errorf("dfg: node %q with empty color", n.Name)
 	}
-	if _, dup := d.byName[n.Name]; dup {
-		return fmt.Errorf("dfg: %w: %q", ErrDuplicateName, n.Name)
-	}
 	return nil
+}
+
+func duplicateName(name string) error {
+	return fmt.Errorf("dfg: %w: %q", ErrDuplicateName, name)
+}
+
+// names returns the name → id map, building it on first use.
+func (d *Graph) names() map[string]int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.byName == nil {
+		d.byName = make(map[string]int, len(d.nodes))
+		for id := range d.nodes {
+			d.byName[d.nodes[id].Name] = id
+		}
+	}
+	return d.byName
 }
 
 // MustAddNode is AddNode for statically-valid construction code.
@@ -252,13 +276,13 @@ func (d *Graph) SetOutput(id int, name string) {
 
 // ID looks a node up by name.
 func (d *Graph) ID(name string) (int, bool) {
-	id, ok := d.byName[name]
+	id, ok := d.names()[name]
 	return id, ok
 }
 
 // MustID is ID for names that are known to exist.
 func (d *Graph) MustID(name string) int {
-	id, ok := d.byName[name]
+	id, ok := d.names()[name]
 	if !ok {
 		panic(fmt.Sprintf("dfg: unknown node %q", name))
 	}
@@ -472,28 +496,52 @@ func (d *Graph) replaceWith(src *Graph) {
 // hashes can never collide.
 //
 // The hash is cached and invalidated on mutation, like Levels and Reach.
+// The stream is hashed in chunks of a fixed-size buffer, so computing it
+// allocates nothing that grows with the graph.
 func (d *Graph) Fingerprint() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.fingerprint == "" {
-		sum := sha256.Sum256(d.appendFingerprintInput(make([]byte, 0, d.fingerprintInputSize())))
-		var hx [2 * sha256.Size]byte
-		hex.Encode(hx[:], sum[:])
-		d.fingerprint = string(hx[:])
+		f := fingerprinters.Get().(*fingerprinter)
+		d.fingerprint = f.sum(d)
+		if cap(f.buf) <= 2*fingerprintChunk && cap(f.sorted) <= fingerprintChunk {
+			fingerprinters.Put(f)
+		}
 	}
 	return d.fingerprint
 }
 
-// appendFingerprintInput appends the byte stream Fingerprint hashes. The
-// strconv calls print exactly what the documented fmt verbs print: %q is
+// fingerprintChunk is how many bytes of the fingerprint stream are
+// buffered before they are hashed.
+const fingerprintChunk = 1024
+
+// fingerprinter hashes a graph's fingerprint stream. Fingerprinters are
+// pooled, so a warm Fingerprint allocates only the hex string it
+// returns; one whose buffers grew past their usual size (a node line
+// longer than a chunk, a node with more successors than a chunk holds
+// bytes) is dropped rather than kept.
+type fingerprinter struct {
+	h      hash.Hash
+	buf    []byte // the unhashed tail of the stream
+	sorted []int  // scratch for sorting one successor list
+}
+
+var fingerprinters = sync.Pool{New: func() any {
+	return &fingerprinter{h: sha256.New(), buf: make([]byte, 0, 2*fingerprintChunk)}
+}}
+
+// sum returns the hex SHA-256 of d's fingerprint stream. The strconv
+// calls print exactly what the documented fmt verbs print: %q is
 // strconv.Quote, %d a base-10 integer and %g the shortest 'g' form.
-func (d *Graph) appendFingerprintInput(b []byte) []byte {
-	b = append(b, "v1 n="...)
+func (f *fingerprinter) sum(d *Graph) string {
+	f.h.Reset()
+	b := append(f.buf[:0], "v1 n="...)
 	b = strconv.AppendInt(b, int64(len(d.nodes)), 10)
 	b = append(b, " m="...)
 	b = strconv.AppendInt(b, int64(d.g.M()), 10)
 	b = append(b, '\n')
 	for i := range d.nodes {
+		b = f.flush(b)
 		n := &d.nodes[i]
 		b = append(b, "node "...)
 		b = strconv.AppendQuote(b, n.Name)
@@ -517,15 +565,15 @@ func (d *Graph) appendFingerprintInput(b []byte) []byte {
 	}
 	// Edges in (from, to) order: node by node, each successor list sorted
 	// (a copy — Succs order is part of the graph and must not change).
-	var sorted []int
 	for u := range d.nodes {
 		succs := d.g.Succs(u)
 		if !slices.IsSorted(succs) {
-			sorted = append(sorted[:0], succs...)
-			slices.Sort(sorted)
-			succs = sorted
+			f.sorted = append(f.sorted[:0], succs...)
+			slices.Sort(f.sorted)
+			succs = f.sorted
 		}
 		for _, v := range succs {
+			b = f.flush(b)
 			b = append(b, "edge "...)
 			b = strconv.AppendInt(b, int64(u), 10)
 			b = append(b, ' ')
@@ -533,22 +581,20 @@ func (d *Graph) appendFingerprintInput(b []byte) []byte {
 			b = append(b, '\n')
 		}
 	}
-	return b
+	f.h.Write(b)
+	f.buf = b[:0]
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], f.h.Sum(b[:0]))
+	return string(hx[:])
 }
 
-// fingerprintInputSize estimates the length of the fingerprint byte
-// stream, so that it is built in one allocation: enough unless quoting
-// escapes characters or a constant prints long.
-func (d *Graph) fingerprintInputSize() int {
-	size := 32 + 24*d.g.M()
-	for i := range d.nodes {
-		n := &d.nodes[i]
-		size += 32 + len(n.Name) + len(n.Color) + len(n.Output)
-		for _, a := range n.Args {
-			size += 48 + len(a.Input)
-		}
+// flush hashes b once it holds a chunk, returning it emptied.
+func (f *fingerprinter) flush(b []byte) []byte {
+	if len(b) < fingerprintChunk {
+		return b
 	}
-	return size
+	f.h.Write(b)
+	return b[:0]
 }
 
 // Validate checks structural well-formedness: acyclicity, operand/edge
@@ -575,7 +621,7 @@ func (d *Graph) Validate() error {
 }
 
 func (d *Graph) validate() error {
-	if _, err := graph.TopoSort(d.g); err != nil {
+	if err := graph.CheckAcyclic(d.g); err != nil {
 		return fmt.Errorf("dfg %q: %w: %v", d.Name, ErrCyclic, err)
 	}
 	for id := range d.nodes {

@@ -8,3 +8,11 @@ var (
 	ReferenceUnmarshalJSON   = referenceUnmarshalJSON
 	RequireMatchesReference  = requireMatchesReference
 )
+
+// HasNameMap reports whether d has built its name → id map, which the
+// decoders leave to the first ID, MustID or AddNode.
+func HasNameMap(d *Graph) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.byName != nil
+}

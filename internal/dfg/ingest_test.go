@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unicode/utf8"
+	"unsafe"
 
 	"mpsched/internal/cliutil"
 	"mpsched/internal/dfg"
@@ -205,42 +207,96 @@ func TestDecodersMatchReference(t *testing.T) {
 }
 
 // Allocation budgets for graph ingest. Measured (go1.24, linux/amd64):
-// Fingerprint 2 allocs (the byte stream's buffer, sized once, and the hex
-// string) whatever the graph's size; UnmarshalBinary about 15 allocs plus
-// one per node with operands (its operand slice). The budgets leave room
-// for map growth and the occasional sort scratch.
+// Fingerprint 1 alloc of 64 bytes (the hex string) whatever the graph's
+// size, since it hashes through a pooled fixed-size buffer;
+// UnmarshalBinary about 15 allocs plus one per node with operands (its
+// operand slice), and 41–94 bytes a node beyond the graph it returns
+// (graphBytes); a decoder that also builds a name map and a topological
+// order takes 109–165. The budgets leave room for the occasional sort
+// scratch and for an empty pool: a Fingerprint that finds none
+// allocates its 2 KiB buffer and hash state, as happens now and then
+// under the race detector, whose sync.Pool drops some of what is put
+// back.
 const (
 	fingerprintAllocBudget = 3
+	fingerprintByteBudget  = 4096
 	unmarshalAllocSlack    = 32
+	unmarshalBytesPerNode  = 64
+	unmarshalByteSlack     = 512
 	allocBudgetSamples     = 20
 )
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean bytes f
+// allocates over runs calls, after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// graphBytes is the memory a graph decoded from frame holds: one copy of
+// the frame (its strings are substrings of it), its nodes and their
+// operands, and its adjacency lists.
+func graphBytes(g *dfg.Graph, frame []byte) int {
+	b := len(frame) + g.N()*int(unsafe.Sizeof(dfg.Node{})) +
+		2*g.N()*int(unsafe.Sizeof([]int(nil))) + 2*g.M()*int(unsafe.Sizeof(0))
+	for id := 0; id < g.N(); id++ {
+		b += len(g.Node(id).Args) * int(unsafe.Sizeof(dfg.Operand{}))
+	}
+	return b
+}
 
 func TestIngestAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budgets measured in full runs")
 	}
 	for _, spec := range []string{"fig4", "3dft", "fir:12,2", "random:seed=9,n=24", "random:seed=9,n=63",
-		"chain:depth=48,width=2", "matmul:3", "fft:16", "random:seed=3,n=128,colors=3,fanin=3"} {
+		"chain:depth=48,width=2", "matmul:3", "fft:16", "random:seed=3,n=128,colors=3,fanin=3", "random:seed=5,n=2000"} {
 		g := generate(t, spec)
 		out := g.Node(0).Output
-		fp := testing.AllocsPerRun(allocBudgetSamples, func() {
+		fingerprint := func() {
 			g.SetOutput(0, out) // drops the cached hash, content unchanged
 			g.Fingerprint()
-		})
+		}
+		fp := testing.AllocsPerRun(allocBudgetSamples, fingerprint)
 		if fp > fingerprintAllocBudget {
 			t.Errorf("%s: Fingerprint %.0f allocs, budget %d", spec, fp, fingerprintAllocBudget)
 		}
+		fpBytes := bytesPerRun(allocBudgetSamples, fingerprint)
+		if fpBytes > fingerprintByteBudget {
+			t.Errorf("%s (%d nodes): Fingerprint %.0f bytes, budget %d whatever the graph's size", spec, g.N(), fpBytes, fingerprintByteBudget)
+		}
 		bin := g.AppendBinary(nil)
 		var d dfg.Graph
-		dec := testing.AllocsPerRun(allocBudgetSamples, func() {
+		unmarshal := func() {
 			if err := d.UnmarshalBinary(bin); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		dec := testing.AllocsPerRun(allocBudgetSamples, unmarshal)
 		if budget := float64(g.N() + unmarshalAllocSlack); dec > budget {
 			t.Errorf("%s (%d nodes): UnmarshalBinary %.0f allocs, budget %.0f", spec, g.N(), dec, budget)
 		}
-		t.Logf("%s (%d nodes): Fingerprint %.0f allocs, UnmarshalBinary %.0f allocs", spec, g.N(), fp, dec)
+		held := graphBytes(g, bin)
+		decBytes := bytesPerRun(allocBudgetSamples, unmarshal)
+		if budget := held + unmarshalBytesPerNode*g.N() + unmarshalByteSlack; decBytes > float64(budget) {
+			t.Errorf("%s (%d nodes): UnmarshalBinary %.0f bytes, budget %d (%d for the graph it returns)", spec, g.N(), decBytes, budget, held)
+		}
+		if dfg.HasNameMap(&d) {
+			t.Errorf("%s: UnmarshalBinary built the name map", spec)
+		}
+		last := g.N() - 1
+		if id, ok := d.ID(g.NameOf(last)); !ok || id != last || !dfg.HasNameMap(&d) {
+			t.Errorf("%s: ID(%q) = %d, %v on a decoded graph, want %d from the map it builds", spec, g.NameOf(last), id, ok, last)
+		}
+		t.Logf("%s (%d nodes): Fingerprint %.0f allocs, %.0f bytes; UnmarshalBinary %.0f allocs, %.0f bytes (%d held)",
+			spec, g.N(), fp, fpBytes, dec, decBytes, held)
 	}
 }
 

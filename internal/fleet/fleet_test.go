@@ -689,19 +689,22 @@ func TestRouterBadGraphSameAnswerOnEveryRoute(t *testing.T) {
 
 // TestRouterFieldChecksMatchDaemon: through the router, a request the
 // daemon rejects before any compile — a bad field next to an unknown
-// workload, no graph at all, an inline graph sent as JSON null — gets
-// the daemon's own status and body, in either codec, at /v1/compile,
-// at /v1/jobs and as a /v1/batch item.
+// workload, no graph at all, an inline graph sent as JSON null, a body
+// with data after it — gets the daemon's own status and body, in either
+// codec, at /v1/compile, at /v1/jobs and as a /v1/batch item (or, for
+// trailing data, as the answer to the whole envelope).
 func TestRouterFieldChecksMatchDaemon(t *testing.T) {
 	f := newTestFleet(t, 1, nil)
 	for _, tc := range []struct {
-		name string
-		req  server.CompileRequest
-		want string
+		name     string
+		req      server.CompileRequest
+		want     string
+		trailing string // follows the encoded body
 	}{
-		{"bad field, unknown workload", server.CompileRequest{Workload: "nope:9", Select: &server.SelectConfig{Pdef: -1}}, "select.pdef: -1 < 0"},
-		{"no graph", server.CompileRequest{}, "workload: provide a graph"},
-		{"null graph", server.CompileRequest{DFG: json.RawMessage("null")}, "workload: provide a graph"},
+		{"bad field, unknown workload", server.CompileRequest{Workload: "nope:9", Select: &server.SelectConfig{Pdef: -1}}, "select.pdef: -1 < 0", ""},
+		{"no graph", server.CompileRequest{}, "workload: provide a graph", ""},
+		{"null graph", server.CompileRequest{DFG: json.RawMessage("null")}, "workload: provide a graph", ""},
+		{"trailing data", server.CompileRequest{Workload: "3dft"}, "trailing", "\ntrailing"},
 	} {
 		for _, codec := range wire.Codecs() {
 			var single, batch bytes.Buffer
@@ -711,6 +714,8 @@ func TestRouterFieldChecksMatchDaemon(t *testing.T) {
 			if err := codec.EncodeBatch(&batch, &wire.BatchRequest{Jobs: []wire.CompileRequest{tc.req}}); err != nil {
 				t.Fatal(err)
 			}
+			single.WriteString(tc.trailing)
+			batch.WriteString(tc.trailing)
 			for route, body := range map[string][]byte{"/v1/compile": single.Bytes(), "/v1/jobs": single.Bytes(), "/v1/batch": batch.Bytes()} {
 				post := func(base string) (int, string) {
 					resp, err := http.Post(base+route, codec.ContentType(), bytes.NewReader(body))

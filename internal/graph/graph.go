@@ -36,19 +36,21 @@ func (g *Digraph) AddNode() int {
 // followed by AddEdge on each edge in order builds it: the same Succs and
 // Preds order, duplicates ignored. Each adjacency list is sized once from
 // the edge list and carved out of one backing array, so construction costs
-// a fixed handful of allocations instead of one per growing list. Every
-// endpoint must lie in [0, n) and no edge may be a self-loop; it panics
-// otherwise, so decoders check both first to report them as errors.
-func FromEdges(n int, edges [][2]int) *Digraph {
+// a fixed handful of allocations instead of one per growing list. Edges
+// are int32 pairs, half the size of int ones, since decoders hold the
+// whole list while they read it. Every endpoint must lie in [0, n) and no
+// edge may be a self-loop; it panics otherwise, so decoders check both
+// first to report them as errors.
+func FromEdges(n int, edges [][2]int32) *Digraph {
 	adj := make([][]int, 2*n)
 	g := &Digraph{succs: adj[:n:n], preds: adj[n:]}
-	deg := make([]int, 2*n) // out-degrees, then in-degrees, duplicates counted
+	deg := make([]int32, 2*n) // out-degrees, then in-degrees, duplicates counted
 	for _, e := range edges {
 		if e[0] == e[1] {
 			panic(fmt.Sprintf("graph: self-loop on node %d", e[0]))
 		}
 		deg[e[0]]++
-		deg[n+e[1]]++
+		deg[n+int(e[1])]++
 	}
 	// Each list gets capacity for its duplicates too, and a full slice
 	// expression caps it there: a later AddEdge reallocates rather than
@@ -61,7 +63,7 @@ func FromEdges(n int, edges [][2]int) *Digraph {
 		}
 	}
 	for _, e := range edges {
-		from, to := e[0], e[1]
+		from, to := int(e[0]), int(e[1])
 		if g.HasEdge(from, to) {
 			continue
 		}

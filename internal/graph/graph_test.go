@@ -78,16 +78,16 @@ func TestFromEdgesMatchesAddEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)
-		var edges [][2]int
+		var edges [][2]int32
 		for i := rng.Intn(4 * n); i > 0; i-- {
 			from, to := rng.Intn(n), rng.Intn(n)
 			if from != to {
-				edges = append(edges, [2]int{from, to}) // may repeat
+				edges = append(edges, [2]int32{int32(from), int32(to)}) // may repeat
 			}
 		}
 		want := New(n)
 		for _, e := range edges {
-			want.MustAddEdge(e[0], e[1])
+			want.MustAddEdge(int(e[0]), int(e[1]))
 		}
 		got := FromEdges(n, edges)
 		if got.N() != n || got.M() != want.M() {

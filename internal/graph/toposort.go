@@ -8,9 +8,9 @@ import "fmt"
 // deterministic.
 func TopoSort(g *Digraph) ([]int, error) {
 	n := g.N()
-	indeg := make([]int, n)
+	indeg := make([]int32, n)
 	for i := 0; i < n; i++ {
-		indeg[i] = g.InDegree(i)
+		indeg[i] = int32(g.InDegree(i))
 	}
 	// A simple binary-heap-free selection: maintain a sorted-insert queue.
 	// DFGs are small (≤ a few thousand nodes); an O(n log n) ready heap is
@@ -33,20 +33,58 @@ func TopoSort(g *Digraph) ([]int, error) {
 		}
 	}
 	if len(order) != n {
-		for i := 0; i < n; i++ {
-			if indeg[i] > 0 {
-				return nil, fmt.Errorf("graph: cycle detected involving node %d", i)
-			}
-		}
-		return nil, fmt.Errorf("graph: cycle detected")
+		return nil, cycleError(indeg)
 	}
 	return order, nil
 }
 
+// cycleError names the smallest node Kahn's algorithm left unprocessed,
+// given the in-degrees it left: a node on a cycle or downstream of one.
+func cycleError(indeg []int32) error {
+	for i, d := range indeg {
+		if d > 0 {
+			return fmt.Errorf("graph: cycle detected involving node %d", i)
+		}
+	}
+	return fmt.Errorf("graph: cycle detected")
+}
+
+// CheckAcyclic returns the error TopoSort returns for g, nil for a DAG,
+// without building the order: it takes ready nodes off a stack instead
+// of TopoSort's min-queue. The node the error names is the same, because
+// the set of nodes Kahn's algorithm leaves unprocessed does not depend
+// on the order it takes ready nodes in.
+func CheckAcyclic(g *Digraph) error {
+	n := g.N()
+	scratch := make([]int32, 2*n)
+	indeg, ready := scratch[:n], scratch[n:n]
+	for i := range indeg {
+		indeg[i] = int32(g.InDegree(i))
+		if indeg[i] == 0 {
+			ready = append(ready, int32(i))
+		}
+	}
+	done := 0
+	for len(ready) > 0 {
+		u := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		done++
+		for _, v := range g.Succs(int(u)) {
+			indeg[v]--
+			if indeg[v] == 0 {
+				ready = append(ready, int32(v))
+			}
+		}
+	}
+	if done != n {
+		return cycleError(indeg)
+	}
+	return nil
+}
+
 // IsDAG reports whether the graph has no directed cycles.
 func IsDAG(g *Digraph) bool {
-	_, err := TopoSort(g)
-	return err == nil
+	return CheckAcyclic(g) == nil
 }
 
 // minQueue is a small binary min-heap of ints.

@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"mpsched/internal/alloc"
@@ -336,9 +337,13 @@ func (e *PanicError) Error() string { return fmt.Sprintf("compile panicked: %v",
 // schedule → allocate — consulting its result cache, and enumerating
 // graphs of DefaultParallelEnumNodes nodes or more on the parallel
 // backend. Construct with NewCompiler; a Compiler is safe for concurrent
-// use.
+// use, and concurrent compiles that miss the cache under one key run the
+// flow once (see join).
 type Compiler struct {
 	cache ResultCache
+
+	mu      sync.Mutex
+	flights map[string]chan struct{} // running cacheable compiles by key
 }
 
 // NewCompiler returns a compiler serving from opts.Cache (nil: no
@@ -483,6 +488,20 @@ func (c *Compiler) compileSpec(ctx context.Context, spec Spec) (*Report, error) 
 		if e, ok := c.cache.Get(key); ok {
 			return rebindReport(rep, e), nil
 		}
+		if done := c.join(key); done == nil {
+			defer c.land(key)
+		} else {
+			select {
+			case <-done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if e, ok := c.cache.Get(key); ok {
+				return rebindReport(rep, e), nil
+			}
+			// The leader cached nothing: it failed, panicked or was
+			// cancelled. This compile runs on its own.
+		}
 	}
 
 	switch {
@@ -557,6 +576,33 @@ func (c *Compiler) compileSpec(ctx context.Context, spec Spec) (*Report, error) 
 		})
 	}
 	return rep, nil
+}
+
+// join makes concurrent cache misses of one key compile once. The first
+// caller leads: join returns nil, and the caller runs the flow, caches
+// its result and calls land. Each later caller gets a channel that
+// closes when the leader lands; it waits on it under its own context,
+// then reads the cache like any hit.
+func (c *Compiler) join(key string) <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if done, ok := c.flights[key]; ok {
+		return done
+	}
+	if c.flights == nil {
+		c.flights = make(map[string]chan struct{})
+	}
+	c.flights[key] = make(chan struct{})
+	return nil
+}
+
+// land ends the leader's compile of key, waking its followers.
+func (c *Compiler) land(key string) {
+	c.mu.Lock()
+	done := c.flights[key]
+	delete(c.flights, key)
+	c.mu.Unlock()
+	close(done)
 }
 
 // censusAndSelect runs the census and (unless stopped) the selection for a
@@ -642,7 +688,8 @@ func summarize(census *antichain.Result, span int) *CensusSummary {
 // three config structs is spelled out, so adding a field without
 // extending the key fails loudly in review, not silently in the cache.
 func specCacheKey(g *dfg.Graph, sel patsel.Config, so sched.Options, arch *alloc.Arch, spans []int, stop Stage) string {
-	b := make([]byte, 0, 160)
+	var scratch [192]byte // on the stack: only the returned string escapes
+	b := scratch[:0]
 	b = append(b, g.Fingerprint()...)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(sel.C), 10)

@@ -54,6 +54,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Every job's item lands in out, and compile goroutines hand finished
+	// items over a buffered channel (capacity = envelope size, so a slow
+	// client never blocks a compile past its own item).
+	out := make([]BatchItem, len(b.Jobs))
+	items := make(chan *BatchItem, len(b.Jobs))
+	finish := func(it BatchItem) {
+		out[it.Index] = it
+		items <- &out[it.Index]
+	}
+
 	// Resolve and admit every job before streaming starts: rejections are
 	// decided up front (and written first), so admission never depends on
 	// how fast earlier compiles run.
@@ -63,23 +73,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		budget time.Duration
 	}
 	at := tr.Begin("admit")
-	var failed []BatchItem
-	var admitted []pending
+	admitted := make([]pending, 0, len(b.Jobs))
 	for i := range b.Jobs {
 		budget := b.Jobs[i].Deadline
 		if budget < 0 {
 			s.metrics.deadlineExpired.Add(1)
-			failed = append(failed, BatchItem{Index: i, Status: http.StatusGatewayTimeout,
+			finish(BatchItem{Index: i, Status: http.StatusGatewayTimeout,
 				Error: "deadline expired before the compile started"})
 			continue
 		}
 		spec, err := s.resolveSpec(b.Jobs[i])
 		if err != nil {
-			failed = append(failed, BatchItem{Index: i, Status: http.StatusBadRequest, Error: errString(err)})
+			finish(BatchItem{Index: i, Status: http.StatusBadRequest, Error: errString(err)})
 			continue
 		}
 		if n := spec.Graph.N(); n > s.opts.MaxSyncNodes {
-			failed = append(failed, BatchItem{Index: i, Status: http.StatusRequestEntityTooLarge,
+			finish(BatchItem{Index: i, Status: http.StatusRequestEntityTooLarge,
 				Error: fmt.Sprintf("graph has %d nodes, over the synchronous limit %d; submit it to POST /v1/jobs", n, s.opts.MaxSyncNodes)})
 			continue
 		}
@@ -88,7 +97,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			admitted = append(admitted, pending{idx: i, spec: spec, budget: budget})
 		default:
 			s.metrics.batchRejected.Add(1)
-			failed = append(failed, BatchItem{Index: i, Status: http.StatusTooManyRequests,
+			finish(BatchItem{Index: i, Status: http.StatusTooManyRequests,
 				Error: fmt.Sprintf("batch capacity full (%d in flight); retry later", s.opts.QueueDepth)})
 		}
 	}
@@ -105,12 +114,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	iw := wire.ResponseCodec(r).NewItemWriter(w)
 	flusher, _ := w.(http.Flusher)
 
-	// One writer goroutine owns the stream; compile goroutines hand it
-	// finished items over a buffered channel (capacity = envelope size, so
-	// a slow client never blocks a compile past its own item). The writer
-	// drains every item already waiting before paying a flush: under a
-	// fast cache-hit storm that turns one syscall per item into one per
-	// burst, which is most of the endpoint's throughput at small graphs.
+	// One writer goroutine owns the stream, fed by the items channel, where
+	// the rejections already wait. The writer drains every item already
+	// waiting before paying a flush: under a fast cache-hit storm that
+	// turns one syscall per item into one per burst, which is most of the
+	// endpoint's throughput at small graphs.
 	//
 	// The writer also owns the envelope's per-job trace spans, derived
 	// from the telemetry each successful item already carries (the
@@ -124,7 +132,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// duration is exact. Items without a Result (pre-compile rejections,
 	// compile errors) get no compile span; their latency still reaches
 	// the outcome-labeled metrics from the compile goroutine.
-	items := make(chan *BatchItem, len(b.Jobs))
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
@@ -191,51 +198,56 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		tr.Observe("flush", -1, end.Add(-flushTotal), flushTotal)
 	}()
 
-	for i := range failed {
-		items <- &failed[i]
-	}
 	// All jobs share one stage hook: per-stage spans on a batch envelope
 	// are envelope-level (job -1) — a per-job closure here is a measurable
 	// allocation on the storm path, and cache hits never fire it anyway.
+	// For the same reason all jobs share one run function, which takes
+	// its job by index into admitted.
 	hook := s.stageHook(tr, -1)
 	var wg sync.WaitGroup
-	for _, p := range admitted {
-		wg.Add(1)
-		p := p
-		run := func() {
-			defer wg.Done()
-			defer s.metrics.inflightBatch.Add(-1)
-			defer func() { <-s.batchSem }()
-			spec := p.spec
-			spec.Hook = hook
-			// compileJob's panic perimeter is what makes the endpoint's
-			// isolation promise hold for compiler bugs too: a panicking job
-			// becomes its own 500 item while its neighbours stream normally.
-			// No trace here: the stream writer derives the compile spans.
-			jctx, cancel := withBudget(r.Context(), p.budget)
-			defer cancel()
-			rep, err := s.compileJob(jctx, nil, spec)
-			if err != nil {
-				items <- &BatchItem{Index: p.idx, Status: s.compileFailureStatus(r.Context(), jctx, err), Error: errString(err)}
-				return
-			}
-			// Batch items deliberately omit the per-item trace_id: every
-			// item would repeat the envelope's one ID, which the client
-			// already has from the X-Mpsched-Trace response header — at
-			// batch 64 the repetition is a measurable share of the
-			// response bytes.
-			items <- &BatchItem{Index: p.idx, Status: http.StatusOK, Result: s.toResponse(rep, spec.StopAfter)}
+	wg.Add(len(admitted))
+	run := func(k int) {
+		defer wg.Done()
+		defer s.metrics.inflightBatch.Add(-1)
+		defer func() { <-s.batchSem }()
+		p := &admitted[k]
+		p.spec.Hook = hook
+		// compileJob's panic perimeter is what makes the endpoint's
+		// isolation promise hold for compiler bugs too: a panicking job
+		// becomes its own 500 item while its neighbours stream normally.
+		// No trace here: the stream writer derives the compile spans.
+		jctx, cancel := withBudget(r.Context(), p.budget)
+		defer cancel()
+		rep, err := s.compileJob(jctx, nil, p.spec)
+		if err != nil {
+			finish(BatchItem{Index: p.idx, Status: s.compileFailureStatus(r.Context(), jctx, err), Error: errString(err)})
+			return
 		}
+		// Batch items deliberately omit the per-item trace_id: every
+		// item would repeat the envelope's one ID, which the client
+		// already has from the X-Mpsched-Trace response header — at
+		// batch 64 the repetition is a measurable share of the
+		// response bytes.
+		finish(BatchItem{Index: p.idx, Status: http.StatusOK, Result: s.toResponse(rep, p.spec.StopAfter)})
+	}
+	for k := range admitted {
 		// Jobs run on the persistent worker pool; when it is saturated (or
 		// drained away) a fresh goroutine keeps the envelope moving rather
 		// than blocking the handler on pool capacity.
 		select {
-		case s.batchWork <- run:
+		case s.batchWork <- batchTask{run, k}:
 		default:
-			go run()
+			go run(k)
 		}
 	}
 	wg.Wait()
 	close(items)
 	<-writerDone
+}
+
+// batchTask is one admitted job of a batch envelope for the batch
+// workers: run(k) compiles the envelope's k-th admitted job.
+type batchTask struct {
+	run func(k int)
+	k   int
 }

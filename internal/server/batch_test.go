@@ -8,13 +8,63 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"mpsched/internal/cliutil"
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
 	"mpsched/internal/wire"
 )
+
+// TestBatchIdenticalColdJobsCompileOnce: a cold envelope of 16 identical
+// jobs runs one census. Exactly one item is a cache miss, and all 16
+// carry the same result.
+func TestBatchIdenticalColdJobsCompileOnce(t *testing.T) {
+	g, err := cliutil.Generate("fft:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]server.CompileRequest, 16)
+	for i := range jobs {
+		jobs[i] = server.CompileRequest{Graph: g, Select: &server.SelectConfig{Pdef: 3}}
+	}
+	for _, codec := range wire.Codecs() {
+		t.Run(codec.Name(), func(t *testing.T) {
+			s, c := newTestServer(t, server.Options{})
+			items, err := c.WithCodec(codec).CompileBatch(context.Background(), jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			misses := 0
+			var want *server.CompileResponse
+			for _, it := range items {
+				if it.Status != http.StatusOK {
+					t.Fatalf("job %d: %d %s", it.Index, it.Status, it.Error)
+				}
+				if !it.Result.CacheHit {
+					misses++
+				}
+				got := *it.Result
+				got.CacheHit, got.ElapsedMS, got.Stages = false, 0, nil
+				if want == nil {
+					want = &got
+				} else if !reflect.DeepEqual(&got, want) {
+					t.Errorf("job %d answered %+v, job %d %+v", it.Index, got, items[0].Index, *want)
+				}
+			}
+			if misses != 1 {
+				t.Errorf("%d of %d items are cache misses, want 1", misses, len(items))
+			}
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if census := `mpschedd_stage_seconds_count{stage="census"} 1` + "\n"; !strings.Contains(rec.Body.String(), census) {
+				t.Errorf("metrics lack %q: the envelope ran more than one census", strings.TrimSpace(census))
+			}
+		})
+	}
+}
 
 // TestBatchMixedOutcomes pins per-job error isolation: one envelope
 // mixing a good job, an unknown workload, a compile failure and a

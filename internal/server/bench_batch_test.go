@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"mpsched/internal/cliutil"
@@ -64,14 +65,64 @@ func BenchmarkBatchBinary64(b *testing.B) {
 // fingerprinted once per distinct graph of the envelope (the 64 draws
 // repeat some), as in the warm-batch benchmark workload.
 func BenchmarkBatchBinary64Inline(b *testing.B) {
+	post := inlineEnvelope(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
+// Budgets for one envelope of BenchmarkBatchBinary64Inline. Measured
+// (go1.24, linux/amd64, 2 CPUs): about 400 KB in 825 allocations; a
+// handler that reads bodies with io.ReadAll, hashes through a buffer the
+// size of each graph's stream, builds a name map per decoded graph and
+// grows its job list by append takes 776 KB in 1,203.
+const (
+	inlineEnvelopeByteBudget  = 450 << 10
+	inlineEnvelopeAllocBudget = 1000
+)
+
+// TestBatchInlineEnvelopeBudget holds the /v1/batch handler to its
+// allocation budgets on the envelope BenchmarkBatchBinary64Inline posts.
+// The race detector's sync.Pool drops some of what is put back, so pooled
+// buffers are allocated again now and then, and its runs are not held to
+// the byte budget.
+func TestBatchInlineEnvelopeBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation budgets measured in full runs")
+	}
+	post := inlineEnvelope(t)
+	const envelopes = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < envelopes; i++ {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	allocated := (after.TotalAlloc - before.TotalAlloc) / envelopes
+	allocs := (after.Mallocs - before.Mallocs) / envelopes
+	if allocated > inlineEnvelopeByteBudget && !raceEnabled {
+		t.Errorf("an envelope allocates %d KB, budget %d KB", allocated>>10, inlineEnvelopeByteBudget>>10)
+	}
+	if allocs > inlineEnvelopeAllocBudget {
+		t.Errorf("an envelope allocates %d times, budget %d", allocs, inlineEnvelopeAllocBudget)
+	}
+	t.Logf("an envelope allocates %d KB in %d allocations", allocated>>10, allocs)
+}
+
+// inlineEnvelope starts a server whose result cache and response memo
+// hold the seed-1 hot set, and returns a func that posts it the 64-job
+// inline envelope of BenchmarkBatchBinary64Inline.
+func inlineEnvelope(tb testing.TB) (post func()) {
 	s := server.New(server.Options{})
-	defer s.Drain(context.Background())
+	tb.Cleanup(func() { s.Drain(context.Background()) })
 
 	var hot []*dfg.Graph
 	for _, spec := range cliutil.HotSetSpecs(1) {
 		g, err := cliutil.Generate(spec)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		hot = append(hot, g)
 	}
@@ -82,7 +133,7 @@ func BenchmarkBatchBinary64Inline(b *testing.B) {
 		}
 		var buf bytes.Buffer
 		if err := wire.Binary.EncodeBatch(&buf, &env); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return buf.Bytes()
 	}
@@ -105,13 +156,8 @@ func BenchmarkBatchBinary64Inline(b *testing.B) {
 	// holds every result, as it does on a warmed daemon.
 	for i := 0; i < 2; i++ {
 		if code := do(warm); code != http.StatusOK {
-			b.Fatalf("warm-up status %d", code)
+			tb.Fatalf("warm-up status %d", code)
 		}
 	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		do(raw)
-	}
+	return func() { do(raw) }
 }

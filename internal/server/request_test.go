@@ -23,7 +23,8 @@ import (
 // TestFailureStatusSameOnEveryRoute: one bad request gets one status,
 // whether it arrives at /v1/compile, at /v1/jobs, or as an item of a
 // JSON /v1/batch envelope (where an envelope-level failure, such as an
-// oversized body, is the status of the whole request).
+// oversized body or data trailing the body's JSON value, is the status
+// of the whole request).
 func TestFailureStatusSameOnEveryRoute(t *testing.T) {
 	_, c := newTestServer(t, server.Options{MaxBodyBytes: 512})
 	cyclic := `{"dfg":{"name":"loop","nodes":[{"name":"a","color":"a"},{"name":"b","color":"a"}],"edges":[[0,1],[1,0]]}}`
@@ -32,18 +33,22 @@ func TestFailureStatusSameOnEveryRoute(t *testing.T) {
 		body     string
 		deadline string
 		want     int
+		trailing string // follows the body, or the batch envelope around it
 	}{
-		{"expired deadline", `{"workload":"3dft"}`, "-5ms", http.StatusGatewayTimeout},
-		{"unknown workload", `{"workload":"nope:9"}`, "", http.StatusBadRequest},
-		{"cyclic inline graph", cyclic, "", http.StatusBadRequest},
-		{"null inline graph", `{"dfg":null}`, "", http.StatusBadRequest},
-		{"oversized body", fmt.Sprintf(`{"workload":"3dft","name":%q}`, strings.Repeat("x", 1024)), "", http.StatusRequestEntityTooLarge},
+		{"expired deadline", `{"workload":"3dft"}`, "-5ms", http.StatusGatewayTimeout, ""},
+		{"unknown workload", `{"workload":"nope:9"}`, "", http.StatusBadRequest, ""},
+		{"cyclic inline graph", cyclic, "", http.StatusBadRequest, ""},
+		{"null inline graph", `{"dfg":null}`, "", http.StatusBadRequest, ""},
+		{"oversized body", fmt.Sprintf(`{"workload":"3dft","name":%q}`, strings.Repeat("x", 1024)), "", http.StatusRequestEntityTooLarge, ""},
+		{"second JSON value", `{"workload":"3dft"}`, "", http.StatusBadRequest, ` {"workload":"fir:8,2"}`},
+		{"trailing text", `{"workload":"3dft"}`, "", http.StatusBadRequest, "\ntrailing"},
 	} {
 		for _, route := range []string{"/v1/compile", "/v1/jobs", "/v1/batch"} {
 			body := tc.body
 			if route == "/v1/batch" {
 				body = `{"jobs":[` + body + `]}`
 			}
+			body += tc.trailing
 			req, err := http.NewRequest(http.MethodPost, c.BaseURL()+route, strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)

@@ -210,7 +210,7 @@ type Server struct {
 	// instead of a goroutine per job: batch jobs are often sub-millisecond
 	// cache hits, and spawning a fresh goroutine each time pays stack
 	// growth (newstack/copystack) that long-lived workers amortise away.
-	batchWork chan func()
+	batchWork chan batchTask
 
 	queue   chan *asyncJob
 	wg      sync.WaitGroup // queue workers
@@ -297,13 +297,13 @@ func newServer(opts Options, startWorkers bool) *Server {
 	// Batch workers run regardless of startWorkers — /v1/batch must serve
 	// even on test servers with the async queue frozen. They exit with
 	// baseCtx (Drain); handleBatch falls back per job when they are gone.
-	s.batchWork = make(chan func(), opts.QueueDepth)
+	s.batchWork = make(chan batchTask, opts.QueueDepth)
 	for i := 0; i < batchWorkers(opts.QueueWorkers); i++ {
 		go func() {
 			for {
 				select {
-				case f := <-s.batchWork:
-					f()
+				case t := <-s.batchWork:
+					t.run(t.k)
 				case <-s.baseCtx.Done():
 					return
 				}

@@ -19,9 +19,10 @@ import (
 // length followed by raw bytes, floats are 8-byte little-endian IEEE
 // 754. Graphs travel in the dfg binary framing (internal/dfg/binary.go)
 // with its interned color tables. Encoders append into sync.Pool-backed
-// buffers and issue one Write per message, so on a hot client or server
-// the encode path allocates little beyond what the dfg encoder takes per
-// graph, which an envelope pays once per distinct graph.
+// buffers and issue one Write per message, and decoders read each body
+// whole into the same pool, so on a hot client or server the wire
+// allocates little beyond what the dfg codec takes per graph, which an
+// envelope pays once per distinct graph.
 //
 //	request   "MPQ" 0x01, flags byte, name, workload, stop_after,
 //	          [DFG bytes] [graph bytes] [select] [sched] [spans] [trace]
@@ -75,14 +76,50 @@ func (binaryCodec) Name() string              { return "binary" }
 func (binaryCodec) ContentType() string       { return ContentTypeBinary }
 func (binaryCodec) StreamContentType() string { return ContentTypeBinary }
 
-// bufPool backs every binary encode; buffers grow to the largest message
-// they carry and are reused across calls.
+// bufPool backs every binary encode and every body the decoders read
+// whole; buffers grow to the largest message they carry and are reused
+// across calls. A buffer that grew past maxPooledBuf is dropped instead,
+// so one outsized message does not pin its size in the pool.
 var bufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
-func putBuf(b *[]byte) { *b = (*b)[:0]; bufPool.Put(b) }
+const maxPooledBuf = 1 << 20
+
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(b *[]byte) {
+	if cap(*b) > maxPooledBuf {
+		return
+	}
+	*b = (*b)[:0]
+	bufPool.Put(b)
+}
+
+// readBody reads r to EOF into a pooled buffer, as io.ReadAll reads into
+// a fresh one; the caller hands it back with putBuf once decoded. Every
+// decoder copies what it keeps (strings, slices, graphs), so nothing
+// decoded aliases the buffer once it is back in the pool. Read errors
+// pass through unwrapped.
+func readBody(r io.Reader) (*[]byte, error) {
+	bp := getBuf()
+	b := (*bp)[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the growth
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*bp = b
+			if err == io.EOF {
+				return bp, nil
+			}
+			putBuf(bp)
+			return nil, err
+		}
+	}
+}
 
 func (binaryCodec) EncodeRequest(w io.Writer, req *CompileRequest) error {
 	bp := getBuf()
@@ -94,11 +131,12 @@ func (binaryCodec) EncodeRequest(w io.Writer, req *CompileRequest) error {
 }
 
 func (binaryCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
-	data, err := io.ReadAll(r)
+	bp, err := readBody(r)
 	if err != nil {
 		return err
 	}
-	rd := reader{buf: data}
+	defer putBuf(bp)
+	rd := reader{buf: *bp}
 	if err := decodeRequest(&rd, req, nil, nil); err != nil {
 		return err
 	}
@@ -115,11 +153,12 @@ func (binaryCodec) EncodeResponse(w io.Writer, resp *CompileResponse) error {
 }
 
 func (binaryCodec) DecodeResponse(r io.Reader, resp *CompileResponse) error {
-	data, err := io.ReadAll(r)
+	bp, err := readBody(r)
 	if err != nil {
 		return err
 	}
-	rd := reader{buf: data}
+	defer putBuf(bp)
+	rd := reader{buf: *bp}
 	if err := decodeResponse(&rd, resp); err != nil {
 		return err
 	}
@@ -151,10 +190,16 @@ func (binaryCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
 }
 
 func (binaryCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
-	data, err := io.ReadAll(r)
+	bp, err := readBody(r)
 	if err != nil {
 		return err
 	}
+	defer putBuf(bp)
+	return decodeBatch(*bp, b)
+}
+
+// decodeBatch decodes the batch envelope in data into b.
+func decodeBatch(data []byte, b *BatchRequest) error {
 	rd := reader{buf: data}
 	if got := string(rd.take(len(batchMagic))); got != batchMagic && rd.err == nil {
 		return fmt.Errorf("%w: bad batch magic", ErrFormat)
@@ -223,7 +268,12 @@ func (iw *binItemWriter) WriteItem(it *BatchItem) error {
 	return err
 }
 
-type binItemReader struct{ r *bufio.Reader }
+// binItemReader reads item frames into one buffer, reused across the
+// items of a stream: decodeResponse copies what it keeps.
+type binItemReader struct {
+	r     *bufio.Reader
+	frame []byte
+}
 
 func (ir *binItemReader) ReadItem(it *BatchItem) error {
 	n, err := binary.ReadUvarint(ir.r)
@@ -236,7 +286,10 @@ func (ir *binItemReader) ReadItem(it *BatchItem) error {
 	if n > maxStreamFrame {
 		return fmt.Errorf("%w: item frame of %d bytes exceeds the %d limit", ErrFormat, n, maxStreamFrame)
 	}
-	frame := make([]byte, n)
+	if uint64(cap(ir.frame)) < n {
+		ir.frame = make([]byte, n)
+	}
+	frame := ir.frame[:n]
 	if _, err := io.ReadFull(ir.r, frame); err != nil {
 		return fmt.Errorf("%w: truncated item frame", ErrFormat)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 
 	"mpsched/internal/dfg"
@@ -10,7 +11,9 @@ import (
 // jsonCodec is the original serving wire format. Encoded bytes are
 // bit-compatible with what the server spoke before codecs existed:
 // requests decode with unknown fields rejected, responses encode with
-// HTML escaping off, exactly as the handlers used to do inline.
+// HTML escaping off, exactly as the handlers used to do inline. A request
+// or batch body is one JSON value: anything but whitespace after it
+// fails the body, as trailing bytes fail a binary one.
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string              { return "json" }
@@ -55,6 +58,9 @@ func (jsonCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
 	if err := dec.Decode(req); err != nil {
 		return err
 	}
+	if err := expectEnd(dec); err != nil {
+		return err
+	}
 	req.decodeDFG(req.DFG, nil)
 	return nil
 }
@@ -87,11 +93,33 @@ func (jsonCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 	if err := dec.Decode(b); err != nil {
 		return err
 	}
+	if err := expectEnd(dec); err != nil {
+		return err
+	}
 	texts := graphMemo{}
 	for i := range b.Jobs {
 		b.Jobs[i].decodeDFG(b.Jobs[i].DFG, texts)
 	}
 	return nil
+}
+
+// errTrailingJSON is a request or batch body that holds more than its
+// one JSON value, which the binary codec's "trailing bytes" matches.
+var errTrailingJSON = errors.New("wire: trailing data after the JSON value")
+
+// expectEnd fails unless only whitespace follows the value dec has
+// decoded: the next token must be the end of the input. A read error
+// other than the end passes through unwrapped.
+func expectEnd(dec *json.Decoder) error {
+	_, err := dec.Token()
+	var syntax *json.SyntaxError
+	switch {
+	case err == io.EOF:
+		return nil
+	case err == nil, err == io.ErrUnexpectedEOF, errors.As(err, &syntax):
+		return errTrailingJSON // a token, or the start of one
+	}
+	return err
 }
 
 // NewItemWriter streams items as NDJSON: json.Encoder terminates every

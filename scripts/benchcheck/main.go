@@ -29,7 +29,8 @@
 //     mpschedrouter_backend_up sample must be 0 or 1, and the fleet must
 //     have forwarded at least one request.
 //   - With -baseline: for every benchmark name present in both files,
-//     current ns_per_op and allocs_per_op must be ≤ tol × baseline
+//     current ns_per_op, allocs_per_op and bytes_per_op must be ≤ tol ×
+//     baseline
 //     (results only in one file are ignored — smoke runs measure a
 //     subset). At least one name must overlap. Baseline entries with
 //     requests > 0 are load results and gate the other way around:
@@ -132,7 +133,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			if r.Name == "" {
 				return fail("%s contains an unnamed result", *current)
 			}
-			if r.NsPerOp < 0 || r.AllocsPerOp < 0 || r.JobsPerSec < 0 {
+			if r.NsPerOp < 0 || r.AllocsPerOp < 0 || r.BytesPerOp < 0 || r.JobsPerSec < 0 {
 				return fail("result %q has negative measurements", r.Name)
 			}
 		}
@@ -162,6 +163,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			}
 			bad += compare(stdout, b.Name, "ns/op", c.NsPerOp, b.NsPerOp, *tol)
 			bad += compare(stdout, b.Name, "allocs/op", float64(c.AllocsPerOp), float64(b.AllocsPerOp), *tol)
+			bad += compare(stdout, b.Name, "bytes/op", float64(c.BytesPerOp), float64(b.BytesPerOp), *tol)
 		}
 		if overlap == 0 {
 			return fail("no benchmark name overlaps between %s and %s", *current, *baseline)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,6 +92,24 @@ func TestBaselineComparison(t *testing.T) {
 	dj := write(t, "disjoint.json", disjoint)
 	if code, _ := check(t, "-current", dj, "-baseline", base); code == 0 {
 		t.Fatal("zero-overlap comparison passed")
+	}
+}
+
+// TestBaselineBytes: bytes_per_op gates a benchmark result as
+// allocs_per_op does, at the same tolerance.
+func TestBaselineBytes(t *testing.T) {
+	withBytes := func(bytes int64) string {
+		rep := microReport(1000, 10)
+		rep.Results[0].BytesPerOp = bytes
+		return write(t, fmt.Sprintf("bytes%d.json", bytes), rep)
+	}
+	base := withBytes(1000)
+	if code, out := check(t, "-current", withBytes(2500), "-baseline", base); code != 0 {
+		t.Fatalf("2.5x bytes flagged under 3x tolerance:\n%s", out)
+	}
+	code, out := check(t, "-current", withBytes(4000), "-baseline", base)
+	if code == 0 || !strings.Contains(out, "FAIL") || !strings.Contains(out, "bytes/op") {
+		t.Fatalf("4x bytes passed the 3x gate, or the failure does not name bytes/op (exit %d):\n%s", code, out)
 	}
 }
 
