@@ -41,9 +41,9 @@ var enumBenchSpecs = []struct {
 // runBenchJSON measures the core benchmarks via testing.Benchmark and
 // writes the JSON report (the benchfmt schema) to path, echoing a summary
 // line per benchmark. Smoke mode runs only the smoke census subset, the
-// 3DFT kernels, the ingest kernels and the warm batch handler — enough
-// for CI to prove the generation path still works and to gate them,
-// without paying for real measurement.
+// 3DFT kernels, the ingest kernels, the router's decode and the warm
+// batch handler — enough for CI to prove the generation path still works
+// and to gate them, without paying for real measurement.
 func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 	report := benchfmt.NewReport()
 
@@ -111,6 +111,14 @@ func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	report.Results = append(report.Results, ingest...)
+
+	// The router's read of a repeated JSON graph (run in smoke mode too:
+	// tens of microseconds a request).
+	route, err := routeResult()
+	if err != nil {
+		return fail(err)
+	}
+	report.Results = append(report.Results, route)
 
 	// The warm batch handler (run in smoke mode too: about a millisecond
 	// an envelope).
@@ -317,6 +325,52 @@ func ingestResults() ([]benchfmt.Result, error) {
 	}
 	return []benchfmt.Result{toResult("Ingest/fingerprint", fp, 0), toResult("Ingest/unmarshal-binary", dec, 0),
 		toResult("Ingest/decode-batch64", batch, 0)}, nil
+}
+
+// routeResult measures Route/decode-json: wire.ReadRequest, as the
+// router calls it, on a JSON /v1/compile body carrying the first seed-1
+// hot-set graph (3dft, 2,110 B of dfg JSON), through a graph store that
+// already holds that graph — mixed-fleet's hot-set requests at the
+// router. The request's own JSON decode remains; the graph's decode,
+// validation and fingerprint do not. Through a nil store, which decodes
+// the graph on every request, the entry takes 5.6 times the time and 12
+// times the allocations, past the CI gate's 3x tolerance.
+func routeResult() (benchfmt.Result, error) {
+	hot, err := hotSet()
+	if err != nil {
+		return benchfmt.Result{}, err
+	}
+	var body bytes.Buffer
+	if err := wire.JSON.EncodeRequest(&body, &wire.CompileRequest{Graph: hot[0]}); err != nil {
+		return benchfmt.Result{}, err
+	}
+	gs := wire.NewGraphStore()
+	r := httptest.NewRequest(http.MethodPost, "/v1/compile", nil)
+	w := httptest.NewRecorder()
+	var rd bytes.Reader
+	read := func() error {
+		rd.Reset(body.Bytes())
+		r.Body = io.NopCloser(&rd)
+		if req, ok := wire.ReadRequest(w, r, server.DefaultMaxBodyBytes, gs, func(string) {}); !ok || req.Graph == nil {
+			return fmt.Errorf("Route/decode-json: the request did not decode: %d %s", w.Code, w.Body)
+		}
+		return nil
+	}
+	if err := read(); err != nil { // store the graph
+		return benchfmt.Result{}, err
+	}
+	res, err := measure(func(b *testing.B) error {
+		for i := 0; i < b.N; i++ {
+			if err := read(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return benchfmt.Result{}, err
+	}
+	return toResult("Route/decode-json", res, 0), nil
 }
 
 // serveResult measures Serve/batch64-inline: the daemon's /v1/batch

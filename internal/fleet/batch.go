@@ -22,7 +22,7 @@ import (
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tr := obs.FromContext(r.Context())
 	dt := tr.Begin("decode")
-	b, hdrBudget, ok := wire.ReadBatch(w, r, rt.opts.MaxBodyBytes, rt.opts.MaxBatchJobs, tr.AdoptID)
+	b, hdrBudget, ok := wire.ReadBatch(w, r, rt.opts.MaxBodyBytes, rt.opts.MaxBatchJobs, rt.graphs, tr.AdoptID)
 	dt.End()
 	if !ok {
 		return

@@ -522,6 +522,23 @@ func TestRouterMetricsSurface(t *testing.T) {
 	if _, ok := m.Value("mpschedrouter_request_seconds_count", "route", "POST /v1/compile"); !ok {
 		t.Fatal("request latency summary missing for POST /v1/compile")
 	}
+	// The graph store: four specs generated, then one of them again.
+	if _, err := c.Compile(ctx, server.CompileRequest{Workload: "random:seed=1,n=16"}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = c.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{
+		"mpschedrouter_graph_cache_hits_total":      1,
+		"mpschedrouter_graph_cache_misses_total":    4,
+		"mpschedrouter_graph_cache_evictions_total": 0,
+		"mpschedrouter_graph_cache_entries":         4,
+	} {
+		if v, ok := m.Value(name); !ok || v != want {
+			t.Errorf("%s = %v,%v, want %v", name, v, ok, want)
+		}
+	}
 	// The router health body must expose the fleet view.
 	h, err := c.Healthz(ctx)
 	if err != nil || h.Status != "ok" {

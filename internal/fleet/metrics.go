@@ -5,13 +5,16 @@ import (
 
 	"mpsched/internal/obs"
 	"mpsched/internal/server/client"
+	"mpsched/internal/store"
+	"mpsched/internal/wire"
 )
 
 // routerMetrics is the router's /metrics surface, declared on an
 // obs.Registry under the mpschedrouter_ prefix: the request families
 // mpschedd has too, plus the fleet-specific per-backend series the CI
-// fleet gates scrape (backend_up, forwarded/rerouted/errors per backend).
-// Pool and resilience state is read at scrape time.
+// fleet gates scrape (backend_up, forwarded/rerouted/errors per backend)
+// and the graph store's counters. Pool, resilience and graph-store state
+// is read at scrape time.
 type routerMetrics struct {
 	reg            *obs.Registry
 	requests       *obs.CounterVec // route
@@ -19,7 +22,7 @@ type routerMetrics struct {
 	requestSeconds *obs.SummaryVec // route
 }
 
-func newRouterMetrics(p *pool, root *client.Client, start time.Time) *routerMetrics {
+func newRouterMetrics(p *pool, root *client.Client, graphs *wire.GraphStore, start time.Time) *routerMetrics {
 	r := &obs.Registry{}
 	m := &routerMetrics{reg: r}
 	m.requests = r.CounterVec("mpschedrouter_requests_total", "HTTP requests by route.", "route")
@@ -69,6 +72,20 @@ func newRouterMetrics(p *pool, root *client.Client, start time.Time) *routerMetr
 		func(s client.ResilienceStats) int64 { return s.BreakerTrips })
 	resilient("mpschedrouter_breaker_fast_fails_total", "Forwards rejected on an already-open breaker.",
 		func(s client.ResilienceStats) int64 { return s.BreakerFastFails })
+
+	// Every workload spec and inline graph a request carries is one
+	// lookup.
+	graphStat := func(name, help string, kind obs.Kind, v func(store.Stats) float64) {
+		r.Value(name, help, kind, func() float64 { return v(graphs.Stats()) })
+	}
+	graphStat("mpschedrouter_graph_cache_hits_total", "Request graphs served decoded from the graph store.", obs.KindCounter,
+		func(s store.Stats) float64 { return float64(s.Hits) })
+	graphStat("mpschedrouter_graph_cache_misses_total", "Request graphs the graph store did not hold, decoded or generated.", obs.KindCounter,
+		func(s store.Stats) float64 { return float64(s.Misses) })
+	graphStat("mpschedrouter_graph_cache_evictions_total", "Graphs dropped to keep the graph store within its bound.", obs.KindCounter,
+		func(s store.Stats) float64 { return float64(s.Evictions) })
+	graphStat("mpschedrouter_graph_cache_entries", "Graphs currently in the graph store.", obs.KindGauge,
+		func(s store.Stats) float64 { return float64(s.Entries) })
 
 	m.inflight = r.Gauge("mpschedrouter_inflight_requests", "HTTP requests currently being handled.")
 	r.Value("mpschedrouter_uptime_seconds", "Seconds since the router started.", obs.KindGauge,

@@ -130,7 +130,8 @@ func decodeGraph(t *testing.T, src string) *dfg.Graph {
 }
 
 // TestSpecCacheSharesGraphs: the router resolves a repeated workload
-// spec to the same *dfg.Graph, and spec churn stays within 512 entries.
+// spec to the same *dfg.Graph through its graph store, and spec churn
+// stays within the store's 512 entries.
 func TestSpecCacheSharesGraphs(t *testing.T) {
 	rt, err := New(Options{Backends: []string{"http://127.0.0.1:1"}, ProbeInterval: time.Hour})
 	if err != nil {
@@ -139,7 +140,7 @@ func TestSpecCacheSharesGraphs(t *testing.T) {
 	defer rt.Close()
 	resolve := func(workload string) *dfg.Graph {
 		t.Helper()
-		g, err := rt.workloadGraph(workload)
+		g, err := rt.graphs.Workload(workload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func TestSpecCacheSharesGraphs(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		resolve(fmt.Sprintf("random:seed=%d,n=8", i))
 	}
-	if n := rt.specs.Len(); n > 512 {
+	if n := rt.graphs.Stats().Entries; n > 512 {
 		t.Fatalf("%d specs resident after 600 distinct ones, bound 512", n)
 	}
 }

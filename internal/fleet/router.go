@@ -10,13 +10,10 @@ import (
 	"strings"
 	"time"
 
-	"mpsched/internal/cliutil"
-	"mpsched/internal/dfg"
 	"mpsched/internal/obs"
 	"mpsched/internal/resilience"
 	"mpsched/internal/server"
 	"mpsched/internal/server/client"
-	"mpsched/internal/store"
 	"mpsched/internal/wire"
 )
 
@@ -82,11 +79,12 @@ type Router struct {
 	// root is the client the per-backend forwarding clients derive from;
 	// they share its resilience layer, so its stats are fleet-wide.
 	root *client.Client
-	// specs caches workload-spec graphs so routing a storm of identical
-	// specs fingerprints the graph once (same idea as mpschedd's cache,
-	// here only for ring placement — the backend still resolves its own).
-	// The bound is about hostile spec churn, not legitimate use.
-	specs *store.Memory[*dfg.Graph]
+	// graphs keeps the graphs requests resolve to — workload specs by
+	// their text, inline graphs by their exact wire bytes — so routing a
+	// repeated graph decodes, validates and fingerprints it once. They
+	// serve only for ring placement: the forward carries the graph, and
+	// the backend resolves its own.
+	graphs *wire.GraphStore
 }
 
 // New builds a router over opts.Backends and starts its health probers.
@@ -121,14 +119,14 @@ func New(opts Options) (*Router, error) {
 		opts.ForwardTimeout = DefaultForwardTimeout
 	}
 	rt := &Router{
-		opts:  opts,
-		start: time.Now(),
-		root:  client.New(opts.Backends[0]).WithResilience(res),
-		specs: store.NewMemory[*dfg.Graph](512, 1),
+		opts:   opts,
+		start:  time.Now(),
+		root:   client.New(opts.Backends[0]).WithResilience(res),
+		graphs: wire.NewGraphStore(),
 	}
 	rt.pool = newPool(rt.root, opts.Backends, fwd, opts.ProbeTimeout, opts.VNodes, opts.FailAfter)
 	rt.pool.run(opts.ProbeInterval)
-	rt.metrics = newRouterMetrics(rt.pool, rt.root, rt.start)
+	rt.metrics = newRouterMetrics(rt.pool, rt.root, rt.graphs, rt.start)
 
 	// The same edge mpschedd serves through, so a trace ID set by the
 	// client identifies the request at every hop.
@@ -199,29 +197,14 @@ func (rt *Router) requestKey(req *wire.CompileRequest) (string, error) {
 	}
 	g := req.Graph
 	if req.Workload != "" {
+		// A Router literal built without New has no graph store and
+		// generates every time.
 		var err error
-		if g, err = rt.workloadGraph(req.Workload); err != nil {
+		if g, err = rt.graphs.Workload(req.Workload); err != nil {
 			return "", err
 		}
 	}
 	return routeKey(g.Fingerprint(), req), nil
-}
-
-// workloadGraph generates a workload spec's graph through the spec
-// cache. A Router literal built without New has no cache and generates
-// every time.
-func (rt *Router) workloadGraph(spec string) (*dfg.Graph, error) {
-	if rt.specs == nil {
-		return cliutil.Generate(spec)
-	}
-	if g, ok := rt.specs.Get(spec); ok {
-		return g, nil
-	}
-	g, err := cliutil.Generate(spec)
-	if err == nil {
-		rt.specs.Put(spec, g)
-	}
-	return g, err
 }
 
 // routeKey places one compile on the ring: the graph fingerprint plus
@@ -343,7 +326,7 @@ func (rt *Router) attempt(ctx context.Context, tr *obs.Trace, b *Backend, budget
 // it returns false it has already answered the request.
 func (rt *Router) decodeCompile(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (req wire.CompileRequest, key string, budget time.Duration, ok bool) {
 	dt := tr.Begin("decode")
-	req, ok = wire.ReadRequest(w, r, rt.opts.MaxBodyBytes, tr.AdoptID)
+	req, ok = wire.ReadRequest(w, r, rt.opts.MaxBodyBytes, rt.graphs, tr.AdoptID)
 	dt.End()
 	if !ok {
 		return req, "", 0, false

@@ -39,7 +39,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The envelope-level budget comes from the deadline header; each job
 	// may additionally carry its own in the binary frame, and its Deadline
 	// is the smaller of the two.
-	b, hdrBudget, ok := wire.ReadBatch(w, r, s.opts.MaxBodyBytes, s.opts.MaxBatchJobs, nil)
+	b, hdrBudget, ok := wire.ReadBatch(w, r, s.opts.MaxBodyBytes, s.opts.MaxBatchJobs, nil, nil)
 	dt.End()
 	if !ok {
 		return

@@ -559,7 +559,7 @@ func (s *Server) decodeCompile(w http.ResponseWriter, r *http.Request, tr *obs.T
 	// The binary codec carries the trace ID inside the frame, which only
 	// exists after decode; the echo header is written lazily at first
 	// WriteHeader, so the adopted ID still wins.
-	req, ok := wire.ReadRequest(w, r, s.opts.MaxBodyBytes, tr.AdoptID)
+	req, ok := wire.ReadRequest(w, r, s.opts.MaxBodyBytes, nil, tr.AdoptID)
 	dt.End()
 	if !ok {
 		return spec, 0, false

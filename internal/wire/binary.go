@@ -130,14 +130,19 @@ func (binaryCodec) EncodeRequest(w io.Writer, req *CompileRequest) error {
 	return err
 }
 
-func (binaryCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
+func (c binaryCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
+	return c.decodeRequest(r, req, nil)
+}
+
+func (binaryCodec) decodeRequest(r io.Reader, req *CompileRequest, gs *GraphStore) error {
 	bp, err := readBody(r)
 	if err != nil {
 		return err
 	}
 	defer putBuf(bp)
 	rd := reader{buf: *bp}
-	if err := decodeRequest(&rd, req, nil, nil); err != nil {
+	graphs, texts := newMemos(gs, false)
+	if err := decodeRequest(&rd, req, graphs, texts); err != nil {
 		return err
 	}
 	return rd.expectEOF()
@@ -189,17 +194,22 @@ func (binaryCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
 	return err
 }
 
-func (binaryCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
+func (c binaryCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
+	return c.decodeBatch(r, b, nil)
+}
+
+func (binaryCodec) decodeBatch(r io.Reader, b *BatchRequest, gs *GraphStore) error {
 	bp, err := readBody(r)
 	if err != nil {
 		return err
 	}
 	defer putBuf(bp)
-	return decodeBatch(*bp, b)
+	return decodeBatch(*bp, b, gs)
 }
 
-// decodeBatch decodes the batch envelope in data into b.
-func decodeBatch(data []byte, b *BatchRequest) error {
+// decodeBatch decodes the batch envelope in data into b, resolving its
+// inline graphs through gs.
+func decodeBatch(data []byte, b *BatchRequest, gs *GraphStore) error {
 	rd := reader{buf: data}
 	if got := string(rd.take(len(batchMagic))); got != batchMagic && rd.err == nil {
 		return fmt.Errorf("%w: bad batch magic", ErrFormat)
@@ -212,7 +222,7 @@ func decodeBatch(data []byte, b *BatchRequest) error {
 		return rd.err
 	}
 	jobs := make([]CompileRequest, 0, n)
-	graphs, texts := graphMemo{}, graphMemo{}
+	graphs, texts := newMemos(gs, true)
 	for i := 0; i < n; i++ {
 		frame := rd.bytes()
 		if rd.err != nil {
@@ -238,9 +248,18 @@ func decodeBatch(data []byte, b *BatchRequest) error {
 
 func (binaryCodec) NewItemWriter(w io.Writer) ItemWriter { return &binItemWriter{w: w} }
 
+// NewItemReader reads r through a pooled buffered reader, which goes
+// back to the pool when the stream ends: at io.EOF or at the first error.
 func (binaryCodec) NewItemReader(r io.Reader) ItemReader {
-	return &binItemReader{r: bufio.NewReader(r)}
+	br := itemReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return &binItemReader{r: br}
 }
+
+// itemReaders recycles the buffered readers of binary item streams, so a
+// client or a router forward does not allocate a fresh 4 KiB buffer for
+// every envelope's answer.
+var itemReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 type binItemWriter struct{ w io.Writer }
 
@@ -269,13 +288,29 @@ func (iw *binItemWriter) WriteItem(it *BatchItem) error {
 }
 
 // binItemReader reads item frames into one buffer, reused across the
-// items of a stream: decodeResponse copies what it keeps.
+// items of a stream: decodeResponse copies what it keeps. Once the
+// stream has ended, r is back in the pool and nil, and every further
+// read returns end, the error that ended it.
 type binItemReader struct {
 	r     *bufio.Reader
 	frame []byte
+	end   error
 }
 
 func (ir *binItemReader) ReadItem(it *BatchItem) error {
+	if ir.r == nil {
+		return ir.end
+	}
+	err := ir.readItem(it)
+	if err != nil {
+		ir.r.Reset(nil) // the pool must not keep the stream's reader alive
+		itemReaders.Put(ir.r)
+		ir.r, ir.end = nil, err
+	}
+	return err
+}
+
+func (ir *binItemReader) readItem(it *BatchItem) error {
 	n, err := binary.ReadUvarint(ir.r)
 	if err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -404,9 +439,8 @@ func appendRequest(buf []byte, req *CompileRequest, graphs map[*dfg.Graph][]byte
 // decodeRequest decodes one request frame. The error is a fault of the
 // framing; an inline graph that was read intact but did not decode is
 // the request's own fault (graphErr), and the rest of it still decodes.
-// Inline graphs decode through the envelope's memos, graphs for the dfg
-// binary framing and texts for dfg JSON, which are nil for a single
-// request.
+// Inline graphs decode through the request's or the envelope's memos,
+// graphs for the dfg binary framing and texts for dfg JSON.
 func decodeRequest(rd *reader, req *CompileRequest, graphs, texts graphMemo) error {
 	if got := string(rd.take(len(requestMagic))); got != requestMagic && rd.err == nil {
 		return fmt.Errorf("%w: bad request magic", ErrFormat)
@@ -436,7 +470,7 @@ func decodeRequest(rd *reader, req *CompileRequest, graphs, texts graphMemo) err
 		if rd.err != nil {
 			return rd.err
 		}
-		req.Graph, req.graphErr = graphs.decode(frame, decodeBinaryGraph)
+		req.Graph, req.graphErr = graphs.decode(frame)
 	}
 	req.decodeDFG(dfgJSON, texts)
 	if flags&reqHasSelect != 0 {

@@ -108,7 +108,7 @@ func TestDecodedBatchOwnsItsBytes(t *testing.T) {
 	buf := make([]byte, max(len(a), len(b)))
 	decode := func(env []byte) ([]CompileRequest, []string) {
 		var dec BatchRequest
-		if err := decodeBatch(buf[:copy(buf, env)], &dec); err != nil {
+		if err := decodeBatch(buf[:copy(buf, env)], &dec, nil); err != nil {
 			t.Fatal(err)
 		}
 		var want []string
@@ -136,23 +136,37 @@ func TestDecodedBatchOwnsItsBytes(t *testing.T) {
 }
 
 // TestItemReaderItemsOwnTheirBytes: the binary item reader reads every
-// frame of a stream into one buffer, and an item it returned stays as it
-// was decoded when later frames, and then junk, overwrite that buffer.
+// frame of a stream into one buffer, through a buffered reader it takes
+// from a pool and gives back when the stream ends. An item it returned
+// stays as it was decoded when later frames, and then junk, overwrite
+// that buffer, and when a second stream is read through the recycled
+// reader; a reader whose stream has ended keeps answering io.EOF without
+// touching the reader it gave back.
 func TestItemReaderItemsOwnTheirBytes(t *testing.T) {
 	first := sampleResponse()
 	second := sampleResponse()
 	second.Name, second.TraceID, second.Patterns = "second", "trace-2", []string{"ccc", "dd"}
-	var stream bytes.Buffer
-	iw := Binary.NewItemWriter(&stream)
-	for i, it := range []*BatchItem{
-		{Index: 0, Status: http.StatusOK, Result: first},
-		{Index: 1, Status: http.StatusBadRequest, Error: "job 1 failed"},
-		{Index: 2, Status: http.StatusOK, Result: second},
-	} {
-		if err := iw.WriteItem(it); err != nil {
-			t.Fatalf("item %d: %v", i, err)
+	third := sampleResponse()
+	third.Name, third.CycleOf = "third", []int{4, 3, 2, 1, 0}
+	streamOf := func(items ...*BatchItem) []byte {
+		var stream bytes.Buffer
+		iw := Binary.NewItemWriter(&stream)
+		for i, it := range items {
+			if err := iw.WriteItem(it); err != nil {
+				t.Fatalf("item %d: %v", i, err)
+			}
 		}
+		return stream.Bytes()
 	}
+	streamA := streamOf(
+		&BatchItem{Index: 0, Status: http.StatusOK, Result: first},
+		&BatchItem{Index: 1, Status: http.StatusBadRequest, Error: "job 1 failed"},
+		&BatchItem{Index: 2, Status: http.StatusOK, Result: second},
+	)
+	streamB := streamOf(
+		&BatchItem{Index: 0, Status: http.StatusOK, Result: third},
+		&BatchItem{Index: 1, Status: http.StatusTooManyRequests, Error: "job 1 shed"},
+	)
 	itemBytes := func(it *BatchItem) string {
 		var buf bytes.Buffer
 		if err := Binary.NewItemWriter(&buf).WriteItem(it); err != nil {
@@ -160,33 +174,68 @@ func TestItemReaderItemsOwnTheirBytes(t *testing.T) {
 		}
 		return buf.String()
 	}
+	readAll := func(ir ItemReader) ([]BatchItem, []string) {
+		var items []BatchItem
+		var want []string
+		for {
+			var it BatchItem
+			err := ir.ReadItem(&it)
+			if err == io.EOF {
+				return items, want
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			items = append(items, it)
+			want = append(want, itemBytes(&it))
+		}
+	}
 
-	ir := Binary.NewItemReader(&stream)
-	var items []BatchItem
-	var want []string
-	for {
-		var it BatchItem
-		err := ir.ReadItem(&it)
-		if err == io.EOF {
+	// Stream B goes through the reader stream A gave back; the race
+	// detector's pool drops some of what is put, so retry until it does.
+	var irA, irB ItemReader
+	var itemsA []BatchItem
+	var wantA []string
+	for try := 0; ; try++ {
+		if try == 100 {
+			t.Fatal("no stream went through the reader the stream before it gave back")
+		}
+		irA = Binary.NewItemReader(bytes.NewReader(streamA))
+		br := irA.(*binItemReader).r
+		itemsA, wantA = readAll(irA)
+		irB = Binary.NewItemReader(bytes.NewReader(streamB))
+		if irB.(*binItemReader).r == br {
 			break
 		}
-		if err != nil {
-			t.Fatal(err)
+		readAll(irB)
+	}
+	var it BatchItem
+	if err := irB.ReadItem(&it); err != nil || itemBytes(&it) != itemBytes(&BatchItem{Index: 0, Status: http.StatusOK, Result: third}) {
+		t.Fatalf("stream B item 0 through the recycled reader: %+v, %v", it, err)
+	}
+	// Stream A has ended: reading it again must not take stream B's bytes.
+	if err := irA.ReadItem(new(BatchItem)); err != io.EOF {
+		t.Fatalf("stream A after its end: %v, want io.EOF", err)
+	}
+	itemsB, wantB := readAll(irB)
+	itemsB, wantB = append([]BatchItem{it}, itemsB...), append([]string{itemBytes(&it)}, wantB...)
+	if len(itemsA) != 3 || len(itemsB) != 2 {
+		t.Fatalf("read %d and %d items, want 3 and 2", len(itemsA), len(itemsB))
+	}
+
+	for _, ir := range []ItemReader{irA, irB} {
+		frame := ir.(*binItemReader).frame
+		frame = frame[:cap(frame)]
+		for i := range frame {
+			frame[i] = 0xa5
 		}
-		items = append(items, it)
-		want = append(want, itemBytes(&it))
 	}
-	frame := ir.(*binItemReader).frame
-	frame = frame[:cap(frame)]
-	for i := range frame {
-		frame[i] = 0xa5
-	}
-	if len(items) != 3 {
-		t.Fatalf("read %d items, want 3", len(items))
-	}
-	for i := range items {
-		if got := itemBytes(&items[i]); got != want[i] {
-			t.Errorf("item %d changed with the reader's frame buffer", i)
+	for name, items := range map[string][]BatchItem{"A": itemsA, "B": itemsB} {
+		want := map[string][]string{"A": wantA, "B": wantB}[name]
+		for i := range items {
+			if got := itemBytes(&items[i]); got != want[i] {
+				t.Errorf("stream %s item %d changed with the reader's buffers", name, i)
+			}
 		}
 	}
 }

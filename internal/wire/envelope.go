@@ -12,8 +12,7 @@ import (
 // hot set repeats some of them. Both codecs therefore decode each
 // distinct inline graph of an envelope once (graphMemo), and encode each
 // distinct *dfg.Graph once, copying its bytes into the later jobs that
-// carry it. Nothing is shared across requests, and single requests share
-// nothing.
+// carry it. Across requests, only the caller's GraphStore shares graphs.
 
 // decodedGraph is one distinct inline graph of an envelope, decoded: the
 // validated graph, or why it did not decode.
@@ -22,26 +21,41 @@ type decodedGraph struct {
 	err error
 }
 
-// graphMemo decodes each distinct inline graph of one envelope once,
-// keyed on its exact bytes: jobs whose graph bytes are equal share one
-// *dfg.Graph, and with it the fingerprint and analyses cached on it, or
-// the same error. Keys alias the envelope's bytes instead of copying
-// them, which holds because a memo lives for one DecodeBatch call, the
-// bytes outlive it, and nothing writes them. A nil memo decodes every
-// graph it is given.
-type graphMemo map[string]decodedGraph
+// graphMemo decodes the inline graphs of one form (formBinary or
+// formJSON) in one request or envelope, through the caller's GraphStore
+// (nil for none). Within an envelope it decodes each distinct graph
+// once, keyed on its exact bytes: jobs whose graph bytes are equal share
+// one *dfg.Graph, and with it the fingerprint and analyses cached on it,
+// or the same error. Those keys alias the envelope's bytes instead of
+// copying them, which holds because a memo lives for one DecodeBatch
+// call, the bytes outlive it, and nothing writes them. A single
+// request's memo has no seen map.
+type graphMemo struct {
+	form  byte
+	store *GraphStore
+	seen  map[string]decodedGraph
+}
 
-// decode returns what decode makes of raw, calling it only for the first
-// job of the envelope that carries these bytes.
-func (m graphMemo) decode(raw []byte, decode func([]byte) (*dfg.Graph, error)) (*dfg.Graph, error) {
-	if m == nil {
-		return decode(raw)
+// newMemos returns a request's or an envelope's memos for binary graph
+// frames and dfg JSON texts.
+func newMemos(gs *GraphStore, envelope bool) (graphs, texts graphMemo) {
+	graphs, texts = graphMemo{form: formBinary, store: gs}, graphMemo{form: formJSON, store: gs}
+	if envelope {
+		graphs.seen, texts.seen = map[string]decodedGraph{}, map[string]decodedGraph{}
 	}
-	if d, ok := m[string(raw)]; ok {
+	return graphs, texts
+}
+
+// decode returns what raw decodes to, decoding it only for the first job
+// of the envelope that carries these bytes.
+func (m graphMemo) decode(raw []byte) (*dfg.Graph, error) {
+	if d, ok := m.seen[string(raw)]; ok {
 		return d.g, d.err
 	}
-	g, err := decode(raw)
-	m[unsafe.String(unsafe.SliceData(raw), len(raw))] = decodedGraph{g, err}
+	g, err := m.store.decode(m.form, raw)
+	if m.seen != nil {
+		m.seen[unsafe.String(unsafe.SliceData(raw), len(raw))] = decodedGraph{g, err}
+	}
 	return g, err
 }
 

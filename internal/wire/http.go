@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -134,13 +135,22 @@ func WriteResponse(w http.ResponseWriter, r *http.Request, resp *CompileResponse
 	_ = codec.EncodeResponse(w, resp) // the connection failing mid-response is the client's problem
 }
 
+// storeDecoder is the decode path of both registered codecs that
+// ReadRequest and ReadBatch take: DecodeRequest and DecodeBatch with the
+// inline graphs resolved through the caller's GraphStore.
+type storeDecoder interface {
+	decodeRequest(r io.Reader, req *CompileRequest, gs *GraphStore) error
+	decodeBatch(r io.Reader, b *BatchRequest, gs *GraphStore) error
+}
+
 // ReadRequest decodes a POST /v1/compile or /v1/jobs body of at most
-// maxBody bytes in the request codec, hands its in-frame trace ID to
-// adopt and merges the DeadlineHeader into req.Deadline. When ok is false
-// it has answered the request: 413 or 400 for a body that did not
-// decode, 400 for a malformed deadline header.
-func ReadRequest(w http.ResponseWriter, r *http.Request, maxBody int64, adopt func(traceID string)) (req CompileRequest, ok bool) {
-	if err := RequestCodec(r).DecodeRequest(http.MaxBytesReader(w, r.Body, maxBody), &req); err != nil {
+// maxBody bytes in the request codec, resolving its inline graph through
+// gs (nil: decode it), hands its in-frame trace ID to adopt and merges
+// the DeadlineHeader into req.Deadline. When ok is false it has answered
+// the request: 413 or 400 for a body that did not decode, 400 for a
+// malformed deadline header.
+func ReadRequest(w http.ResponseWriter, r *http.Request, maxBody int64, gs *GraphStore, adopt func(traceID string)) (req CompileRequest, ok bool) {
+	if err := RequestCodec(r).(storeDecoder).decodeRequest(http.MaxBytesReader(w, r.Body, maxBody), &req, gs); err != nil {
 		WriteDecodeError(w, "request", err)
 		return req, false
 	}
@@ -151,12 +161,14 @@ func ReadRequest(w http.ResponseWriter, r *http.Request, maxBody int64, adopt fu
 }
 
 // ReadBatch reads a POST /v1/batch envelope as ReadRequest reads one
-// request, checking it carries 1 to maxJobs jobs; adopt, when non-nil,
-// takes the first job's trace ID. It returns the header's own budget for
-// the envelope's expiry check. When ok is false it has answered the
-// request, also with a 400 for an empty or oversized envelope.
-func ReadBatch(w http.ResponseWriter, r *http.Request, maxBody int64, maxJobs int, adopt func(traceID string)) (b BatchRequest, budget time.Duration, ok bool) {
-	if err := RequestCodec(r).DecodeBatch(http.MaxBytesReader(w, r.Body, maxBody), &b); err != nil {
+// request, checking it carries 1 to maxJobs jobs; with a nil gs, each
+// distinct inline graph of the envelope still decodes once. adopt, when
+// non-nil, takes the first job's trace ID. It returns the header's own
+// budget for the envelope's expiry check. When ok is false it has
+// answered the request, also with a 400 for an empty or oversized
+// envelope.
+func ReadBatch(w http.ResponseWriter, r *http.Request, maxBody int64, maxJobs int, gs *GraphStore, adopt func(traceID string)) (b BatchRequest, budget time.Duration, ok bool) {
+	if err := RequestCodec(r).(storeDecoder).decodeBatch(http.MaxBytesReader(w, r.Body, maxBody), &b, gs); err != nil {
 		WriteDecodeError(w, "batch", err)
 		return b, 0, false
 	}

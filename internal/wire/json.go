@@ -52,7 +52,11 @@ func (jsonCodec) EncodeRequest(w io.Writer, req *CompileRequest) error {
 	return encodeJSON(w, req)
 }
 
-func (jsonCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
+func (c jsonCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
+	return c.decodeRequest(r, req, nil)
+}
+
+func (jsonCodec) decodeRequest(r io.Reader, req *CompileRequest, gs *GraphStore) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
@@ -61,7 +65,7 @@ func (jsonCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
 	if err := expectEnd(dec); err != nil {
 		return err
 	}
-	req.decodeDFG(req.DFG, nil)
+	req.decodeDFG(req.DFG, graphMemo{form: formJSON, store: gs})
 	return nil
 }
 
@@ -87,7 +91,11 @@ func (jsonCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
 	return encodeJSON(w, &out)
 }
 
-func (jsonCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
+func (c jsonCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
+	return c.decodeBatch(r, b, nil)
+}
+
+func (jsonCodec) decodeBatch(r io.Reader, b *BatchRequest, gs *GraphStore) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(b); err != nil {
@@ -96,7 +104,7 @@ func (jsonCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 	if err := expectEnd(dec); err != nil {
 		return err
 	}
-	texts := graphMemo{}
+	texts := graphMemo{form: formJSON, store: gs, seen: map[string]decodedGraph{}}
 	for i := range b.Jobs {
 		b.Jobs[i].decodeDFG(b.Jobs[i].DFG, texts)
 	}

@@ -72,16 +72,15 @@ func (r *CompileRequest) GraphErr() error { return r.graphErr }
 var errTwoGraphs = errors.New("workload: provide either workload or dfg, not both")
 
 // decodeDFG decodes raw, an inline graph in the dfg JSON wire format,
-// into Graph through the envelope's memo texts (nil for a single
-// request), or keeps why it did not decode in graphErr; an earlier graph
-// fault stands. A JSON null is no graph at all, as an absent field is.
-// DFG is cleared either way.
+// into Graph through texts, or keeps why it did not decode in graphErr;
+// an earlier graph fault stands. A JSON null is no graph at all, as an
+// absent field is. DFG is cleared either way.
 func (r *CompileRequest) decodeDFG(raw []byte, texts graphMemo) {
 	r.DFG = nil
 	if len(raw) == 0 || string(bytes.Trim(raw, " \t\r\n")) == "null" || r.graphErr != nil {
 		return
 	}
-	switch g, err := texts.decode(raw, decodeJSONGraph); {
+	switch g, err := texts.decode(raw); {
 	case err != nil:
 		r.graphErr = err
 	case r.Graph != nil:

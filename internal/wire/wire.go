@@ -32,7 +32,8 @@
 // DeadlineHeader into each request's Deadline. Within one batch
 // envelope, jobs with equal graph bytes share one decoded graph (or
 // GraphErr), and EncodeBatch encodes a graph that several jobs share
-// once; nothing is shared across requests.
+// once. Across requests, ReadRequest and ReadBatch share only what the
+// caller's GraphStore holds: the router passes one, the daemon none.
 package wire
 
 import (
