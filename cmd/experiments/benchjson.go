@@ -331,10 +331,12 @@ func ingestResults() ([]benchfmt.Result, error) {
 // router calls it, on a JSON /v1/compile body carrying the first seed-1
 // hot-set graph (3dft, 2,110 B of dfg JSON), through a graph store that
 // already holds that graph — mixed-fleet's hot-set requests at the
-// router. The request's own JSON decode remains; the graph's decode,
-// validation and fingerprint do not. Through a nil store, which decodes
-// the graph on every request, the entry takes 5.6 times the time and 12
-// times the allocations, past the CI gate's 3x tolerance.
+// router. What remains is the JSON codec's scan of the envelope, which
+// checks the dfg text without copying it, and one store lookup. Reading
+// the envelope through encoding/json instead takes 6 times the
+// allocations and 39 times the bytes, and a nil store, which decodes the
+// graph on every request, 12 times the allocations and over 5 times the
+// time: each past the CI gate's 3x tolerance.
 func routeResult() (benchfmt.Result, error) {
 	hot, err := hotSet()
 	if err != nil {

@@ -102,6 +102,17 @@ func putBuf(b *[]byte) {
 // decoded aliases the buffer once it is back in the pool. Read errors
 // pass through unwrapped.
 func readBody(r io.Reader) (*[]byte, error) {
+	bp, err := readAll(r)
+	if err != nil {
+		putBuf(bp)
+		return nil, err
+	}
+	return bp, nil
+}
+
+// readAll reads r to EOF into a pooled buffer, or up to the read error
+// that ended it, which it returns with the bytes read before it.
+func readAll(r io.Reader) (*[]byte, error) {
 	bp := getBuf()
 	b := (*bp)[:0]
 	for {
@@ -113,10 +124,9 @@ func readBody(r io.Reader) (*[]byte, error) {
 		if err != nil {
 			*bp = b
 			if err == io.EOF {
-				return bp, nil
+				err = nil
 			}
-			putBuf(bp)
-			return nil, err
+			return bp, err
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 
 	"mpsched/internal/dfg"
 )
@@ -13,7 +16,11 @@ import (
 // requests decode with unknown fields rejected, responses encode with
 // HTML escaping off, exactly as the handlers used to do inline. A request
 // or batch body is one JSON value: anything but whitespace after it
-// fails the body, as trailing bytes fail a binary one.
+// fails the body, as trailing bytes fail a binary one. Requests,
+// envelopes, responses and items are read and written by hand
+// (jsontext.go), with encoding/json as the decoder of any body not in
+// the canonical form; a body is read whole into a pooled buffer first,
+// as the binary codec reads one.
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string              { return "json" }
@@ -49,7 +56,7 @@ func (jsonCodec) EncodeRequest(w io.Writer, req *CompileRequest) error {
 	if err != nil {
 		return err
 	}
-	return encodeJSON(w, req)
+	return writeJSON(w, req, appendRequestJSON)
 }
 
 func (c jsonCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
@@ -57,12 +64,14 @@ func (c jsonCodec) DecodeRequest(r io.Reader, req *CompileRequest) error {
 }
 
 func (jsonCodec) decodeRequest(r io.Reader, req *CompileRequest, gs *GraphStore) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		return err
-	}
-	if err := expectEnd(dec); err != nil {
+	body := readJSONBody(r)
+	defer putBuf(body.buf)
+	var got CompileRequest
+	s := body.scanner(isZero(req))
+	s.request(&got)
+	if s.done() {
+		*req = got
+	} else if err := decodeStrict(body.fallback(), req); err != nil {
 		return err
 	}
 	req.decodeDFG(req.DFG, graphMemo{form: formJSON, store: gs})
@@ -70,11 +79,20 @@ func (jsonCodec) decodeRequest(r io.Reader, req *CompileRequest, gs *GraphStore)
 }
 
 func (jsonCodec) EncodeResponse(w io.Writer, resp *CompileResponse) error {
-	return encodeJSON(w, resp)
+	return writeJSON(w, resp, appendResponseJSON)
 }
 
 func (jsonCodec) DecodeResponse(r io.Reader, resp *CompileResponse) error {
-	return json.NewDecoder(r).Decode(resp)
+	body := readJSONBody(r)
+	defer putBuf(body.buf)
+	var got CompileResponse
+	s := body.scanner(isZero(resp))
+	s.response(&got)
+	if s.done() {
+		*resp = got
+		return nil
+	}
+	return json.NewDecoder(body.fallback()).Decode(resp)
 }
 
 func (jsonCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
@@ -88,20 +106,24 @@ func (jsonCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
 		}
 		out.Jobs[i] = *req
 	}
-	return encodeJSON(w, &out)
+	return writeJSON(w, &out, appendBatchJSON)
 }
 
 func (c jsonCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 	return c.decodeBatch(r, b, nil)
 }
 
+// decodeBatch decodes each distinct inline graph once, before the body's
+// buffer goes back to the pool: the envelope's memo keys alias it.
 func (jsonCodec) decodeBatch(r io.Reader, b *BatchRequest, gs *GraphStore) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(b); err != nil {
-		return err
-	}
-	if err := expectEnd(dec); err != nil {
+	body := readJSONBody(r)
+	defer putBuf(body.buf)
+	var got BatchRequest
+	s := body.scanner(isZero(b))
+	s.batch(&got)
+	if s.done() {
+		*b = got
+	} else if err := decodeStrict(body.fallback(), b); err != nil {
 		return err
 	}
 	texts := graphMemo{form: formJSON, store: gs, seen: map[string]decodedGraph{}}
@@ -109,6 +131,18 @@ func (jsonCodec) decodeBatch(r io.Reader, b *BatchRequest, gs *GraphStore) error
 		b.Jobs[i].decodeDFG(b.Jobs[i].DFG, texts)
 	}
 	return nil
+}
+
+// decodeStrict decodes a request or batch body as the codec decodes one
+// that is not canonical: with encoding/json, unknown fields refused, and
+// nothing but whitespace after the value.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	return expectEnd(dec)
 }
 
 // errTrailingJSON is a request or batch body that holds more than its
@@ -130,28 +164,137 @@ func expectEnd(dec *json.Decoder) error {
 	return err
 }
 
-// NewItemWriter streams items as NDJSON: json.Encoder terminates every
-// document with a newline, which is the whole framing.
-func (jsonCodec) NewItemWriter(w io.Writer) ItemWriter {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	return jsonItemWriter{enc}
-}
+// NewItemWriter streams items as NDJSON: every item is one line, as
+// json.Encoder writes it.
+func (jsonCodec) NewItemWriter(w io.Writer) ItemWriter { return jsonItemWriter{w} }
 
+type jsonItemWriter struct{ w io.Writer }
+
+func (iw jsonItemWriter) WriteItem(it *BatchItem) error { return writeJSON(iw.w, it, appendItemJSON) }
+
+// NewItemReader reads r line by line through a pooled buffered reader,
+// which goes back to the pool at the end of the stream.
 func (jsonCodec) NewItemReader(r io.Reader) ItemReader {
-	return jsonItemReader{json.NewDecoder(r)}
+	br := itemReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return &jsonItemReader{r: br}
 }
 
-type jsonItemWriter struct{ enc *json.Encoder }
+// jsonItemReader reads each line of an item stream as one canonical
+// item. From the first line that is not one, a json.Decoder reads the
+// rest of the stream, that line included, so a stream in any layout gets
+// the items and the error a json.Decoder alone gives; only the offsets
+// inside its errors count from that line. Once the stream has ended, r
+// is back in the pool and nil, and every further read returns end.
+type jsonItemReader struct {
+	r    *bufio.Reader
+	long []byte // a line longer than r's buffer
+	dec  *json.Decoder
+	end  error
+}
 
-func (w jsonItemWriter) WriteItem(it *BatchItem) error { return w.enc.Encode(it) }
+func (ir *jsonItemReader) ReadItem(it *BatchItem) error {
+	switch {
+	case ir.dec != nil:
+		return ir.dec.Decode(it)
+	case ir.r == nil:
+		return ir.end
+	}
+	line, err := ir.readLine()
+	if err == io.EOF && len(bytes.Trim(line, " \t\r\n")) == 0 {
+		ir.r.Reset(nil) // the pool must not keep the stream's reader alive
+		itemReaders.Put(ir.r)
+		ir.r, ir.end = nil, io.EOF
+		return io.EOF
+	}
+	var got BatchItem
+	s := scanner{data: line, bad: err != nil || !isZero(it)}
+	s.item(&got)
+	if s.done() {
+		*it = got
+		return nil
+	}
+	rest := io.Reader(ir.r)
+	if err != nil {
+		rest = errReader{err}
+	}
+	ir.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest))
+	return ir.dec.Decode(it)
+}
 
-type jsonItemReader struct{ dec *json.Decoder }
-
-func (r jsonItemReader) ReadItem(it *BatchItem) error { return r.dec.Decode(it) }
+// readLine returns the stream's next line, its newline included, or what
+// is left before the error that ended the stream. It aliases r's buffer
+// or ir.long until the next read.
+func (ir *jsonItemReader) readLine() ([]byte, error) {
+	line, err := ir.r.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	ir.long = append(ir.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = ir.r.ReadSlice('\n')
+		ir.long = append(ir.long, line...)
+	}
+	return ir.long, err
+}
 
 func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	return enc.Encode(v)
 }
+
+// writeJSON writes v as appendJSON renders it, ended by the newline
+// json.Encoder ends a value with, in one Write. A value appendJSON
+// refuses goes to encoding/json, which writes nothing and says why.
+func writeJSON[T any](w io.Writer, v *T, appendJSON func([]byte, *T) ([]byte, bool)) error {
+	bp := getBuf()
+	defer putBuf(bp)
+	buf, ok := appendJSON((*bp)[:0], v)
+	*bp = buf
+	if !ok {
+		return encodeJSON(w, v)
+	}
+	*bp = append(buf, '\n')
+	_, err := w.Write(*bp)
+	return err
+}
+
+// jsonBody is a request or response body read whole into a pooled
+// buffer, which the reader hands back with putBuf.
+type jsonBody struct {
+	buf *[]byte
+	err error // the read error that ended the body, nil at its end
+}
+
+func readJSONBody(r io.Reader) jsonBody {
+	bp, err := readAll(r)
+	return jsonBody{bp, err}
+}
+
+// scanner returns a scanner over the body, already failed when the body
+// did not read to its end or its destination is not zero: encoding/json
+// decodes those.
+func (b jsonBody) scanner(zero bool) scanner {
+	return scanner{data: *b.buf, bad: b.err != nil || !zero}
+}
+
+// fallback replays what encoding/json would have read from the body's
+// reader: its bytes, then the error that ended them.
+func (b jsonBody) fallback() io.Reader {
+	src := io.Reader(bytes.NewReader(*b.buf))
+	if b.err != nil {
+		src = io.MultiReader(src, errReader{b.err})
+	}
+	return src
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// isZero reports whether *v is its type's zero value. The hand-written
+// decoders fill only a zero destination; encoding/json merges a body
+// into any other.
+func isZero[T any](v *T) bool { return reflect.ValueOf(v).Elem().IsZero() }

@@ -34,6 +34,11 @@
 // GraphErr), and EncodeBatch encodes a graph that several jobs share
 // once. Across requests, ReadRequest and ReadBatch share only what the
 // caller's GraphStore holds: the router passes one, the daemon none.
+//
+// The JSON codec reads and writes the messages every JSON compile passes
+// through — requests, envelopes, responses and items — by hand, and
+// leaves any body not in their canonical form to encoding/json, so each
+// body gets the answer encoding/json gives it.
 package wire
 
 import (
