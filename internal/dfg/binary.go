@@ -60,27 +60,12 @@ var ErrBinaryFormat = fmt.Errorf("dfg: malformed binary graph")
 
 // AppendBinary encodes the graph in the binary framing, appending to buf
 // and returning the extended slice (the append idiom — pass a pooled
-// buffer to amortise allocations across encodes). The frame after the
-// name is encoded once and cached like the fingerprint, so a graph that
-// is sent again and again is copied, not re-framed; the name, an
-// exported field, is written fresh every time.
+// buffer to amortise allocations across encodes).
 func (d *Graph) AppendBinary(buf []byte) []byte {
 	buf = append(buf, binaryGraphMagic...)
 	buf = append(buf, binaryGraphVersion)
 	buf = appendString(buf, d.Name)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.frame == nil {
-		start := len(buf)
-		buf = d.appendBody(buf)
-		d.frame = append([]byte(nil), buf[start:]...)
-		return buf
-	}
-	return append(buf, d.frame...)
-}
 
-// appendBody appends the framing after the name: colors, nodes, edges.
-func (d *Graph) appendBody(buf []byte) []byte {
 	// Intern colors in first-use order. Color sets are tiny (the paper's
 	// graphs use 2–4), so a linear scan beats a map.
 	var colors []Color

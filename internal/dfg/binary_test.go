@@ -189,76 +189,3 @@ func TestBinaryHostileCountsBoundAllocation(t *testing.T) {
 		}
 	}
 }
-
-// freshFrame is g's binary frame as a graph that never encoded one
-// frames it: g's JSON form decoded anew.
-func freshFrame(t *testing.T, g *Graph) []byte {
-	t.Helper()
-	text, err := g.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fresh Graph
-	if err := fresh.UnmarshalJSON(text); err != nil {
-		t.Fatal(err)
-	}
-	return fresh.AppendBinary(nil)
-}
-
-// TestBinaryFrameCacheFollowsMutations: the frame a graph caches after
-// its first AppendBinary is dropped by every mutation, so the next frame
-// after AddNode, AddDep, SetOutput or a rename equals a fresh graph's.
-func TestBinaryFrameCacheFollowsMutations(t *testing.T) {
-	g := buildSemGraph(t)
-	check := func(after string) {
-		t.Helper()
-		got := g.AppendBinary(nil)
-		if want := freshFrame(t, g); string(got) != string(want) {
-			t.Fatalf("after %s: frame\n %x\nwant\n %x", after, got, want)
-		}
-		if again := g.AppendBinary(nil); string(again) != string(got) {
-			t.Fatalf("after %s: a second frame differs from the first", after)
-		}
-	}
-	check("construction")
-	d := g.MustAddNode(Node{Name: "d0", Color: "d"})
-	check("AddNode")
-	g.MustAddDep(0, d)
-	check("AddDep")
-	g.SetOutput(d, "z")
-	check("SetOutput")
-	g.Name = "renamed"
-	check("a rename")
-}
-
-// TestBinaryFrameConcurrent: goroutines framing one graph, cold and warm,
-// all get its one frame (run under -race).
-func TestBinaryFrameConcurrent(t *testing.T) {
-	g := buildSemGraph(t)
-	want := freshFrame(t, g)
-	frames := make(chan []byte, 16)
-	for i := 0; i < cap(frames); i++ {
-		go func() {
-			var buf []byte
-			for j := 0; j < 50; j++ {
-				buf = g.AppendBinary(buf[:0])
-			}
-			frames <- buf
-		}()
-	}
-	for i := 0; i < cap(frames); i++ {
-		if got := <-frames; string(got) != string(want) {
-			t.Fatalf("concurrent frame\n %x\nwant\n %x", got, want)
-		}
-	}
-}
-
-// TestBinaryFrameWarmAllocs: once a graph has framed itself, framing it
-// into a buffer with room allocates nothing.
-func TestBinaryFrameWarmAllocs(t *testing.T) {
-	g := buildSemGraph(t)
-	buf := g.AppendBinary(nil)
-	if allocs := testing.AllocsPerRun(100, func() { buf = g.AppendBinary(buf[:0]) }); allocs != 0 {
-		t.Fatalf("warm AppendBinary: %.0f allocs, want 0", allocs)
-	}
-}

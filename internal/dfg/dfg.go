@@ -127,8 +127,8 @@ type Node struct {
 // Graph is a data-flow graph: a DAG of colored operation nodes. Construct
 // with NewGraph and AddNode/AddDep, or via the Builder.
 //
-// Level attributes, reachability, the fingerprint and the binary frame
-// are computed lazily and cached; any mutation invalidates the caches. The lazy computation is
+// Level attributes, reachability and the fingerprint are computed lazily
+// and cached; any mutation invalidates the caches. The lazy computation is
 // mutex-guarded, so a fully-built graph may be read from many goroutines
 // (the pipeline's worker pool relies on this); mutating concurrently with
 // readers remains the caller's race, as with any Go data structure.
@@ -149,9 +149,7 @@ type Graph struct {
 	levelMasks  *graph.LevelMasks
 	colorCls    *ColorClasses
 	fingerprint string
-	// frame is the graph's binary framing after its name (AppendBinary).
-	frame     []byte
-	validated bool
+	validated   bool
 }
 
 // NewGraph returns an empty DFG with the given name.
@@ -259,7 +257,6 @@ func (d *Graph) resetCaches() {
 	d.levelMasks = nil
 	d.colorCls = nil
 	d.fingerprint = ""
-	d.frame = nil
 	d.validated = false
 }
 
@@ -267,14 +264,13 @@ func (d *Graph) resetCaches() {
 func (d *Graph) Node(id int) Node { return d.nodes[id] }
 
 // SetOutput marks node id as producing the named result (used by Evaluate
-// and the Montium simulator). Output labels are part of the fingerprint
-// and the binary framing, so the cached hash and frame are invalidated;
-// levels and reachability only depend on structure and survive.
+// and the Montium simulator). Output labels are part of the fingerprint,
+// so the cached hash is invalidated; levels and reachability only depend
+// on structure and survive.
 func (d *Graph) SetOutput(id int, name string) {
 	d.nodes[id].Output = name
 	d.mu.Lock()
 	d.fingerprint = ""
-	d.frame = nil
 	d.mu.Unlock()
 }
 

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -16,11 +15,11 @@ import (
 // requests decode with unknown fields rejected, responses encode with
 // HTML escaping off, exactly as the handlers used to do inline. A request
 // or batch body is one JSON value: anything but whitespace after it
-// fails the body, as trailing bytes fail a binary one. Requests,
-// envelopes, responses and items are read and written by hand
-// (jsontext.go), with encoding/json as the decoder of any body not in
-// the canonical form; a body is read whole into a pooled buffer first,
-// as the binary codec reads one.
+// fails the body, as trailing bytes fail a binary one. Requests and
+// responses are read and written by hand (jsontext.go), with
+// encoding/json as the decoder of any body not in the canonical form; a
+// body is read whole into a pooled buffer first, as the binary codec
+// reads one. Batch envelopes and items stay on encoding/json.
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string              { return "json" }
@@ -106,24 +105,15 @@ func (jsonCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
 		}
 		out.Jobs[i] = *req
 	}
-	return writeJSON(w, &out, appendBatchJSON)
+	return encodeJSON(w, &out)
 }
 
 func (c jsonCodec) DecodeBatch(r io.Reader, b *BatchRequest) error {
 	return c.decodeBatch(r, b, nil)
 }
 
-// decodeBatch decodes each distinct inline graph once, before the body's
-// buffer goes back to the pool: the envelope's memo keys alias it.
 func (jsonCodec) decodeBatch(r io.Reader, b *BatchRequest, gs *GraphStore) error {
-	body := readJSONBody(r)
-	defer putBuf(body.buf)
-	var got BatchRequest
-	s := body.scanner(isZero(b))
-	s.batch(&got)
-	if s.done() {
-		*b = got
-	} else if err := decodeStrict(body.fallback(), b); err != nil {
+	if err := decodeStrict(r, b); err != nil {
 		return err
 	}
 	texts := graphMemo{form: formJSON, store: gs, seen: map[string]decodedGraph{}}
@@ -164,79 +154,25 @@ func expectEnd(dec *json.Decoder) error {
 	return err
 }
 
-// NewItemWriter streams items as NDJSON: every item is one line, as
-// json.Encoder writes it.
-func (jsonCodec) NewItemWriter(w io.Writer) ItemWriter { return jsonItemWriter{w} }
+// NewItemWriter streams items as NDJSON: json.Encoder terminates every
+// document with a newline, which is the whole framing.
+func (jsonCodec) NewItemWriter(w io.Writer) ItemWriter {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return jsonItemWriter{enc}
+}
 
-type jsonItemWriter struct{ w io.Writer }
-
-func (iw jsonItemWriter) WriteItem(it *BatchItem) error { return writeJSON(iw.w, it, appendItemJSON) }
-
-// NewItemReader reads r line by line through a pooled buffered reader,
-// which goes back to the pool at the end of the stream.
 func (jsonCodec) NewItemReader(r io.Reader) ItemReader {
-	br := itemReaders.Get().(*bufio.Reader)
-	br.Reset(r)
-	return &jsonItemReader{r: br}
+	return jsonItemReader{json.NewDecoder(r)}
 }
 
-// jsonItemReader reads each line of an item stream as one canonical
-// item. From the first line that is not one, a json.Decoder reads the
-// rest of the stream, that line included, so a stream in any layout gets
-// the items and the error a json.Decoder alone gives; only the offsets
-// inside its errors count from that line. Once the stream has ended, r
-// is back in the pool and nil, and every further read returns end.
-type jsonItemReader struct {
-	r    *bufio.Reader
-	long []byte // a line longer than r's buffer
-	dec  *json.Decoder
-	end  error
-}
+type jsonItemWriter struct{ enc *json.Encoder }
 
-func (ir *jsonItemReader) ReadItem(it *BatchItem) error {
-	switch {
-	case ir.dec != nil:
-		return ir.dec.Decode(it)
-	case ir.r == nil:
-		return ir.end
-	}
-	line, err := ir.readLine()
-	if err == io.EOF && len(bytes.Trim(line, " \t\r\n")) == 0 {
-		ir.r.Reset(nil) // the pool must not keep the stream's reader alive
-		itemReaders.Put(ir.r)
-		ir.r, ir.end = nil, io.EOF
-		return io.EOF
-	}
-	var got BatchItem
-	s := scanner{data: line, bad: err != nil || !isZero(it)}
-	s.item(&got)
-	if s.done() {
-		*it = got
-		return nil
-	}
-	rest := io.Reader(ir.r)
-	if err != nil {
-		rest = errReader{err}
-	}
-	ir.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest))
-	return ir.dec.Decode(it)
-}
+func (w jsonItemWriter) WriteItem(it *BatchItem) error { return w.enc.Encode(it) }
 
-// readLine returns the stream's next line, its newline included, or what
-// is left before the error that ended the stream. It aliases r's buffer
-// or ir.long until the next read.
-func (ir *jsonItemReader) readLine() ([]byte, error) {
-	line, err := ir.r.ReadSlice('\n')
-	if err != bufio.ErrBufferFull {
-		return line, err
-	}
-	ir.long = append(ir.long[:0], line...)
-	for err == bufio.ErrBufferFull {
-		line, err = ir.r.ReadSlice('\n')
-		ir.long = append(ir.long, line...)
-	}
-	return ir.long, err
-}
+type jsonItemReader struct{ dec *json.Decoder }
+
+func (r jsonItemReader) ReadItem(it *BatchItem) error { return r.dec.Decode(it) }
 
 func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)

@@ -15,7 +15,7 @@ import (
 
 // The JSON codec's hand-written paths are held to encoding/json: the
 // reference decodes every body (decodeStrict, or json.Decoder for
-// responses and item streams) and encodes every value (encodeJSON).
+// responses) and encodes every value (encodeJSON).
 
 // referenceRequest decodes body as the JSON codec did with encoding/json
 // alone.
@@ -24,18 +24,6 @@ func referenceRequest(body []byte, req *CompileRequest) error {
 		return err
 	}
 	req.decodeDFG(req.DFG, graphMemo{form: formJSON})
-	return nil
-}
-
-// referenceBatch is referenceRequest for a batch envelope.
-func referenceBatch(body []byte, b *BatchRequest) error {
-	if err := decodeStrict(bytes.NewReader(body), b); err != nil {
-		return err
-	}
-	texts := graphMemo{form: formJSON, seen: map[string]decodedGraph{}}
-	for i := range b.Jobs {
-		b.Jobs[i].decodeDFG(b.Jobs[i].DFG, texts)
-	}
 	return nil
 }
 
@@ -50,36 +38,20 @@ func sameDecode(t *testing.T, what string, got, want any, gotErr, wantErr error)
 	if gotErr != nil {
 		return
 	}
-	if g, w := requestsOf(got), requestsOf(want); len(g) == len(w) {
-		for i := range g {
-			if errText(g[i].GraphErr()) != errText(w[i].GraphErr()) {
-				t.Fatalf("%s job %d: graph error %q, encoding/json %q", what, i, errText(g[i].GraphErr()), errText(w[i].GraphErr()))
-			}
-			gg, wg := g[i].Graph, w[i].Graph
-			if (gg == nil) != (wg == nil) || gg != nil && (gg.Name != wg.Name || gg.Fingerprint() != wg.Fingerprint()) {
-				t.Fatalf("%s job %d: graph %v, encoding/json %v", what, i, gg, wg)
-			}
-			g[i].Graph, w[i].Graph, g[i].graphErr, w[i].graphErr = nil, nil, nil, nil
+	if g, ok := got.(*CompileRequest); ok {
+		w := want.(*CompileRequest)
+		if errText(g.GraphErr()) != errText(w.GraphErr()) {
+			t.Fatalf("%s: graph error %q, encoding/json %q", what, errText(g.GraphErr()), errText(w.GraphErr()))
 		}
+		gg, wg := g.Graph, w.Graph
+		if (gg == nil) != (wg == nil) || gg != nil && (gg.Name != wg.Name || gg.Fingerprint() != wg.Fingerprint()) {
+			t.Fatalf("%s: graph %v, encoding/json %v", what, gg, wg)
+		}
+		g.Graph, w.Graph, g.graphErr, w.graphErr = nil, nil, nil, nil
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s:\n got           %#v\n encoding/json %#v", what, got, want)
 	}
-}
-
-// requestsOf returns the requests a decoded request or envelope holds.
-func requestsOf(v any) []*CompileRequest {
-	switch v := v.(type) {
-	case *CompileRequest:
-		return []*CompileRequest{v}
-	case *BatchRequest:
-		var reqs []*CompileRequest
-		for i := range v.Jobs {
-			reqs = append(reqs, &v.Jobs[i])
-		}
-		return reqs
-	}
-	return nil
 }
 
 // sameEncode fails unless the codec's bytes and error equal encoding/json's.
@@ -92,10 +64,11 @@ func sameEncode(t *testing.T, what string, v any, encode func(io.Writer) error) 
 	}
 }
 
-// fuzzValues builds a request, a response and an item from data: its
-// bytes as strings, its words as lists, and its first 8, 16 and 24 bytes
-// as floats.
-func fuzzValues(data []byte) (*CompileRequest, *CompileResponse, *BatchItem) {
+// fuzzValues builds a request and a response from data: its bytes as
+// strings, its words as lists, and its first 8, 16 and 24 bytes as
+// floats. For data of an odd length divisible by 3, with at least 24
+// bytes and an even number of words, every field is set.
+func fuzzValues(data []byte) (*CompileRequest, *CompileResponse) {
 	text := string(data)
 	words := strings.Split(text, ",")
 	float := func(i int) float64 {
@@ -110,30 +83,57 @@ func fuzzValues(data []byte) (*CompileRequest, *CompileResponse, *BatchItem) {
 	}
 	req := &CompileRequest{
 		Name: text, Workload: words[0], DFG: data, StopAfter: words[len(words)-1], Spans: ints,
-		Select: &SelectConfig{C: len(data), Pdef: -len(words), Span: len(ints) % 3, Epsilon: float(0), Alpha: float(8)},
+		Select: &SelectConfig{C: len(data), Pdef: -len(words), Span: len(words) % 3, Epsilon: float(0), Alpha: float(8)},
 		Sched:  &SchedConfig{Priority: text, Tie: words[0], Seed: int64(len(data)) << 40, SwitchPenalty: -1},
 	}
 	resp := &CompileResponse{
 		Name: text, Nodes: len(data), EdgesCount: -len(words), Patterns: words, Cycles: len(ints) % 2,
-		Utilization: float(0), CycleOf: ints, PatternOf: ints[:len(ints)/2], SchedulerPatterns: words[1:],
-		StopAfter: words[0], Span: -1, SweptSpans: len(data)%2 == 1, ElapsedMS: float(8), TraceID: text,
+		LowerBound: len(words) - 1, Utilization: float(0), CycleOf: ints, PatternOf: ints[:len(ints)/2],
+		SchedulerPatterns: words[1:], StopAfter: words[0], Span: -1, SweptSpans: len(data)%2 == 1,
+		CacheHit: len(words)%2 == 0, ElapsedMS: float(8), TraceID: text,
 		Stages: []StageTimingResponse{{Stage: text, MS: float(16)}, {Stage: "", MS: 0}},
 	}
 	if len(data)%3 == 0 {
 		resp.Census = &CensusResponse{Antichains: len(data) << 33, Classes: len(words), Span: -len(ints)}
 	}
-	return req, resp, &BatchItem{Index: len(data), Status: 200, Error: text, Result: resp}
+	return req, resp
+}
+
+// unsetFields returns the path of every field of v, a struct behind
+// pointers, that encoding/json writes and that is zero, looking into
+// nested structs and the first element of a slice of structs.
+func unsetFields(v reflect.Value, path string) []string {
+	for v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	var unset []string
+	for i := range v.NumField() {
+		f, fv := v.Type().Field(i), v.Field(i)
+		if !f.IsExported() || f.Tag.Get("json") == "-" {
+			continue
+		}
+		name := path + "." + f.Name
+		switch {
+		case fv.IsZero():
+			unset = append(unset, name)
+		case fv.Kind() == reflect.Slice && fv.Index(0).Kind() == reflect.Struct:
+			unset = append(unset, unsetFields(fv.Index(0), name+"[0]")...)
+		case fv.Kind() == reflect.Pointer && fv.Elem().Kind() == reflect.Struct:
+			unset = append(unset, unsetFields(fv, name)...)
+		}
+	}
+	return unset
 }
 
 // FuzzJSONCodec holds the JSON codec's hand-written paths to
-// encoding/json. Taken as a request, envelope, response, item or item
-// stream, the fuzzed body decodes through the codec to the value or the
-// error encoding/json gives it, and when a hand-written decoder takes it
-// alone, encoding/json takes it too. The scanner agrees with json.Valid,
-// and compacts as json.Compact does. Values built from the body encode to
+// encoding/json. Taken as a request or a response, the fuzzed body
+// decodes through the codec to the value or the error encoding/json
+// gives it, and when a hand-written decoder takes it alone, encoding/json
+// takes it too. The scanner agrees with json.Valid, and compacts as
+// json.Compact does. Values built from the body encode to
 // encoding/json's bytes, or fail with its error.
 func FuzzJSONCodec(f *testing.F) {
-	var req, resp, item, batch bytes.Buffer
+	var req, resp bytes.Buffer
 	text, err := json.Marshal(generate(f, "fig4"))
 	if err != nil {
 		f.Fatal(err)
@@ -143,30 +143,29 @@ func FuzzJSONCodec(f *testing.F) {
 		Select: &SelectConfig{C: 3, Pdef: 2, Span: -1, Epsilon: 0.25, Alpha: 10},
 		Sched:  &SchedConfig{Priority: "F1", Tie: "asc", Seed: 7, SwitchPenalty: -2},
 	}
-	for _, err := range []error{
-		JSON.EncodeRequest(&req, sample),
-		JSON.EncodeResponse(&resp, sampleResponse()),
-		JSON.NewItemWriter(&item).WriteItem(&BatchItem{Index: 3, Status: 200, Result: sampleResponse()}),
-		JSON.EncodeBatch(&batch, &BatchRequest{Jobs: []CompileRequest{*sample, {Workload: "3dft"}, *sample}}),
-	} {
-		if err != nil {
-			f.Fatal(err)
-		}
+	if err := JSON.EncodeRequest(&req, sample); err != nil {
+		f.Fatal(err)
+	}
+	if err := JSON.EncodeResponse(&resp, sampleResponse()); err != nil {
+		f.Fatal(err)
+	}
+	// A dfg text nested as deep as encoding/json reads it inside the
+	// envelope, and one level deeper.
+	nested := func(depth int) string {
+		return `{"dfg":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `}`
 	}
 	for _, seed := range []string{
-		req.String(), resp.String(), item.String() + item.String(), batch.String(),
+		req.String(), resp.String(), nested(maxJSONDepth - 1), nested(maxJSONDepth),
 		`{"name":"a\"b\\c\/d\b\f\n\r\t\u00e9\ud83d\ude00\ud800\udc00x\ud800","workload":"3dft"}`,
 		"{\"name\":\"sep\u2028par\u2029\",\"trace_id\":\"\xff\xfe\xed\xa0\x80\",\"span\":0}",
 		`{"name":"<&>","nodes":-0,"edges":0,"utilization":1e21,"span":1,"cache_hit":true,"elapsed_ms":1e-7}`,
 		`{"name":"x","elapsed_ms":-0,"stages":[{"stage":"census","ms":1E+2}],"census":{"antichains":1,"classes":2,"span":3}}`,
 		`{"Name":"x"}`, `{"workLoad":"3dft"}`, `{"name":null}`, `{"dfg":null}`, `{"select":null,"spans":null}`,
-		`{"name":"a","name":"b"}`, `{"jobs":[{"workload":"3dft"}],"jobs":[]}`, `{"name":"a"} x`, `{"name":"a"}{}`,
+		`{"name":"a","name":"b"}`, `{"jobs":[{"workload":"3dft"}]}`, `{"name":"a"} x`, `{"name":"a"}{}`,
 		`{"select":{"c":1},"select":{"pdef":2}}`, `{"census":{"antichains":1},"census":{"classes":2},"span":0}`,
 		`{"select":{"c":1.0,"pdef":1e2,"span":-9223372036854775809,"epsilon":1e400}}`,
-		`{"index":1,"status":200,"result":{"name":"x","span":0,"cache_hit":false,"elapsed_ms":0}}` + "\n\n" + `{"index":2}`,
 		`{"dfg":{"name":"g","nodes":[{"name":"a","color":"a"}],"edges":[]},"spans":[0,1,-1],"sched":{"seed":-7}}`,
 		"{\"dfg\": {\"name\" : \"g g\",\n \"nodes\":[] } }",
-		"{\"index\":0}\r\n{\"index\":1,\"unknown\":2}\n{\"index\":\"2\"}\n{\"index\":3",
 		`[1,2,{"a":[true,false,null]}]`, `"\u12"`, `01`, `-`, `1.`, `1e`, "\x00", ``, ` `,
 	} {
 		f.Add([]byte(seed))
@@ -199,46 +198,66 @@ func checkJSONCodec(t *testing.T, data []byte) {
 	if alone(func(s *scanner) { s.request(&gotReq) }) {
 		sameDecode(t, "request alone", &gotReq, &wantReq, nil, decodeStrict(bytes.NewReader(data), &wantReq))
 	}
-	var gotBatch, wantBatch BatchRequest
-	if alone(func(s *scanner) { s.batch(&gotBatch) }) {
-		sameDecode(t, "batch alone", &gotBatch, &wantBatch, nil, decodeStrict(bytes.NewReader(data), &wantBatch))
-	}
 	var gotResp, wantResp CompileResponse
 	if alone(func(s *scanner) { s.response(&gotResp) }) {
 		sameDecode(t, "response alone", &gotResp, &wantResp, nil, json.Unmarshal(data, &wantResp))
-	}
-	var gotItem, wantItem BatchItem
-	if alone(func(s *scanner) { s.item(&gotItem) }) {
-		sameDecode(t, "item alone", &gotItem, &wantItem, nil, json.Unmarshal(data, &wantItem))
 	}
 
 	// The codec, hand-written or not: encoding/json's answer.
 	gotReq, wantReq = CompileRequest{}, CompileRequest{}
 	err := JSON.DecodeRequest(bytes.NewReader(data), &gotReq)
 	sameDecode(t, "request", &gotReq, &wantReq, err, referenceRequest(data, &wantReq))
-	gotBatch, wantBatch = BatchRequest{}, BatchRequest{}
-	err = JSON.DecodeBatch(bytes.NewReader(data), &gotBatch)
-	sameDecode(t, "batch", &gotBatch, &wantBatch, err, referenceBatch(data, &wantBatch))
 	gotResp, wantResp = CompileResponse{}, CompileResponse{}
 	err = JSON.DecodeResponse(bytes.NewReader(data), &gotResp)
 	sameDecode(t, "response", &gotResp, &wantResp, err, json.NewDecoder(bytes.NewReader(data)).Decode(&wantResp))
-	ir, dec := JSON.NewItemReader(bytes.NewReader(data)), json.NewDecoder(bytes.NewReader(data))
-	for i := 0; i < 4; i++ {
-		var got, want BatchItem
-		err, wantErr := ir.ReadItem(&got), dec.Decode(&want)
-		sameDecode(t, "stream item", &got, &want, err, wantErr)
-		if err == io.EOF {
-			break
-		}
-	}
 
 	// Values built from data encode to encoding/json's bytes.
-	req, resp, it := fuzzValues(data)
+	req, resp := fuzzValues(data)
 	sameEncode(t, "request", req, func(w io.Writer) error { return JSON.EncodeRequest(w, req) })
 	sameEncode(t, "response", resp, func(w io.Writer) error { return JSON.EncodeResponse(w, resp) })
-	sameEncode(t, "item", it, func(w io.Writer) error { return JSON.NewItemWriter(w).WriteItem(it) })
-	b := &BatchRequest{Jobs: []CompileRequest{*req, {Name: req.Name}}}
-	sameEncode(t, "batch", b, func(w io.Writer) error { return JSON.EncodeBatch(w, b) })
+}
+
+// TestJSONCodecCoversEveryField: with every field that encoding/json
+// writes set, a request and a response encode by hand to encoding/json's
+// bytes, and those bytes decode by hand, without falling back, to the
+// same values. A field added to either message, or to a struct inside
+// one, fails here until fuzzValues sets it and the hand-written reader
+// and writer handle it.
+func TestJSONCodecCoversEveryField(t *testing.T) {
+	data := []byte(`{"name":"graph, \"h\"","nodes":[],"edges":[]}`)
+	req, resp := fuzzValues(data)
+	for _, v := range []any{req, resp} {
+		if unset := unsetFields(reflect.ValueOf(v), reflect.TypeOf(v).Elem().Name()); len(unset) > 0 {
+			t.Fatalf("fuzzValues leaves %v zero", unset)
+		}
+	}
+	sameEncode(t, "request", req, func(w io.Writer) error { return JSON.EncodeRequest(w, req) })
+	sameEncode(t, "response", resp, func(w io.Writer) error { return JSON.EncodeResponse(w, resp) })
+
+	reqText, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotReq CompileRequest
+	s := scanner{data: reqText}
+	if s.request(&gotReq); !s.done() {
+		t.Fatalf("request %s fell back to encoding/json", reqText)
+	}
+	if gotReq.DFG = append(json.RawMessage(nil), gotReq.DFG...); !reflect.DeepEqual(&gotReq, req) {
+		t.Fatalf("request:\n got  %#v\n want %#v", &gotReq, req)
+	}
+	respText, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotResp CompileResponse
+	s = scanner{data: respText}
+	if s.response(&gotResp); !s.done() {
+		t.Fatalf("response %s fell back to encoding/json", respText)
+	}
+	if !reflect.DeepEqual(&gotResp, resp) {
+		t.Fatalf("response:\n got  %#v\n want %#v", &gotResp, resp)
+	}
 }
 
 // TestJSONFloatsMatchReference: the response encoder writes every float

@@ -1,26 +1,48 @@
 package wire
 
-import "strconv"
+import (
+	"reflect"
+	"strconv"
+	"strings"
+)
 
-// The hand-written JSON forms of the request and batch envelopes,
-// CompileResponse and BatchItem (see jsontext.go). Each decoder reads its
-// message in the canonical form into a zero value, keys in any order;
-// each encoder writes its fields in declaration order with omitempty
-// honoured, as encoding/json does.
+// The hand-written JSON forms of the request envelope and CompileResponse
+// (see jsontext.go). Each decoder reads its message in the canonical form
+// into a zero value, keys in any order; each encoder writes its fields in
+// declaration order with omitempty honoured, as encoding/json does.
 
 // The canonical keys of each message, as their json tags spell them.
 var (
-	requestKeys  = []string{"name", "workload", "dfg", "select", "sched", "stop_after", "spans"}
-	selectKeys   = []string{"c", "pdef", "span", "epsilon", "alpha"}
-	schedKeys    = []string{"priority", "tie", "seed", "switch_penalty"}
-	batchKeys    = []string{"jobs"}
-	responseKeys = []string{"name", "nodes", "edges", "patterns", "cycles", "lower_bound", "utilization",
-		"cycle_of", "pattern_of", "scheduler_patterns", "stop_after", "span", "swept_spans", "census",
-		"stages", "cache_hit", "elapsed_ms", "trace_id"}
-	censusKeys = []string{"antichains", "classes", "span"}
-	stageKeys  = []string{"stage", "ms"}
-	itemKeys   = []string{"index", "status", "error", "result"}
+	requestKeys  = jsonKeys[CompileRequest]()
+	selectKeys   = jsonKeys[SelectConfig]()
+	schedKeys    = jsonKeys[SchedConfig]()
+	responseKeys = jsonKeys[CompileResponse]()
+	censusKeys   = jsonKeys[CensusResponse]()
+	stageKeys    = jsonKeys[StageTimingResponse]()
 )
+
+// jsonKeys returns the keys encoding/json gives T's fields: each exported
+// field's tag name, or its Go name when the tag has none, leaving out
+// fields tagged "-". field tracks keys in a uint32.
+func jsonKeys[T any]() []string {
+	t := reflect.TypeFor[T]()
+	var keys []string
+	for i := range t.NumField() {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case !f.IsExported() || name == "-":
+			continue
+		case name == "":
+			name = f.Name
+		}
+		keys = append(keys, name)
+	}
+	if len(keys) > 32 {
+		panic("wire: " + t.Name() + " has more JSON keys than a scanner tracks")
+	}
+	return keys
+}
 
 // field reads an object key and its colon and returns the key, one of
 // keys, failing on any other key and on one that seen, the keys already
@@ -48,9 +70,10 @@ func (s *scanner) object(keys []string, member func(key string)) {
 	}
 }
 
-// request reads a request envelope into req. Its dfg text stays in
-// req.DFG as a slice of s.data, for the caller to decode while the
-// bytes are live.
+// request reads a request envelope, the whole text, into req. Its dfg
+// text stays in req.DFG as a slice of s.data, for the caller to decode
+// while the bytes are live; it is checked one level down, inside the
+// envelope, so it may nest as deep as encoding/json lets it there.
 func (s *scanner) request(req *CompileRequest) {
 	s.object(requestKeys, func(key string) {
 		switch key {
@@ -62,7 +85,7 @@ func (s *scanner) request(req *CompileRequest) {
 			if s.peek() == 'n' { // null: no graph, as encoding/json reads it
 				s.fail()
 			}
-			req.DFG = s.skip()
+			req.DFG = s.skip(1)
 		case "select":
 			c := new(SelectConfig)
 			s.object(selectKeys, func(key string) {
@@ -99,19 +122,6 @@ func (s *scanner) request(req *CompileRequest) {
 			req.StopAfter = s.str()
 		case "spans":
 			req.Spans = s.ints()
-		}
-	})
-}
-
-// batch reads a batch envelope into b, each job as request reads it.
-func (s *scanner) batch(b *BatchRequest) {
-	s.object(batchKeys, func(string) {
-		b.Jobs = []CompileRequest{} // encoding/json reads [] as empty, not nil
-		s.expect('[')
-		for first := true; s.more(']', first); first = false {
-			var req CompileRequest
-			s.request(&req)
-			b.Jobs = append(b.Jobs, req)
 		}
 	})
 }
@@ -179,24 +189,6 @@ func (s *scanner) response(resp *CompileResponse) {
 			resp.ElapsedMS = s.float()
 		case "trace_id":
 			resp.TraceID = s.str()
-		}
-	})
-}
-
-// item reads a BatchItem into it.
-func (s *scanner) item(it *BatchItem) {
-	s.object(itemKeys, func(key string) {
-		switch key {
-		case "index":
-			it.Index = s.int()
-		case "status":
-			it.Status = s.int()
-		case "error":
-			it.Error = s.str()
-		case "result":
-			resp := new(CompileResponse)
-			s.response(resp)
-			it.Result = resp
 		}
 	})
 }
@@ -388,38 +380,6 @@ func appendResponseJSON(dst []byte, resp *CompileResponse) ([]byte, bool) {
 		dst = appendJSONString(append(dst, `,"trace_id":`...), resp.TraceID)
 	}
 	return append(dst, '}'), true
-}
-
-// appendItemJSON appends it as encoding/json encodes it, or reports
-// false for a float that is not finite.
-func appendItemJSON(dst []byte, it *BatchItem) ([]byte, bool) {
-	dst = appendInt(append(dst, `{"index":`...), int64(it.Index))
-	dst = appendInt(append(dst, `,"status":`...), int64(it.Status))
-	if it.Error != "" {
-		dst = appendJSONString(append(dst, `,"error":`...), it.Error)
-	}
-	ok := true
-	if it.Result != nil {
-		dst, ok = appendResponseJSON(append(dst, `,"result":`...), it.Result)
-	}
-	return append(dst, '}'), ok
-}
-
-// appendBatchJSON appends b, whose jobs are not nil, as encoding/json
-// encodes it, or reports false when encoding/json refuses one of its
-// jobs.
-func appendBatchJSON(dst []byte, b *BatchRequest) ([]byte, bool) {
-	dst = append(dst, `{"jobs":[`...)
-	for i := range b.Jobs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var ok bool
-		if dst, ok = appendRequestJSON(dst, &b.Jobs[i]); !ok {
-			return dst, false
-		}
-	}
-	return append(dst, "]}"...), true
 }
 
 func appendJSONInts(dst []byte, vs []int) []byte {

@@ -9,15 +9,14 @@ import (
 )
 
 // The JSON codec reads and writes the messages every JSON compile passes
-// through — the request and batch envelopes, CompileResponse and
-// BatchItem — by hand, on the scanner and the appenders in this file.
-// The decoders take only the canonical form: exact lower-case keys, no
-// null, no key twice, numbers in range for their field, and a zero
-// destination. They hand any other body to encoding/json on the same
-// bytes, so every body gets the value or the error it got from
-// encoding/json alone. The encoders write the bytes encoding/json writes
-// with HTML escaping off. The dfg text inside a request is skipped here
-// and decoded by dfg.Graph.UnmarshalJSON.
+// through — the request envelope and CompileResponse — by hand, on the
+// scanner and the appenders in this file. The decoders take only the
+// canonical form: exact lower-case keys, no null, no key twice, numbers
+// in range for their field, and a zero destination. They hand any other
+// body to encoding/json on the same bytes, so every body gets the value
+// or the error it got from encoding/json alone. The encoders write the
+// bytes encoding/json writes with HTML escaping off. The dfg text inside
+// a request is skipped here and decoded by dfg.Graph.UnmarshalJSON.
 
 // maxJSONDepth is encoding/json's nesting limit: json.Valid refuses a
 // value nested deeper than this.
@@ -370,12 +369,13 @@ func (s *scanner) literal(lit string) bool {
 	return true
 }
 
-// skip steps over one value of any kind, null included, checking it as
-// json.Valid does, and returns its bytes.
-func (s *scanner) skip() []byte {
+// skip steps over one value of any kind, null included, inside depth
+// containers, checking it as encoding/json does there, and returns its
+// bytes.
+func (s *scanner) skip(depth int) []byte {
 	s.ws()
 	start := s.off
-	s.value(0)
+	s.value(depth)
 	if s.bad {
 		return nil
 	}
@@ -420,7 +420,7 @@ func (s *scanner) value(depth int) {
 // removes.
 func validJSON(data []byte) (ok, spaced bool) {
 	s := scanner{data: data}
-	s.skip()
+	s.skip(0)
 	return s.done(), s.spaced
 }
 

@@ -35,10 +35,11 @@
 // once. Across requests, ReadRequest and ReadBatch share only what the
 // caller's GraphStore holds: the router passes one, the daemon none.
 //
-// The JSON codec reads and writes the messages every JSON compile passes
-// through — requests, envelopes, responses and items — by hand, and
-// leaves any body not in their canonical form to encoding/json, so each
-// body gets the answer encoding/json gives it.
+// The JSON codec reads and writes the two messages every JSON compile
+// passes through — the request and the response — by hand, and leaves
+// any body not in their canonical form to encoding/json, so each body
+// gets the answer encoding/json gives it. Batch envelopes and items stay
+// on encoding/json.
 package wire
 
 import (
