@@ -19,10 +19,11 @@ import (
 // bodies on /v1/compile, on /v1/jobs with a poll and on /v1/batch get
 // answers whose bytes are encoding/json's encoding of what they decode
 // to, line by line on a batch stream, and each fault gets its pinned
-// status and text. The bodies take the hand-written paths (canonical
-// ones, names that need escapes) and encoding/json's (pretty-printed,
-// case-variant keys, null fields, an unknown field, trailing data), and
-// every fault is answered as the daemon answers it.
+// status and text. A request takes the hand-written paths (canonical
+// bodies, names that need escapes) and encoding/json's (pretty-printed,
+// case-variant keys, null fields, an unknown field, trailing data, a
+// dfg nested past encoding/json's depth limit), and every fault is
+// answered as the daemon answers it.
 func TestJSONAnswersMatchReference(t *testing.T) {
 	f := newTestFleet(t, 2, nil)
 	g, err := cliutil.Generate("3dft")
@@ -47,6 +48,7 @@ func TestJSONAnswersMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	const escapes = "q\\\"uote <&> \u2028 \u2029 \xff tab\\t"
+	deep := strings.Repeat("[", 10000) + strings.Repeat("]", 10000) // too deep inside any envelope
 	for _, tc := range []struct {
 		name   string
 		job    string // the request, alone or as the envelope's one job
@@ -62,6 +64,7 @@ func TestJSONAnswersMatchReference(t *testing.T) {
 		{name: "unknown field", job: `{"workload":"3dft","bogus":1}`, status: 400, err: `bad %s body: json: unknown field "bogus"`},
 		{name: "trailing data", job: `{"workload":"3dft"}`, tail: " x", status: 400, err: "bad %s body: wire: trailing data after the JSON value"},
 		{name: "bad graph", job: `{"dfg":` + string(loopText) + `}`, status: 400, err: `dfg "loop": dependency cycle: graph: cycle detected involving node 0`},
+		{name: "too deep", job: `{"dfg":` + deep + `}`, status: 400, err: "bad %s body: invalid character '[' exceeded max depth"},
 	} {
 		for _, route := range []string{"/v1/compile", "/v1/jobs", "/v1/batch"} {
 			body, kind := tc.job+tc.tail, "request"

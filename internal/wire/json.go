@@ -123,9 +123,9 @@ func (jsonCodec) decodeBatch(r io.Reader, b *BatchRequest, gs *GraphStore) error
 	return nil
 }
 
-// decodeStrict decodes a request or batch body as the codec decodes one
-// that is not canonical: with encoding/json, unknown fields refused, and
-// nothing but whitespace after the value.
+// decodeStrict decodes a batch body, or a request body that is not
+// canonical: with encoding/json, unknown fields refused, and nothing but
+// whitespace after the value.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
