@@ -23,8 +23,9 @@ import (
 
 // enumBenchSpecs are the core enumeration workloads, matching
 // internal/antichain's BenchmarkEnumerate* set. Smoke mode measures the
-// smoke ones: the paper's 3DFT and fft:8, a census whose antichains are
-// almost all in the two levels the census counts without visiting.
+// smoke ones: the paper's 3DFT, and fft:8 and random96, whose antichains
+// are almost all in the two levels the census counts without visiting,
+// over span rows of one word (63 nodes) and of two (96 nodes).
 var enumBenchSpecs = []struct {
 	name, spec string
 	smoke      bool
@@ -35,7 +36,7 @@ var enumBenchSpecs = []struct {
 	{"Enumerate/matmul3", "matmul:3", false},
 	{"Enumerate/butterfly4", "butterfly:4", false},
 	{"Enumerate/fft8", "fft:8", true},
-	{"Enumerate/random96", "random:seed=1,n=96,colors=3", false},
+	{"Enumerate/random96", "random:seed=1,n=96,colors=3", true},
 }
 
 // runBenchJSON measures the core benchmarks via testing.Benchmark and
@@ -53,9 +54,10 @@ func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 	}
 
 	cfg := antichain.Config{MaxSize: 5, MaxSpan: 1}
-	// The 5DFT graph and census are reused by the parallel benchmark below.
-	var g5 *dfg.Graph
-	census5 := 0
+	// The 5DFT and fft:8 graphs and censuses are reused by the parallel
+	// benchmarks below.
+	var g5, g8 *dfg.Graph
+	census5, census8 := 0, 0
 	for _, spec := range enumBenchSpecs {
 		if smoke && !spec.smoke {
 			continue
@@ -68,8 +70,11 @@ func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		if spec.spec == "ndft:5" {
+		switch spec.spec {
+		case "ndft:5":
 			g5, census5 = g, census.Total()
+		case "fft:8":
+			g8, census8 = g, census.Total()
 		}
 		r, err := measure(func(b *testing.B) error {
 			for i := 0; i < b.N; i++ {
@@ -85,21 +90,32 @@ func runBenchJSON(path string, smoke bool, stdout, stderr io.Writer) int {
 		report.Results = append(report.Results, toResult(spec.name, r, census.Total()))
 	}
 
-	// Parallel backend on the largest catalog DFT (skipped in smoke mode,
-	// which does not build the 5DFT).
+	// Parallel backend (skipped in smoke mode): a GOMAXPROCS pool on the
+	// largest catalog DFT, and two workers on fft:8, a one-word graph whose
+	// time shows counters the workers share a cache line with.
 	if !smoke {
-		r, err := measure(func(b *testing.B) error {
-			for i := 0; i < b.N; i++ {
-				if _, err := antichain.EnumerateParallel(g5, cfg, 0); err != nil {
-					return err
+		for _, par := range []struct {
+			name       string
+			g          *dfg.Graph
+			workers    int
+			antichains int
+		}{
+			{"EnumerateParallel/5dft", g5, 0, census5},
+			{"EnumerateParallel/fft8", g8, 2, census8},
+		} {
+			r, err := measure(func(b *testing.B) error {
+				for i := 0; i < b.N; i++ {
+					if _, err := antichain.EnumerateParallel(par.g, cfg, par.workers); err != nil {
+						return err
+					}
 				}
+				return nil
+			})
+			if err != nil {
+				return fail(err)
 			}
-			return nil
-		})
-		if err != nil {
-			return fail(err)
+			report.Results = append(report.Results, toResult(par.name, r, par.antichains))
 		}
-		report.Results = append(report.Results, toResult("EnumerateParallel/5dft", r, census5))
 	}
 
 	// Graph ingest on the warm serving path: fingerprint and binary decode,

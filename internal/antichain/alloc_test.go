@@ -15,14 +15,15 @@ import (
 // before it reaches the old cost (the pre-interning core spent ~22,800
 // allocs on the 3DFT census below, ~6 per antichain).
 //
-// Measured steady state (go1.24, linux/amd64), with the graph's level and
-// color masks cached beside its incomparability sets. The census counts
-// its last two levels from two scratch slices allocated once per walk:
+// Measured steady state (go1.24, linux/amd64), with the graph's color
+// masks cached beside its incomparability sets. Each walk builds its span
+// rows once, and the census counts its last two levels from scratch
+// slices allocated once per walk:
 //
-//	Enumerate 3DFT  (3,430 antichains, 54 classes)  ≈ 662 allocs
-//	Enumerate fig4  (8 antichains, 4 classes)       ≈ 73 allocs
-//	ForEach 3DFT    (streaming, no census)          ≈ 6 allocs
-//	CountTable 3DFT (5 sizes × 5 span limits)       ≈ 12 allocs
+//	Enumerate 3DFT  (3,430 antichains, 54 classes)  ≈ 692 allocs
+//	Enumerate fig4  (8 antichains, 4 classes)       ≈ 78 allocs
+//	ForEach 3DFT    (streaming, no census)          ≈ 9 allocs
+//	CountTable 3DFT (5 sizes × 5 span limits)       ≈ 17 allocs
 //	patternTable.child, warm transition             = 0 allocs
 const (
 	enumerate3DFTAllocBudget = 1400

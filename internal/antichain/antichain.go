@@ -3,45 +3,54 @@
 // classifies them by pattern, producing the node-frequency vectors h(p̄, n)
 // that drive the paper's pattern selection algorithm (§5.1).
 //
-// Enumeration is a depth-first search over cliques of the incomparability
-// graph, in ascending node order so every antichain is produced exactly
-// once. Each depth's candidate set is one word-parallel intersection of the
-// parent's candidates, the new member's incomparability set, and two
-// per-graph level masks: ASAP ≤ minALAP+MaxSpan and ALAP ≥ maxASAP−MaxSpan
-// over the set so far. A node passes both masks exactly when adding it
-// keeps the span within the limit, and span only grows as a set grows, so
-// the walk never visits a set that violates it.
+// The span limit is a condition on pairs. Span(A) = U(max ASAP − min ALAP)
+// is the largest ASAP(u) − ALAP(w) over the ordered pairs (u, w) of A,
+// clamped at 0, and a pair with u = w adds nothing above 0 because
+// ASAP(n) ≤ ALAP(n) on every node. So Span(A) ≤ s exactly when
+// Span({u, w}) ≤ s for every pair of A, and an antichain within the limit
+// is a clique of one fixed graph: u and w are adjacent when they are
+// incomparable, ASAP(w) ≤ ALAP(u)+s and ALAP(w) ≥ ASAP(u)−s. Each census
+// builds that graph once, as one row of bits per node (its span row), and
+// shares the rows read-only with its parallel workers.
+//
+// Every walk is clique enumeration over the span rows: a depth-first
+// search in ascending node order, so every antichain is produced exactly
+// once, whose candidate set at each depth is the parent's candidates ∩ the
+// new member's row, one AND per word. A node in the candidate set keeps the
+// set within the span limit, so the walk never visits a set that breaks
+// it, and no walk tracks the set's levels; CountTable alone computes each
+// antichain's span, to bucket it.
 //
 // The census does not visit the last two levels. Once the growing set A has
 // MaxSize−2 members, its candidate set S holds every node that extends it.
 // Each u in S is one (MaxSize−1)-antichain A+u, and its partner set P(u) =
-// S ∩ inc(u) ∩ the span window of A+u holds every w that completes A+u to
-// a full-size antichain. Membership in P is symmetric (A+u+w is A+w+u), so
-// P(u) covers u's full-size antichains on both sides of u, and per color c
+// S ∩ row(u) holds every w that completes A+u to a full-size antichain.
+// Membership in P is symmetric (A+u+w is A+w+u), so P(u) covers u's
+// full-size antichains on both sides of u, and per color c
 // popcount(P(u) ∩ color mask) is at once u's frequency in class A+u+c and
 // u's share of that class's count, where each pair is seen from both ends.
 // The classes' counts and their members' frequencies are added once per A.
 // The last two levels are most of a census (fft:8: 1,125,256 of 1,146,198),
 // so most antichains are counted, not visited, and none is iterated as a
 // leaf. Streaming walks (ForEach, CountTable) and KeepSets censuses still
-// visit every antichain, over the same filtered candidate sets.
+// visit every antichain, over the same candidate sets.
 //
 // The census hot path is allocation-free per antichain: the pattern of the
 // growing set is maintained incrementally as an interned integer id (see
 // patternTable), class statistics live in a dense slice indexed by that id,
-// and candidate sets are drawn from a preallocated word stack. The level
-// and color masks are computed once per graph and cached beside its
-// incomparability sets. The exported Result — keyed classes, pattern
-// values, string keys — is materialised once, after the walk.
+// and candidate sets are drawn from a preallocated word stack. The color
+// masks are computed once per graph and cached beside its incomparability
+// sets. The exported Result — keyed classes, pattern values, string keys —
+// is materialised once, after the walk.
 package antichain
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
 	"mpsched/internal/dfg"
-	"mpsched/internal/graph"
 	"mpsched/internal/pattern"
 )
 
@@ -176,31 +185,42 @@ type censusAccumulator struct {
 	classes  []*Class // indexed by pattern id; nil until first antichain
 	n        int      // nodes in the graph
 	keepSets bool
-	// Scratch of countTwoLevels, reused below every set it counts.
-	partners []uint64
-	pairs    []pairCount // indexed by partner color
-}
-
-// pairCount accumulates, for one member color cu and one partner color
-// c, the antichains A+u+w with u of color cu and w of color c.
-type pairCount struct {
-	k  int   // pairs, counted from u's end
-	id int32 // pattern id of A+cu+c; 0, the empty pattern, until resolved
+	// Scratch of countTwoLevels, reused below every set it counts: the
+	// colors present in S with their masks over S's words, one member's
+	// partner words, the pair counts per partner color, and the pair
+	// classes per member and partner color.
+	present []int32
+	masks   []uint64
+	part    []uint64
+	pairs   []int
+	pairCls []*Class
 }
 
 // newCensusAccumulator hooks a census onto the walk. bySize is sized by
-// the largest antichain the graph can hold, not by MaxSize.
+// the largest antichain the graph can hold, not by MaxSize. The counters
+// and scratch it writes on every set are padded onto their own cache
+// lines, so parallel workers never write to a line another worker's
+// census uses.
 func newCensusAccumulator(e *enumerator, cfg Config, n int) *censusAccumulator {
 	a := &censusAccumulator{
 		e:        e,
-		bySize:   make([]int, min(cfg.MaxSize, n)+1),
+		bySize:   padded[int](min(cfg.MaxSize, n) + 1),
 		n:        n,
 		keepSets: cfg.KeepSets,
-		partners: make([]uint64, (n+63)/64),
-		pairs:    make([]pairCount, len(e.cc.Colors)),
+		present:  make([]int32, 0, len(e.cc.Colors)),
+		masks:    make([]uint64, 0, len(e.cc.Colors)*e.words),
+		part:     padded[uint64](e.words),
+		pairs:    padded[int](len(e.cc.Colors)),
 	}
 	e.census = a
 	return a
+}
+
+// padded returns a zeroed slice of n 8-byte elements with a 64-byte cache
+// line of unused memory on each side.
+func padded[T int | uint64](n int) []T {
+	const line = 8
+	return make([]T, n+2*line)[line : line+n : line+n]
 }
 
 // class returns the class of pattern id pid, creating it on first use.
@@ -240,77 +260,90 @@ func (a *censusAccumulator) add(cl *Class, grow, k int) {
 }
 
 // countTwoLevels accounts every antichain one and two members larger than
-// the current antichain A (pattern pid, span levels maxASAP and minALAP)
-// without visiting them. s holds, from word from on, the candidate set S:
-// each u in S is the antichain A+u, and the partners of u, S ∩ inc(u) ∩
-// the span window of A+u, are the nodes w that make A+u+w an antichain.
-// Per partner color c, their popcount k is u's frequency in class A+u+c,
-// and k summed over the u of one color c′ counts each antichain of class
-// A+c′+c once, from u's end, or twice when c′ = c, from both ends. The u
-// are taken one color at a time, so one row of pair counts serves them.
-func (a *censusAccumulator) countTwoLevels(s []uint64, from, maxASAP, minALAP int, pid int32) {
+// the current antichain A (pattern pid) without visiting them. s holds,
+// from word from on, the candidate set S: each u in S is the antichain
+// A+u, and its partners P(u) = S ∩ row(u) are the nodes w that make A+u+w
+// an antichain. Per partner color c, their popcount k is u's frequency in
+// class A+u+c, and k summed over the u of one color c′ counts each
+// antichain of class A+c′+c once, from u's end, or twice when c′ = c, from
+// both ends. Only the colors present in S can occur; their masks over S's
+// words are gathered once. The u are taken one color at a time, so one
+// row of pair counts serves them; the pair classes are resolved at their
+// first pair into a matrix cleared once per A.
+func (a *censusAccumulator) countTwoLevels(s []uint64, from int, pid int32) {
 	e := a.e
 	to := len(s)
 	for s[to-1] == 0 {
 		to--
 	}
-	partners, pairs := a.partners, a.pairs
-	for cu, m := range e.cc.Masks {
-		mask := m.Words()
-		var cl *Class // class of A+u, shared by this color's u
+	s = s[from:to]
+	w := len(s)
+	present, masks := a.present[:0], a.masks[:0]
+	for c, m := range e.cc.Masks {
+		mask := m.Words()[from:to]
+		for j, sj := range s {
+			if sj&mask[j] != 0 {
+				present = append(present, int32(c))
+				masks = append(masks, mask...)
+				break
+			}
+		}
+	}
+	np := len(present)
+	if cap(a.pairCls) < np*np {
+		a.pairCls = make([]*Class, np*np)
+	}
+	pairCls := a.pairCls[:np*np]
+	clear(pairCls)
+	rows, words := e.rows, e.words
+	part, pairs := a.part[:w], a.pairs[:np]
+	for ci, cu := range present {
+		id := e.table.child(pid, cu)
+		cl := a.class(id)
+		cls := pairCls[ci*np : (ci+1)*np]
+		clear(pairs)
 		k1 := 0
-		for i := from; i < to; i++ {
-			for word := s[i] & mask[i]; word != 0; word &= word - 1 {
-				u := i<<6 | bits.TrailingZeros64(word)
-				if cl == nil {
-					cl = a.class(e.table.child(pid, int32(cu)))
-					clear(pairs)
-				}
+		mask := masks[ci*w : (ci+1)*w]
+		for i, si := range s {
+			for word := si & mask[i]; word != 0; word &= word - 1 {
+				u := (from+i)<<6 | bits.TrailingZeros64(word)
 				k1++
 				cl.NodeFreq[u]++
-				lo, hi := e.levels.SpanWindow(max(maxASAP, e.asap[u]), min(minALAP, e.alap[u]), e.maxSpan)
-				inc, lw, hw := e.inc[u].Words(), lo.Words(), hi.Words()
+				row := rows[u*words+from : u*words+to]
 				live := uint64(0)
-				for j := from; j < to; j++ {
-					partners[j] = s[j] & inc[j] & lw[j] & hw[j]
-					live |= partners[j]
+				for j, sj := range s {
+					part[j] = sj & row[j]
+					live |= part[j]
 				}
 				if live == 0 {
 					continue
 				}
-				for c, cm := range e.cc.Masks {
-					cw := cm.Words()
+				for c := range np {
 					k := 0
-					for j := from; j < to; j++ {
-						k += bits.OnesCount64(partners[j] & cw[j])
+					for j, cw := range masks[c*w : (c+1)*w] {
+						k += bits.OnesCount64(part[j] & cw)
 					}
 					if k == 0 {
 						continue
 					}
-					p := &pairs[c]
-					if p.id == 0 {
-						// Lower color first: both colors' u share one
-						// pattern-table edge.
-						c0, c1 := int32(min(cu, c)), int32(max(cu, c))
-						p.id = e.table.child(e.table.child(pid, c0), c1)
-						a.class(p.id)
+					pair := cls[c]
+					if pair == nil {
+						pair = a.class(e.table.child(id, present[c]))
+						cls[c] = pair
 					}
-					a.classes[p.id].NodeFreq[u] += k
-					p.k += k
+					pair.NodeFreq[u] += k
+					pairs[c] += k
 				}
 			}
 		}
-		if cl == nil {
-			continue
-		}
 		a.add(cl, 1, k1)
 		// Pairs of a lower partner color were added with that color's u.
-		if p := pairs[cu]; p.k > 0 {
-			a.add(a.classes[p.id], 2, p.k/2)
+		if k := pairs[ci]; k > 0 {
+			a.add(cls[ci], 2, k/2)
 		}
-		for _, p := range pairs[cu+1:] {
-			if p.k > 0 {
-				a.add(a.classes[p.id], 2, p.k)
+		for c := ci + 1; c < np; c++ {
+			if k := pairs[c]; k > 0 {
+				a.add(cls[c], 2, k)
 			}
 		}
 	}
@@ -345,20 +378,22 @@ func ForEach(d *dfg.Graph, cfg Config, fn func(nodes []int) bool) error {
 		return err
 	}
 	e := an.newWalkState(cfg, false)
-	e.visit = func(int) bool { return fn(e.current) }
+	e.visit = func() bool { return fn(e.current) }
 	e.run(0, 1)
 	return nil
 }
 
-// analysis is the read-only input of a walk: the graph's cached
-// incomparability sets, levels, level masks and color classes. Parallel
-// workers share one.
+// analysis is the read-only input of a walk: the span rows of one census
+// and the graph's color classes. Parallel workers share one.
 type analysis struct {
-	n      int
-	inc    []*graph.BitSet
-	lv     *graph.Levels
-	levels *graph.LevelMasks
-	cc     *dfg.ColorClasses
+	n, words int
+	// rows[u*words:(u+1)*words] is row(u): the nodes w with u ∥ w,
+	// ASAP(w) ≤ ALAP(u)+MaxSpan and ALAP(w) ≥ ASAP(u)−MaxSpan, or every
+	// node incomparable to u when MaxSpan < 0. A set is an antichain
+	// within the span limit exactly when each member is in the row of
+	// every other (see the package comment).
+	rows []uint64
+	cc   *dfg.ColorClasses
 }
 
 // MaxSizeLimit is the largest Config.MaxSize: a pattern holds at most
@@ -366,8 +401,8 @@ type analysis struct {
 // in two bytes (see countsKey).
 const MaxSizeLimit = 65535
 
-// analyse validates the inputs and loads the graph's analysis. It returns
-// (nil, nil) for the empty graph — nothing to enumerate.
+// analyse validates the inputs and builds the census's analysis. It
+// returns (nil, nil) for the empty graph — nothing to enumerate.
 func analyse(d *dfg.Graph, cfg Config) (*analysis, error) {
 	if cfg.MaxSize < 1 {
 		return nil, fmt.Errorf("antichain: MaxSize %d < 1", cfg.MaxSize)
@@ -381,66 +416,88 @@ func analyse(d *dfg.Graph, cfg Config) (*analysis, error) {
 	if d.N() == 0 {
 		return nil, nil
 	}
-	return &analysis{
-		n:      d.N(),
-		inc:    d.Incomparability(),
-		lv:     d.Levels(),
-		levels: d.LevelMasks(),
-		cc:     d.ColorClasses(),
-	}, nil
+	inc, lv := d.Incomparability(), d.Levels()
+	n, words := d.N(), (d.N()+63)/64
+	an := &analysis{n: n, words: words, rows: make([]uint64, n*words), cc: d.ColorClasses()}
+	// Level l of asapAtMost holds the nodes with ASAP ≤ l and level l of
+	// alapAtLeast those with ALAP ≥ l, so row(u) is inc(u) ∩ one level of
+	// each, one AND a word. A bound outside 0…ASAPmax is clamped to the
+	// level that holds every node.
+	levels := lv.ASAPMax + 1
+	asapAtMost, alapAtLeast := make([]uint64, levels*words), make([]uint64, levels*words)
+	for v := range n {
+		asapAtMost[lv.ASAP[v]*words+v>>6] |= 1 << uint(v&63)
+		alapAtLeast[lv.ALAP[v]*words+v>>6] |= 1 << uint(v&63)
+	}
+	for l := 1; l < levels; l++ {
+		for j := range words {
+			asapAtMost[l*words+j] |= asapAtMost[(l-1)*words+j]
+			alapAtLeast[(levels-1-l)*words+j] |= alapAtLeast[(levels-l)*words+j]
+		}
+	}
+	for u, set := range inc {
+		hi, lo := levels-1, 0
+		if cfg.MaxSpan >= 0 {
+			hi, lo = min(lv.ALAP[u]+cfg.MaxSpan, levels-1), max(lv.ASAP[u]-cfg.MaxSpan, 0)
+		}
+		atMost, atLeast := asapAtMost[hi*words:(hi+1)*words], alapAtLeast[lo*words:(lo+1)*words]
+		row := an.row(u)
+		for j, w := range set.Words() {
+			row[j] = w & atMost[j] & atLeast[j]
+		}
+	}
+	return an, nil
+}
+
+// row returns the span row of node u.
+func (an *analysis) row(u int) []uint64 {
+	return an.rows[u*an.words : (u+1)*an.words : (u+1)*an.words]
 }
 
 // enumerator is the DFS state: the shared read-only analysis plus the
 // mutable walk state (current set, candidate stack, pattern table) owned
 // by one enumeration.
 type enumerator struct {
-	inc     []*graph.BitSet
-	asap    []int
-	alap    []int
-	levels  *graph.LevelMasks
+	// The walk writes current on every step: a cache line of padding at
+	// each end keeps it off the lines of another worker's state.
+	_ [64]byte
+	*analysis
 	maxSize int
-	maxSpan int
 	// census, when set, counts every antichain; without KeepSets it counts
 	// the last two levels below each (MaxSize−2)-antichain instead of
 	// visiting them. Otherwise visit is called for every antichain
-	// (members in e.current) with its actual span; false stops the walk.
+	// (members in e.current); false stops the walk.
 	census *censusAccumulator
-	visit  func(span int) bool
+	visit  func() bool
 	// current is the growing antichain, reused across the whole walk.
 	current []int
 	// stack[d-1] holds the candidate words below an antichain of size d,
 	// one preallocated row per depth.
 	stack [][]uint64
-	// cc/table maintain the interned pattern; both are nil for
-	// pattern-free walks (ForEach, CountTable).
-	cc    *dfg.ColorClasses
+	// table maintains the interned pattern; it is nil for pattern-free
+	// walks (ForEach, CountTable).
 	table *patternTable
+	_     [64]byte
 }
 
 // newWalkState assembles the mutable DFS state (current set, candidate
 // stack, and a pattern table if needPatterns) over the shared analysis.
 // Both the sequential enumerator and each parallel worker build theirs
-// here. No antichain has more than n members, so the state is sized by
-// min(MaxSize, n).
+// here, padded like the census counters. No antichain has more than n
+// members, so the state is sized by min(MaxSize, n).
 func (an *analysis) newWalkState(cfg Config, needPatterns bool) *enumerator {
-	words := (an.n + 63) / 64
 	depth := min(cfg.MaxSize, an.n)
-	rows := make([]uint64, (depth-1)*words)
+	rows := padded[uint64]((depth - 1) * an.words)
 	e := &enumerator{
-		inc:     an.inc,
-		asap:    an.lv.ASAP,
-		alap:    an.lv.ALAP,
-		levels:  an.levels,
-		maxSize: cfg.MaxSize,
-		maxSpan: cfg.MaxSpan,
-		current: make([]int, 0, depth),
-		stack:   make([][]uint64, depth-1),
+		analysis: an,
+		maxSize:  cfg.MaxSize,
+		current:  padded[int](depth)[:0],
+		stack:    make([][]uint64, depth-1),
 	}
 	for i := range e.stack {
-		e.stack[i] = rows[i*words : (i+1)*words : (i+1)*words]
+		e.stack[i] = rows[i*an.words : (i+1)*an.words : (i+1)*an.words]
 	}
 	if needPatterns {
-		e.cc = an.cc
 		e.table = newPatternTable(len(an.cc.Colors))
 	}
 	return e
@@ -450,8 +507,8 @@ func (an *analysis) newWalkState(cfg Config, needPatterns bool) *enumerator {
 // order: stride 1 is the whole enumeration, a parallel worker takes one
 // residue class.
 func (e *enumerator) run(first, stride int) {
-	for v := first; v < len(e.inc); v += stride {
-		if !e.extend(v, nil, e.asap[v], e.alap[v], 0) {
+	for v := first; v < e.n; v += stride {
+		if !e.extend(v, nil, 0) {
 			return
 		}
 	}
@@ -459,10 +516,9 @@ func (e *enumerator) run(first, stride int) {
 
 // extend adds v to the current antichain, emits it, and grows it by every
 // candidate above v. cand is the candidate set valid before adding v (nil
-// at a root), maxASAP and minALAP are the levels of the set with v, and
-// pid is the interned pattern id before adding v. Returns false to abort
-// the whole enumeration.
-func (e *enumerator) extend(v int, cand []uint64, maxASAP, minALAP int, pid int32) bool {
+// at a root), and pid is the interned pattern id before adding v. Returns
+// false to abort the whole enumeration.
+func (e *enumerator) extend(v int, cand []uint64, pid int32) bool {
 	if e.table != nil {
 		pid = e.table.child(pid, e.cc.Of[v])
 	}
@@ -471,14 +527,14 @@ func (e *enumerator) extend(v int, cand []uint64, maxASAP, minALAP int, pid int3
 	if e.census != nil {
 		e.census.visit(pid)
 	} else {
-		ok = e.visit(max(maxASAP-minALAP, 0))
+		ok = e.visit()
 	}
 	if ok && len(e.current) < e.maxSize {
-		if next, from := e.candidates(v, cand, maxASAP, minALAP); next != nil {
+		if next, from := e.candidates(v, cand); next != nil {
 			if e.census != nil && !e.census.keepSets && len(e.current) == e.maxSize-2 {
-				e.census.countTwoLevels(next, from, maxASAP, minALAP, pid)
+				e.census.countTwoLevels(next, from, pid)
 			} else {
-				ok = e.descend(next, from, maxASAP, minALAP, pid)
+				ok = e.descend(next, from, pid)
 			}
 		}
 	}
@@ -487,27 +543,26 @@ func (e *enumerator) extend(v int, cand []uint64, maxASAP, minALAP int, pid int3
 }
 
 // candidates writes into the current depth's stack row the nodes above v
-// that extend the current antichain within the span limit: cand ∩ inc(v)
-// ∩ the span window. Only words from (v+1)/64 on are written, and from is
-// that first word; every later reader of the row starts at or past it.
-// Returns a nil row when there is no candidate.
-func (e *enumerator) candidates(v int, cand []uint64, maxASAP, minALAP int) (next []uint64, from int) {
+// that extend the current antichain: cand ∩ row(v). Only words from
+// (v+1)/64 on are written, and from is that first word; every later
+// reader of the row starts at or past it. Returns a nil row when there is
+// no candidate.
+func (e *enumerator) candidates(v int, cand []uint64) (next []uint64, from int) {
 	start := v + 1
-	if start >= len(e.inc) {
+	if start >= e.n {
 		return nil, 0
 	}
-	asapMask, alapMask := e.levels.SpanWindow(maxASAP, minALAP, e.maxSpan)
-	inc, lo, hi := e.inc[v].Words(), asapMask.Words(), alapMask.Words()
+	row := e.row(v)
 	if cand == nil {
-		cand = inc
+		cand = row
 	}
 	next = e.stack[len(e.current)-1]
 	from = start >> 6
 	// The first word also drops the bits up to v.
-	live := cand[from] & inc[from] & lo[from] & hi[from] &^ (1<<uint(start&63) - 1)
+	live := cand[from] & row[from] &^ (1<<uint(start&63) - 1)
 	next[from] = live
 	for i := from + 1; i < len(next); i++ {
-		next[i] = cand[i] & inc[i] & lo[i] & hi[i]
+		next[i] = cand[i] & row[i]
 		live |= next[i]
 	}
 	if live == 0 {
@@ -518,11 +573,10 @@ func (e *enumerator) candidates(v int, cand []uint64, maxASAP, minALAP int) (nex
 
 // descend extends the current antichain by each candidate in next, in
 // ascending order. Returns false to abort the whole enumeration.
-func (e *enumerator) descend(next []uint64, from, maxASAP, minALAP int, pid int32) bool {
+func (e *enumerator) descend(next []uint64, from int, pid int32) bool {
 	for i := from; i < len(next); i++ {
 		for word := next[i]; word != 0; word &= word - 1 {
-			w := i<<6 | bits.TrailingZeros64(word)
-			if !e.extend(w, next, max(maxASAP, e.asap[w]), min(minALAP, e.alap[w]), pid) {
+			if !e.extend(i<<6|bits.TrailingZeros64(word), next, pid) {
 				return false
 			}
 		}
@@ -574,9 +628,19 @@ func CountTable(d *dfg.Graph, maxSize, maxSpan int) ([][]int, error) {
 	if an == nil {
 		return table, nil
 	}
+	// maxASAP[k] and minALAP[k] are the levels of the current antichain's
+	// first k members. The walk visits each antichain after the prefix one
+	// member shorter, and before any other set of that size, so each visit
+	// extends the prefix's levels by its last member.
+	lv := d.Levels()
+	maxASAP, minALAP := make([]int, maxSize+1), make([]int, maxSize+1)
+	minALAP[0] = math.MaxInt
 	e := an.newWalkState(cfg, false)
-	e.visit = func(span int) bool {
-		table[span][len(e.current)]++
+	e.visit = func() bool {
+		k := len(e.current)
+		v := e.current[k-1]
+		maxASAP[k], minALAP[k] = max(maxASAP[k-1], lv.ASAP[v]), min(minALAP[k-1], lv.ALAP[v])
+		table[max(maxASAP[k]-minALAP[k], 0)][k]++
 		return true
 	}
 	e.run(0, 1)

@@ -37,8 +37,9 @@ func benchGraphs(b *testing.B) map[string]*dfg.Graph {
 func benchEnumerate(b *testing.B, g *dfg.Graph) {
 	b.Helper()
 	cfg := Config{MaxSize: 5, MaxSpan: 1}
-	// Warm the graph's lazy caches (levels, reachability) so the benchmark
-	// measures enumeration, not one-time graph analysis.
+	// Warm the graph's lazy caches (levels, reachability, incomparability
+	// and color sets), which a graph computes once. Each census builds its
+	// own span rows, so every iteration includes that cost.
 	if _, err := Enumerate(g, cfg); err != nil {
 		b.Fatal(err)
 	}
@@ -87,14 +88,32 @@ func BenchmarkEnumerateParallel5DFT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchEnumerateParallel(b, g, 0)
+}
+
+// BenchmarkEnumerateParallelFFT8 measures two workers on a one-word graph,
+// whose census is small enough that counters two workers share a cache
+// line with, or an uneven split of the roots, show in its time.
+func BenchmarkEnumerateParallelFFT8(b *testing.B) {
+	g, err := workloads.RadixTwoFFT(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEnumerateParallel(b, g, 2)
+}
+
+// benchEnumerateParallel runs the default census on a pool of workers
+// (GOMAXPROCS when 0).
+func benchEnumerateParallel(b *testing.B, g *dfg.Graph, workers int) {
+	b.Helper()
 	cfg := Config{MaxSize: 5, MaxSpan: 1}
-	if _, err := EnumerateParallel(g, cfg, 0); err != nil {
+	if _, err := EnumerateParallel(g, cfg, workers); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EnumerateParallel(g, cfg, 0); err != nil {
+		if _, err := EnumerateParallel(g, cfg, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

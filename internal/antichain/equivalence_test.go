@@ -370,12 +370,11 @@ func decodeCensusProblem(data []byte) (*dfg.Graph, Config, bool) {
 	return g, cfg, true
 }
 
-// boundaryFuzzSeed encodes a 64-node census: eight 3-color chains of eight
-// nodes with a few cross edges, MaxSize 5 and span ≤ 1. Its last node is
-// bit 63, the end of the candidate sets' only word.
-func boundaryFuzzSeed() []byte {
-	const n = 64
-	data := []byte{n - 1, 2, 4, 2}
+// chainsFuzzSeed encodes a census of n nodes in eight 3-color chains with a
+// few cross edges, at MaxSize 5 and span ≤ spanByte−1: node i has color
+// i mod 3 and precedes i+8, and every fifth node also precedes i+9.
+func chainsFuzzSeed(n int, spanByte byte) []byte {
+	data := []byte{byte(n - 1), 2, 4, spanByte}
 	for i := 0; i < n; i++ {
 		data = append(data, byte(i%3))
 	}
@@ -392,9 +391,13 @@ func boundaryFuzzSeed() []byte {
 // to 96 nodes and 4 colors, at every size and span regime, to the
 // reference enumerator.
 func FuzzEnumerateMatchesReference(f *testing.F) {
-	f.Add(boundaryFuzzSeed())
+	// 64 nodes, span ≤ 1: the last node is bit 63, the end of the candidate
+	// sets' only word.
+	f.Add(chainsFuzzSeed(64, 2))
 	f.Add([]byte{64, 1, 1, 1})                     // 65 isolated nodes, pairs, span 0
 	f.Add([]byte{4, 2, 2, 1, 0, 1, 2, 0, 1, 0, 2}) // five nodes, one edge
+	// 96 nodes at the tightest limit, span 0: candidate sets of two words.
+	f.Add(chainsFuzzSeed(96, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, cfg, ok := decodeCensusProblem(data)
 		if !ok {

@@ -17,11 +17,12 @@ type partialCensus struct {
 // EnumerateParallel is Enumerate with the enumeration tree's root branches
 // fanned out over a worker pool. Each root node owns the canonical
 // antichains whose smallest member it is; those subtrees are independent,
-// so workers share nothing but the (read-only) graph analysis — levels,
-// incomparability sets, level and color masks — run the same walk as
-// Enumerate over their roots, intern patterns into private tables, and
-// merge the interned censuses at the end by re-interning each worker-local
-// pattern id into the combined table.
+// so workers share nothing but the read-only analysis — the census's span
+// rows and the graph's color masks — run the same walk as Enumerate over
+// their roots, intern patterns into private tables, and merge the
+// interned censuses at the end by re-interning each worker-local pattern
+// id into the combined table. Each worker allocates its own walk state
+// and counters, padded onto cache lines no other worker writes.
 //
 // Counts and frequency vectors are identical to Enumerate's. When
 // cfg.KeepSets is set, per-class set *order* may differ from the

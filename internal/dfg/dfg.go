@@ -146,7 +146,6 @@ type Graph struct {
 	levels      *graph.Levels
 	reach       *graph.Reachability
 	inc         []*graph.BitSet
-	levelMasks  *graph.LevelMasks
 	colorCls    *ColorClasses
 	fingerprint string
 	validated   bool
@@ -254,7 +253,6 @@ func (d *Graph) resetCaches() {
 	d.levels = nil
 	d.reach = nil
 	d.inc = nil
-	d.levelMasks = nil
 	d.colorCls = nil
 	d.fingerprint = ""
 	d.validated = false
@@ -357,20 +355,6 @@ func (d *Graph) Incomparability() []*graph.BitSet {
 		d.inc = d.reachLocked().Incomparability()
 	}
 	return d.inc
-}
-
-// LevelMasks returns the cached per-level node sets over Levels() (see
-// graph.LevelMasks), computing them on first use. The antichain enumerator
-// intersects its candidate sets with them to keep only span-valid
-// extensions. Callers must treat the returned masks as read-only. Panics on
-// cyclic graphs; use Validate first on untrusted input.
-func (d *Graph) LevelMasks() *graph.LevelMasks {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.levelMasks == nil {
-		d.levelMasks = graph.NewLevelMasks(d.levelsLocked(), d.N())
-	}
-	return d.levelMasks
 }
 
 // ColorClasses partitions a graph's nodes by color.

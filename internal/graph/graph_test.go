@@ -365,37 +365,6 @@ func TestLevelsInvariants(t *testing.T) {
 	}
 }
 
-// The span window admits exactly the nodes whose addition keeps a set's
-// Span within the limit, checked against Levels.Span on random sets.
-func TestLevelMasksSpanWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		g := RandomLayeredDAG(rng, DefaultRandomDAGConfig())
-		lv, err := ComputeLevels(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewLevelMasks(lv, g.N())
-		for q := 0; q < 20; q++ {
-			set := []int{rng.Intn(g.N()), rng.Intn(g.N())}
-			maxASAP := max(lv.ASAP[set[0]], lv.ASAP[set[1]])
-			minALAP := min(lv.ALAP[set[0]], lv.ALAP[set[1]])
-			for _, span := range []int{-1, 0, 1, 2, 5} {
-				if span >= 0 && lv.Span(set) > span {
-					continue // the set itself already breaks the limit
-				}
-				lo, hi := m.SpanWindow(maxASAP, minALAP, span)
-				for w := 0; w < g.N(); w++ {
-					want := span < 0 || lv.Span(append(set, w)) <= span
-					if got := lo.Has(w) && hi.Has(w); got != want {
-						t.Fatalf("set %v + node %d, span ≤ %d: window says %v, Span says %v", set, w, span, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestSpan(t *testing.T) {
 	g := New(4)
 	g.MustAddEdge(0, 1)

@@ -60,48 +60,6 @@ func ComputeLevels(g *Digraph) (*Levels, error) {
 	return lv, nil
 }
 
-// LevelMasks indexes a DAG's nodes by level for span-bounded set growth:
-// for every level L in [0, ASAPmax] it holds the set of nodes with
-// ASAP ≤ L and the set with ALAP ≥ L. Together they cost at most twice the
-// incomparability sets (ASAPmax+1 ≤ n rows of n bits each).
-type LevelMasks struct {
-	asapAtMost  []*BitSet
-	alapAtLeast []*BitSet
-}
-
-// NewLevelMasks builds the level masks of lv over n nodes.
-func NewLevelMasks(lv *Levels, n int) *LevelMasks {
-	rows := lv.ASAPMax + 1
-	m := &LevelMasks{asapAtMost: make([]*BitSet, rows), alapAtLeast: make([]*BitSet, rows)}
-	for l := range rows {
-		m.asapAtMost[l] = NewBitSet(n)
-		m.alapAtLeast[l] = NewBitSet(n)
-	}
-	for v := 0; v < n; v++ {
-		m.asapAtMost[lv.ASAP[v]].Set(v)
-		m.alapAtLeast[lv.ALAP[v]].Set(v)
-	}
-	for l := 1; l < rows; l++ {
-		m.asapAtMost[l].Or(m.asapAtMost[l-1])
-		m.alapAtLeast[rows-1-l].Or(m.alapAtLeast[rows-l])
-	}
-	return m
-}
-
-// SpanWindow returns two masks whose intersection is exactly the nodes w
-// that can join a set with the given max ASAP and min ALAP without its
-// Span exceeding span: ASAP(w) ≤ minALAP+span and ALAP(w) ≥ maxASAP−span
-// (ASAP(w) ≤ ALAP(w) holds for every node, so w alone adds nothing).
-// Span never shrinks as a set grows, so the window only narrows with
-// depth. A negative span means unlimited: both masks hold every node.
-func (m *LevelMasks) SpanWindow(maxASAP, minALAP, span int) (asapMask, alapMask *BitSet) {
-	top := len(m.asapAtMost) - 1
-	if span < 0 {
-		return m.asapAtMost[top], m.alapAtLeast[0]
-	}
-	return m.asapAtMost[min(minALAP+span, top)], m.alapAtLeast[max(maxASAP-span, 0)]
-}
-
 // Mobility returns ALAP(n) − ASAP(n), the scheduling slack of node n.
 func (lv *Levels) Mobility(n int) int { return lv.ALAP[n] - lv.ASAP[n] }
 

@@ -5,11 +5,11 @@
 #
 #   scripts/bench.sh [-smoke] [output.json]
 #
-# -smoke runs the minimal subset (3DFT, the fft:8 census, the ingest
-# kernels, the router's decode and the warm /v1/batch handler) so CI can
-# prove the generation path still works without paying for real
-# measurement; do not commit a smoke-mode JSON as the repo's benchmark
-# record.
+# -smoke runs the minimal subset (3DFT, the fft:8 and random96 censuses,
+# the ingest kernels, the router's decode and the warm /v1/batch
+# handler) so CI can prove the generation path still works without
+# paying for real measurement; do not commit a smoke-mode JSON as the
+# repo's benchmark record.
 #
 # The measurements run in-process via testing.Benchmark (no output
 # parsing); see cmd/experiments/benchjson.go for the benchmark set.
