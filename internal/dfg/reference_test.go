@@ -11,6 +11,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"mpsched/internal/frame"
 )
 
 // The reference ingest path: the fmt-based fingerprint and the
@@ -49,81 +51,81 @@ func referenceFingerprint(d *Graph) string {
 // referenceUnmarshalBinary decodes the binary framing through AddNode and
 // AddDep, one element at a time.
 func referenceUnmarshalBinary(data []byte) (*Graph, error) {
-	r := newBinReader(data)
-	if string(r.take(len(binaryGraphMagic))) != binaryGraphMagic {
+	r := frame.NewSharedReader(data, ErrBinaryFormat)
+	if string(r.Take(len(binaryGraphMagic))) != binaryGraphMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBinaryFormat)
 	}
-	if v := r.byte(); v != binaryGraphVersion {
-		if r.err == nil {
+	if v := r.Byte(); v != binaryGraphVersion {
+		if r.Err() == nil {
 			return nil, fmt.Errorf("%w: unknown version %d", ErrBinaryFormat, v)
 		}
-		return nil, r.err
+		return nil, r.Err()
 	}
-	name := r.string()
+	name := r.String()
 
-	ncolors := r.count()
+	ncolors := r.Count()
 	colors := make([]Color, 0, ncolors)
-	for i := 0; i < ncolors && r.err == nil; i++ {
-		colors = append(colors, Color(r.string()))
+	for i := 0; i < ncolors && r.Err() == nil; i++ {
+		colors = append(colors, Color(r.String()))
 	}
 
-	nnodes := r.count()
+	nnodes := r.Count()
 	fresh := NewGraph(name)
-	for i := 0; i < nnodes && r.err == nil; i++ {
-		n := Node{Name: r.string()}
-		ci := r.uvarint()
-		if r.err == nil && ci >= uint64(len(colors)) {
+	for i := 0; i < nnodes && r.Err() == nil; i++ {
+		n := Node{Name: r.String()}
+		ci := r.Uvarint()
+		if r.Err() == nil && ci >= uint64(len(colors)) {
 			return nil, fmt.Errorf("%w: node %q references color %d of %d", ErrBinaryFormat, n.Name, ci, len(colors))
 		}
-		if r.err == nil {
+		if r.Err() == nil {
 			n.Color = colors[ci]
 		}
-		op := r.uvarint()
-		if r.err == nil {
+		op := r.Uvarint()
+		if r.Err() == nil {
 			if _, known := opNames[Op(op)]; !known {
 				return nil, fmt.Errorf("%w: node %q has unknown op %d", ErrBinaryFormat, n.Name, op)
 			}
 			n.Op = Op(op)
 		}
-		n.Output = r.string()
-		nargs := r.count()
-		if nargs > 0 && r.err == nil {
+		n.Output = r.String()
+		nargs := r.Count()
+		if nargs > 0 && r.Err() == nil {
 			n.Args = make([]Operand, 0, nargs)
 		}
-		for j := 0; j < nargs && r.err == nil; j++ {
-			switch kind := r.byte(); OperandKind(kind) {
+		for j := 0; j < nargs && r.Err() == nil; j++ {
+			switch kind := r.Byte(); OperandKind(kind) {
 			case OperandNode:
-				n.Args = append(n.Args, NodeRef(int(r.uvarint())))
+				n.Args = append(n.Args, NodeRef(int(r.Uvarint())))
 			case OperandInput:
-				in := r.string()
-				if r.err == nil && in == "" {
+				in := r.String()
+				if r.Err() == nil && in == "" {
 					return nil, fmt.Errorf("%w: node %q has an empty input operand", ErrBinaryFormat, n.Name)
 				}
 				n.Args = append(n.Args, InputRef(in))
 			case OperandConst:
-				v := math.Float64frombits(r.u64())
-				if r.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				v := math.Float64frombits(r.U64())
+				if r.Err() == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 					return nil, fmt.Errorf("%w: node %q has a non-finite constant", ErrBinaryFormat, n.Name)
 				}
 				n.Args = append(n.Args, ConstVal(v))
 			default:
-				if r.err == nil {
+				if r.Err() == nil {
 					return nil, fmt.Errorf("%w: node %q has unknown operand kind %d", ErrBinaryFormat, n.Name, kind)
 				}
 			}
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if _, err := fresh.AddNode(n); err != nil {
 			return nil, err
 		}
 	}
 
-	nedges := r.count()
-	for i := 0; i < nedges && r.err == nil; i++ {
-		from, to := int(r.uvarint()), int(r.uvarint())
-		if r.err != nil {
+	nedges := r.Count()
+	for i := 0; i < nedges && r.Err() == nil; i++ {
+		from, to := int(r.Uvarint()), int(r.Uvarint())
+		if r.Err() != nil {
 			break
 		}
 		if from < 0 || from >= fresh.N() || to < 0 || to >= fresh.N() {
@@ -133,11 +135,11 @@ func referenceUnmarshalBinary(data []byte) (*Graph, error) {
 			return nil, err
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinaryFormat, len(r.buf)-r.off)
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBinaryFormat, r.Remaining())
 	}
 	if err := fresh.Validate(); err != nil {
 		return nil, err

@@ -721,6 +721,7 @@ func TestRouterFieldChecksMatchDaemon(t *testing.T) {
 		{"bad field, unknown workload", server.CompileRequest{Workload: "nope:9", Select: &server.SelectConfig{Pdef: -1}}, "select.pdef: -1 < 0", ""},
 		{"no graph", server.CompileRequest{}, "workload: provide a graph", ""},
 		{"null graph", server.CompileRequest{DFG: json.RawMessage("null")}, "workload: provide a graph", ""},
+		{"too many spans", server.CompileRequest{Workload: "3dft", Spans: make([]int, 17)}, "spans: 17 spans > 16", ""},
 		{"trailing data", server.CompileRequest{Workload: "3dft"}, "trailing", "\ntrailing"},
 	} {
 		for _, codec := range wire.Codecs() {

@@ -2,19 +2,20 @@ package pipeline
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"mpsched/internal/alloc"
 	"mpsched/internal/dfg"
+	"mpsched/internal/frame"
 	"mpsched/internal/patsel"
 	"mpsched/internal/pattern"
 	"mpsched/internal/sched"
 )
 
 // entryCodec serialises cacheEntry for the persistent disk tier: magic +
-// version + flags, then each artifact in a varint-framed layout. The
+// version + flags, then each artifact in internal/frame's primitives. The
 // encoding is deterministic (map keys are sorted) so identical compiles
 // store identical bytes — the bit-stable artifact contract.
 //
@@ -37,6 +38,9 @@ const (
 	entryHasCensus    = 1 << 3
 	entrySwept        = 1 << 4
 )
+
+// errEntryFormat reports a malformed encoded entry.
+var errEntryFormat = errors.New("pipeline: malformed cache entry")
 
 // Append implements store.Codec.
 func (entryCodec) Append(buf []byte, e *cacheEntry) ([]byte, error) {
@@ -80,8 +84,8 @@ func (entryCodec) Append(buf []byte, e *cacheEntry) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(e.selection.Steps)))
 		for _, st := range e.selection.Steps {
 			buf = appendPattern(buf, st.Chosen)
-			buf = appendEntryFloat(buf, st.Priority)
-			buf = appendEntryBool(buf, st.Synthesized)
+			buf = frame.AppendFloat64(buf, st.Priority)
+			buf = frame.AppendBool(buf, st.Synthesized)
 			keys := make([]string, 0, len(st.Priorities))
 			for k := range st.Priorities {
 				keys = append(keys, k)
@@ -89,27 +93,27 @@ func (entryCodec) Append(buf []byte, e *cacheEntry) ([]byte, error) {
 			sort.Strings(keys)
 			buf = binary.AppendUvarint(buf, uint64(len(keys)))
 			for _, k := range keys {
-				buf = appendEntryString(buf, k)
-				buf = appendEntryFloat(buf, st.Priorities[k])
+				buf = frame.AppendString(buf, k)
+				buf = frame.AppendFloat64(buf, st.Priorities[k])
 			}
-			buf = appendEntryStrings(buf, st.Deleted)
+			buf = frame.AppendStrings(buf, st.Deleted)
 		}
 	}
 	if e.schedule != nil {
 		s := e.schedule
-		buf = appendEntryInts(buf, s.CycleOf)
-		buf = appendEntryInts(buf, s.PatternOf)
+		buf = frame.AppendInts(buf, s.CycleOf)
+		buf = frame.AppendInts(buf, s.PatternOf)
 		buf = binary.AppendUvarint(buf, uint64(len(s.Cycles)))
 		for _, cyc := range s.Cycles {
-			buf = appendEntryInts(buf, cyc)
+			buf = frame.AppendInts(buf, cyc)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(s.Trace)))
 		for _, tr := range s.Trace {
 			buf = binary.AppendVarint(buf, int64(tr.Cycle))
-			buf = appendEntryInts(buf, tr.Candidates)
+			buf = frame.AppendInts(buf, tr.Candidates)
 			buf = binary.AppendUvarint(buf, uint64(len(tr.PerPattern)))
 			for _, pp := range tr.PerPattern {
-				buf = appendEntryInts(buf, pp)
+				buf = frame.AppendInts(buf, pp)
 			}
 			buf = binary.AppendVarint(buf, int64(tr.Chosen))
 		}
@@ -119,7 +123,7 @@ func (entryCodec) Append(buf []byte, e *cacheEntry) ([]byte, error) {
 		for _, v := range []int{p.Arch.ALUs, p.Arch.RegsPerALU, p.Arch.Memories, p.Arch.MemWords, p.Arch.Buses, p.Arch.MaxPatterns} {
 			buf = binary.AppendVarint(buf, int64(v))
 		}
-		buf = appendEntryInts(buf, p.ALUOf)
+		buf = frame.AppendInts(buf, p.ALUOf)
 		buf = binary.AppendUvarint(buf, uint64(len(p.ResultLoc)))
 		for _, loc := range p.ResultLoc {
 			buf = binary.AppendVarint(buf, int64(loc.Reg))
@@ -133,7 +137,7 @@ func (entryCodec) Append(buf []byte, e *cacheEntry) ([]byte, error) {
 		sort.Strings(names)
 		buf = binary.AppendUvarint(buf, uint64(len(names)))
 		for _, k := range names {
-			buf = appendEntryString(buf, k)
+			buf = frame.AppendString(buf, k)
 			buf = binary.AppendVarint(buf, int64(p.InputAddr[k]))
 		}
 		for _, v := range []int{p.Stats.Spills, p.Stats.CrossALUMoves, p.Stats.MemoryReads, p.Stats.MaxLiveRegs} {
@@ -146,79 +150,79 @@ func (entryCodec) Append(buf []byte, e *cacheEntry) ([]byte, error) {
 // Decode implements store.Codec. Schedule.Graph, Program.Graph and
 // Program.Schedule come back nil/unbound; rebindReport re-points them.
 func (entryCodec) Decode(data []byte) (*cacheEntry, error) {
-	r := &entryReader{data: data}
-	magic := r.take(len(entryMagic) + 2)
-	if r.err != nil || string(magic[:len(entryMagic)]) != entryMagic {
-		return nil, fmt.Errorf("pipeline: bad entry magic")
+	r := frame.NewReader(data, errEntryFormat)
+	magic := r.Take(len(entryMagic) + 2)
+	if r.Err() != nil || string(magic[:len(entryMagic)]) != entryMagic {
+		return nil, fmt.Errorf("%w: bad magic", errEntryFormat)
 	}
 	if magic[len(entryMagic)] != entryVersion {
-		return nil, fmt.Errorf("pipeline: unknown entry version %d", magic[len(entryMagic)])
+		return nil, fmt.Errorf("%w: unknown version %d", errEntryFormat, magic[len(entryMagic)])
 	}
 	flags := magic[len(entryMagic)+1]
 	e := &cacheEntry{
-		span:  int(r.varint()),
+		span:  int(r.Varint()),
 		swept: flags&entrySwept != 0,
 	}
 	// Skip the node signatures older writers stored for delta compiles.
-	for n := r.count(); n > 0; n-- {
-		r.uvarint()
+	for n := r.Count(); n > 0; n-- {
+		r.Uvarint()
 	}
 	if flags&entryHasCensus != 0 {
 		e.census = &CensusSummary{
-			Antichains: int(r.varint()),
-			Classes:    int(r.varint()),
-			Span:       int(r.varint()),
+			Antichains: int(r.Varint()),
+			Classes:    int(r.Varint()),
+			Span:       int(r.Varint()),
 		}
 	}
 	if flags&entryHasSelection != 0 {
-		sel := &patsel.Selection{Patterns: r.patternSet()}
-		steps := r.count()
+		sel := &patsel.Selection{Patterns: readPatternSet(&r)}
+		steps := r.Count()
 		if steps > 0 {
 			sel.Steps = make([]patsel.Step, steps)
 		}
 		for i := range sel.Steps {
 			st := &sel.Steps[i]
-			st.Chosen = r.pattern()
-			st.Priority = r.float()
-			st.Synthesized = r.bool()
-			if n := r.count(); n > 0 {
+			st.Chosen = readPattern(&r)
+			st.Priority = r.Float64()
+			st.Synthesized = r.Bool()
+			if n := r.Count(); n > 0 {
 				st.Priorities = make(map[string]float64, n)
 				for j := 0; j < n; j++ {
-					k := r.string()
-					st.Priorities[k] = r.float()
+					k := string(r.Bytes())
+					st.Priorities[k] = r.Float64()
 				}
 			}
-			st.Deleted = r.strings()
+			st.Deleted = readEntryStrings(&r)
 		}
 		e.selection = sel
 	}
 	if flags&entryHasSchedule != 0 {
 		s := &sched.Schedule{
-			CycleOf:   r.ints(),
-			PatternOf: r.ints(),
+			CycleOf:   r.Ints(),
+			PatternOf: r.Ints(),
 		}
 		if e.selection != nil {
 			s.Patterns = e.selection.Patterns
 		}
-		if n := r.count(); n > 0 {
+		if n := r.Count(); n > 0 {
 			s.Cycles = make([][]int, n)
 			for i := range s.Cycles {
-				s.Cycles[i] = r.ints()
+				s.Cycles[i] = r.Ints()
 			}
 		}
-		if n := r.count(); n > 0 {
+		if n := r.Count(); n > 0 {
 			s.Trace = make([]sched.CycleTrace, n)
 			for i := range s.Trace {
 				tr := &s.Trace[i]
-				tr.Cycle = int(r.varint())
-				tr.Candidates = r.ints()
-				if m := r.count(); m > 0 {
+				tr.Cycle = int(r.Varint())
+				tr.Candidates = r.Ints()
+				if m := r.Count(); m > 0 {
 					tr.PerPattern = make([][]int, m)
 					for j := range tr.PerPattern {
-						tr.PerPattern[j] = r.ints()
+						tr.PerPattern[j] = r.Ints()
 					}
 				}
-				tr.Chosen = int(r.varint())
+				tr.Chosen = int(r.Varint())
 			}
 		}
 		e.schedule = s
@@ -226,91 +230,53 @@ func (entryCodec) Decode(data []byte) (*cacheEntry, error) {
 	if flags&entryHasProgram != 0 {
 		p := &alloc.Program{
 			Arch: alloc.Arch{
-				ALUs:        int(r.varint()),
-				RegsPerALU:  int(r.varint()),
-				Memories:    int(r.varint()),
-				MemWords:    int(r.varint()),
-				Buses:       int(r.varint()),
-				MaxPatterns: int(r.varint()),
+				ALUs:        int(r.Varint()),
+				RegsPerALU:  int(r.Varint()),
+				Memories:    int(r.Varint()),
+				MemWords:    int(r.Varint()),
+				Buses:       int(r.Varint()),
+				MaxPatterns: int(r.Varint()),
 			},
-			ALUOf: r.ints(),
+			ALUOf: r.Ints(),
 		}
-		if n := r.count(); n > 0 {
+		if n := r.Count(); n > 0 {
 			p.ResultLoc = make([]alloc.Loc, n)
 			for i := range p.ResultLoc {
 				p.ResultLoc[i] = alloc.Loc{
-					Reg:  int(r.varint()),
-					Mem:  int(r.varint()),
-					Word: int(r.varint()),
+					Reg:  int(r.Varint()),
+					Mem:  int(r.Varint()),
+					Word: int(r.Varint()),
 				}
 			}
 		}
 		// Always a map, as alloc.Allocate returns one even for a graph
 		// with no named inputs: the disk tier must not answer nil where
 		// the memory tier answers empty.
-		n := r.count()
+		n := r.Count()
 		p.InputAddr = make(map[string]int, n)
 		for i := 0; i < n; i++ {
-			k := r.string()
-			p.InputAddr[k] = int(r.varint())
+			k := string(r.Bytes())
+			p.InputAddr[k] = int(r.Varint())
 		}
 		p.Stats = alloc.Stats{
-			Spills:        int(r.varint()),
-			CrossALUMoves: int(r.varint()),
-			MemoryReads:   int(r.varint()),
-			MaxLiveRegs:   int(r.varint()),
+			Spills:        int(r.Varint()),
+			CrossALUMoves: int(r.Varint()),
+			MemoryReads:   int(r.Varint()),
+			MaxLiveRegs:   int(r.Varint()),
 		}
 		e.program = p
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("pipeline: %d trailing bytes after entry", len(r.data)-r.pos)
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return e, nil
-}
-
-// --- encode primitives (self-contained: internal/wire frames requests,
-// not stored artifacts, and importing it here would be a layering smell).
-
-func appendEntryString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendEntryStrings(buf []byte, ss []string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ss)))
-	for _, s := range ss {
-		buf = appendEntryString(buf, s)
-	}
-	return buf
-}
-
-func appendEntryInts(buf []byte, vs []int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(vs)))
-	for _, v := range vs {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	return buf
-}
-
-func appendEntryFloat(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
-func appendEntryBool(buf []byte, b bool) []byte {
-	if b {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
 }
 
 func appendPattern(buf []byte, p pattern.Pattern) []byte {
 	colors := p.Colors()
 	buf = binary.AppendUvarint(buf, uint64(len(colors)))
 	for _, c := range colors {
-		buf = appendEntryString(buf, string(c))
+		buf = frame.AppendString(buf, string(c))
 	}
 	return buf
 }
@@ -326,146 +292,47 @@ func appendPatternSet(buf []byte, s *pattern.Set) []byte {
 	return buf
 }
 
-// entryReader is a sticky-error cursor over an encoded entry. After the
-// first error every accessor returns zero values, so decode paths don't
-// need per-field error plumbing; the final r.err check catches all.
-type entryReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *entryReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("pipeline: "+format, args...)
-	}
-}
-
-func (r *entryReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.data)-r.pos < n {
-		r.fail("truncated entry at %d (+%d)", r.pos, n)
-		return nil
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *entryReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail("bad uvarint at %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *entryReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		r.fail("bad varint at %d", r.pos)
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-// count reads a collection length, bounded by the bytes remaining (every
-// element costs at least one byte) so corrupt lengths can't force huge
-// allocations.
-func (r *entryReader) count() int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.data)-r.pos) {
-		r.fail("count %d exceeds remaining %d bytes", v, len(r.data)-r.pos)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *entryReader) float() float64 {
-	b := r.take(8)
-	if r.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (r *entryReader) bool() bool {
-	b := r.take(1)
-	return r.err == nil && b[0] != 0
-}
-
-func (r *entryReader) string() string {
-	n := r.count()
-	b := r.take(n)
-	if r.err != nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (r *entryReader) strings() []string {
-	n := r.count()
-	if r.err != nil || n == 0 {
+// readEntryStrings is frame.Reader.Strings without its UTF-8 check. Every
+// entry string is read as bytes, unlike a wire string: a library caller's
+// graph may carry any bytes in its colors and input names, and its
+// entries must decode.
+func readEntryStrings(r *frame.Reader) []string {
+	n := r.Count()
+	if r.Err() != nil || n == 0 {
 		return nil
 	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = r.string()
+		out[i] = string(r.Bytes())
 	}
 	return out
 }
 
-func (r *entryReader) ints() []int {
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(r.varint())
-	}
-	return out
-}
-
-func (r *entryReader) pattern() pattern.Pattern {
-	n := r.count()
-	if r.err != nil {
+func readPattern(r *frame.Reader) pattern.Pattern {
+	n := r.Count()
+	if r.Err() != nil {
 		return pattern.Pattern{}
 	}
 	colors := make([]dfg.Color, n)
 	for i := range colors {
-		colors[i] = dfg.Color(r.string())
+		colors[i] = dfg.Color(r.Bytes())
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return pattern.Pattern{}
 	}
 	return pattern.FromSorted(colors)
 }
 
-func (r *entryReader) patternSet() *pattern.Set {
-	n := r.count()
-	if r.err != nil {
+func readPatternSet(r *frame.Reader) *pattern.Set {
+	n := r.Count()
+	if r.Err() != nil {
 		return nil
 	}
 	set := pattern.NewSet()
 	for i := 0; i < n; i++ {
-		set.Add(r.pattern())
+		set.Add(readPattern(r))
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return nil
 	}
 	return set

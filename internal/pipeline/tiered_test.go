@@ -16,7 +16,7 @@ import (
 
 // compileOnce runs one full compile (through allocation, with trace)
 // against the given cache and returns the report.
-func compileOnce(t *testing.T, cache ResultCache, g *dfg.Graph) *Report {
+func compileOnce(t testing.TB, cache ResultCache, g *dfg.Graph) *Report {
 	t.Helper()
 	c := NewCompiler(Options{Cache: cache})
 	rep, err := c.Compile(context.Background(), NewSpec(g,
@@ -32,7 +32,7 @@ func compileOnce(t *testing.T, cache ResultCache, g *dfg.Graph) *Report {
 
 // entryBytes canonicalises a report into the disk codec's byte form —
 // the strongest equality we have for compile artifacts.
-func entryBytes(t *testing.T, rep *Report) []byte {
+func entryBytes(t testing.TB, rep *Report) []byte {
 	t.Helper()
 	b, err := entryCodec{}.Append(nil, &cacheEntry{
 		selection: rep.Selection,
@@ -147,6 +147,54 @@ func TestEntryCodecReadsParentEntries(t *testing.T) {
 			t.Fatalf("%s: fixture carries no node signatures to skip", tc.file)
 		}
 	}
+}
+
+// FuzzEntryCodec: the entry decoder, which reads whatever bytes a disk
+// segment holds, never panics, and an entry it accepts re-encodes to
+// bytes that decode and re-encode identically.
+func FuzzEntryCodec(f *testing.F) {
+	for _, file := range []string{"testdata/v1-sigs-3dft.entry", "testdata/v1-sigs-fft8.entry"} {
+		stored, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(stored)
+	}
+	rep := compileOnce(f, nil, workloads.ThreeDFT())
+	f.Add(entryBytes(f, rep))
+	for _, e := range []*cacheEntry{
+		{selection: rep.Selection, census: rep.Census, span: 2, swept: true},
+		{census: rep.Census, span: -1},
+	} {
+		enc, err := entryCodec{}.Append(nil, e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := entryCodec{}.Decode(data)
+		if err != nil {
+			return
+		}
+		enc, err := entryCodec{}.Append(nil, e)
+		if err != nil {
+			// The decoder takes a schedule without a selection, which the
+			// writer never writes and refuses to.
+			if e.schedule != nil && e.selection == nil {
+				return
+			}
+			t.Fatalf("re-encode a decoded entry: %v", err)
+		}
+		again, err := entryCodec{}.Decode(enc)
+		if err != nil {
+			t.Fatalf("decode a re-encoded entry: %v", err)
+		}
+		if reenc, err := (entryCodec{}).Append(nil, again); err != nil || !bytes.Equal(reenc, enc) {
+			t.Fatalf("a re-encoded entry re-encodes differently (%v)", err)
+		}
+	})
 }
 
 func TestTieredCacheWarmRestart(t *testing.T) {

@@ -50,11 +50,10 @@ func (e badRequestError) Unwrap() error { return e.err }
 // toSpec resolves a decoded request into a compile spec. All failures
 // are badRequestError: nothing has been compiled yet, so the fault is in
 // the request. In order: an inline graph that did not decode, then the
-// shape checks of ValidateRequest, then workload generation; the rest
-// converts the wire configs. A non-nil graph is a pre-resolved
-// substitute for req.Workload (the server's spec cache path — see
-// Server.resolveSpec).
-func toSpec(req CompileRequest, cached *dfg.Graph) (pipeline.Spec, error) {
+// shape checks of ValidateRequest, then workload generation through
+// workloads (a nil store generates every spec); the rest converts the
+// wire configs.
+func toSpec(req CompileRequest, workloads *wire.GraphStore) (pipeline.Spec, error) {
 	spec := pipeline.Spec{Name: req.Name, Graph: req.Graph}
 	if err := req.GraphErr(); err != nil {
 		return spec, badRequestError{err}
@@ -64,12 +63,9 @@ func toSpec(req CompileRequest, cached *dfg.Graph) (pipeline.Spec, error) {
 	}
 
 	if req.Workload != "" {
-		g := cached
-		if g == nil {
-			var err error
-			if g, err = cliutil.Generate(req.Workload); err != nil {
-				return spec, badRequestError{err}
-			}
+		g, err := workloads.Workload(req.Workload)
+		if err != nil {
+			return spec, badRequestError{err}
 		}
 		spec.Graph = g
 		if spec.Name == "" {

@@ -82,7 +82,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				Error: "deadline expired before the compile started"})
 			continue
 		}
-		spec, err := s.resolveSpec(b.Jobs[i])
+		spec, err := toSpec(b.Jobs[i], s.workloads)
 		if err != nil {
 			finish(BatchItem{Index: i, Status: http.StatusBadRequest, Error: errString(err)})
 			continue

@@ -82,7 +82,7 @@ func TestResponseMemoSharedByHits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, err := s.resolveSpec(CompileRequest{Graph: g})
+		spec, err := toSpec(CompileRequest{Graph: g}, s.workloads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,13 +133,14 @@ func TestResponseMemoSharedByHits(t *testing.T) {
 }
 
 // TestSpecCacheSharesGraphs: a repeated workload spec resolves to the
-// same *dfg.Graph, and spec churn stays within the cache's bound.
+// same *dfg.Graph, and spec churn stays within the store's bound of 512
+// entries.
 func TestSpecCacheSharesGraphs(t *testing.T) {
 	s := newServer(Options{}, false)
 	defer s.Drain(context.Background())
 	resolve := func(workload string) *dfg.Graph {
 		t.Helper()
-		spec, err := s.resolveSpec(CompileRequest{Workload: workload})
+		spec, err := toSpec(CompileRequest{Workload: workload}, s.workloads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,10 +149,13 @@ func TestSpecCacheSharesGraphs(t *testing.T) {
 	if resolve("3dft") != resolve("3dft") {
 		t.Fatal("a repeated workload spec generated a second graph")
 	}
+	if st := s.workloads.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("after one spec twice: %+v, want one miss, one hit and one entry", st)
+	}
 	for i := 0; i < 600; i++ {
 		resolve(fmt.Sprintf("random:seed=%d,n=8", i))
 	}
-	if n := s.specs.Len(); n > maxSpecCacheEntries {
-		t.Fatalf("%d specs resident after 600 distinct ones, bound %d", n, maxSpecCacheEntries)
+	if n := s.workloads.Stats().Entries; n > 512 {
+		t.Fatalf("%d specs resident after 600 distinct ones, bound 512", n)
 	}
 }

@@ -46,12 +46,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mpsched/internal/dfg"
 	"mpsched/internal/faults"
 	"mpsched/internal/obs"
 	"mpsched/internal/pipeline"
 	"mpsched/internal/resilience"
-	"mpsched/internal/store"
 	"mpsched/internal/wire"
 )
 
@@ -192,13 +190,13 @@ type Server struct {
 	// envelope gets deterministic per-job 429s instead of an envelope
 	// failure (see batch.go).
 	batchSem chan struct{}
-	// specs caches workload-spec graphs so a storm of "random:seed=1,n=64"
-	// requests generates (and fingerprints) the graph once, not per
-	// request. Graphs are immutable after construction and their lazy
-	// attribute caches are goroutine-safe, so sharing one *Graph across
-	// concurrent compiles is sound — and makes the pipeline's result
-	// cache hit without re-hashing.
-	specs *store.Memory[*dfg.Graph]
+	// workloads resolves workload specs only, so a storm of
+	// "random:seed=1,n=64" requests generates (and fingerprints) the graph
+	// once, not per request. Graphs are immutable after construction and
+	// their lazy attribute caches are goroutine-safe, so sharing one
+	// *Graph across concurrent compiles is sound — and makes the
+	// pipeline's result cache hit without re-hashing.
+	workloads *wire.GraphStore
 	// resps memoises the schedule-derived slice of CompileResponse per
 	// cached result (see toResponse): every result-cache hit gets a fresh
 	// schedule copy, but the copies share the cached entry's slices, and
@@ -244,7 +242,7 @@ func newServer(opts Options, startWorkers bool) *Server {
 		store:     newJobStore(opts.MaxStoredJobs),
 		queue:     make(chan *asyncJob, opts.QueueDepth),
 		batchSem:  make(chan struct{}, opts.QueueDepth),
-		specs:     store.NewMemory[*dfg.Graph](maxSpecCacheEntries, 1),
+		workloads: wire.NewGraphStore(),
 		drainCh:   make(chan struct{}),
 		drainDone: make(chan struct{}),
 	}
@@ -568,30 +566,10 @@ func (s *Server) decodeCompile(w http.ResponseWriter, r *http.Request, tr *obs.T
 		s.writeExpired(w, req.Deadline)
 		return spec, 0, false
 	}
-	spec, err := s.resolveSpec(req)
+	spec, err := toSpec(req, s.workloads)
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, err)
 		return spec, 0, false
 	}
 	return spec, req.Deadline, true
 }
-
-// resolveSpec is toSpec with the workload-spec cache in front: a storm of
-// identical specs generates the graph once and shares it, which also
-// keys the compiler's result cache to one fingerprint computation.
-func (s *Server) resolveSpec(req CompileRequest) (pipeline.Spec, error) {
-	var cached *dfg.Graph
-	if req.Workload != "" {
-		cached, _ = s.specs.Get(req.Workload)
-	}
-	spec, err := toSpec(req, cached)
-	if err == nil && req.Workload != "" && cached == nil {
-		s.specs.Put(req.Workload, spec.Graph)
-	}
-	return spec, err
-}
-
-// maxSpecCacheEntries bounds Server.specs; specs are short strings and
-// graphs are shared anyway, so the bound is about hostile spec churn,
-// not memory from legitimate use.
-const maxSpecCacheEntries = 512

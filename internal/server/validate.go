@@ -33,6 +33,11 @@ var stopStages = map[string]pipeline.Stage{
 	"schedule": pipeline.StageSchedule,
 }
 
+// maxSpans bounds a request's span sweep, since each span costs a census,
+// a selection and a schedule. It covers the five span limits of the
+// paper's Table 5 with room to spare.
+const maxSpans = 16
+
 // ValidateRequest checks everything about a decoded request that can be
 // checked without touching a graph, returning a *FieldError naming the
 // first offending field. The daemon calls it in toSpec and the router
@@ -87,6 +92,9 @@ func ValidateRequest(r CompileRequest) error {
 	stop, ok := stopStages[r.StopAfter]
 	if !ok {
 		return fieldErrf("stop_after", "unknown stage %q (want census, select or schedule)", r.StopAfter)
+	}
+	if len(r.Spans) > maxSpans {
+		return fieldErrf("spans", "%d spans > %d, the most one request may sweep", len(r.Spans), maxSpans)
 	}
 	for _, s := range r.Spans {
 		if s < -1 {

@@ -40,6 +40,8 @@ func TestValidateCompileRequest(t *testing.T) {
 		{"stop parse rejected", CompileRequest{Workload: "3dft", StopAfter: "parse"}, "stop_after"},
 		{"spans ok", CompileRequest{Workload: "3dft", Spans: []int{0, 1, 2}}, ""},
 		{"bad span value", CompileRequest{Workload: "3dft", Spans: []int{0, -2}}, "spans"},
+		{"most spans ok", CompileRequest{Workload: "3dft", Spans: make([]int, maxSpans)}, ""},
+		{"too many spans", CompileRequest{Workload: "3dft", Spans: make([]int, maxSpans+1)}, "spans"},
 		{"spans with stop select", CompileRequest{Workload: "3dft", Spans: []int{0, 1}, StopAfter: "select"}, "spans"},
 		{"spans with stop census", CompileRequest{Workload: "3dft", Spans: []int{0, 1}, StopAfter: "census"}, "spans"},
 		{"spans with stop schedule", CompileRequest{Workload: "3dft", Spans: []int{0, 1}, StopAfter: "schedule"}, ""},

@@ -12,7 +12,10 @@ import (
 	"sync"
 )
 
-// Disk segment layout (reusing internal/wire's framing conventions):
+// Disk segment layout (uvarint lengths, as internal/frame writes them;
+// the scan reads them with its own loop, since it stops at the first
+// tear and keeps the valid prefix, which a sticky frame reader does not
+// model):
 //
 //	header  "MPD" version(1)
 //	entry   uvarint(len key) | key | uvarint(len val) | val | crc32-LE

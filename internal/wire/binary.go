@@ -2,22 +2,22 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
-	"unicode/utf8"
 
 	"mpsched/internal/dfg"
+	"mpsched/internal/frame"
 )
 
 // binaryCodec is the compact wire format ("application/x-mpsched-bin").
-// Every message is a magic-tagged frame; all integers are varints
-// (unsigned unless the field can be negative), strings are a uvarint
-// length followed by raw bytes, floats are 8-byte little-endian IEEE
-// 754. Graphs travel in the dfg binary framing (internal/dfg/binary.go)
+// Every message is a magic-tagged frame of internal/frame's primitives:
+// integers are varints (unsigned unless the field can be negative),
+// strings are length-prefixed UTF-8, floats are 8-byte little-endian
+// IEEE 754. Graphs travel in the dfg binary framing (internal/dfg/binary.go)
 // with its interned color tables. Encoders append into sync.Pool-backed
 // buffers and issue one Write per message, and decoders read each body
 // whole into the same pool, so on a hot client or server the wire
@@ -35,9 +35,10 @@ import (
 //	          result flag byte, [response frame])
 //
 // A batch response stream is just consecutive item frames until EOF.
-// Decoding is hostile-input safe: counts are bounded by the remaining
-// payload before any allocation, unknown flag bits are rejected, and
-// embedded graphs go through the dfg binary decoder's full validation.
+// Decoding is hostile-input safe: the frame reader bounds counts by the
+// remaining payload before any allocation, unknown flag bits are
+// rejected, and embedded graphs go through the dfg binary decoder's full
+// validation.
 type binaryCodec struct{}
 
 // Frame magics and the shared format version.
@@ -150,12 +151,12 @@ func (binaryCodec) decodeRequest(r io.Reader, req *CompileRequest, gs *GraphStor
 		return err
 	}
 	defer putBuf(bp)
-	rd := reader{buf: *bp}
+	rd := frame.NewReader(*bp, ErrFormat)
 	graphs, texts := newMemos(gs, false)
 	if err := decodeRequest(&rd, req, graphs, texts); err != nil {
 		return err
 	}
-	return rd.expectEOF()
+	return rd.End()
 }
 
 func (binaryCodec) EncodeResponse(w io.Writer, resp *CompileResponse) error {
@@ -173,11 +174,11 @@ func (binaryCodec) DecodeResponse(r io.Reader, resp *CompileResponse) error {
 		return err
 	}
 	defer putBuf(bp)
-	rd := reader{buf: *bp}
+	rd := frame.NewReader(*bp, ErrFormat)
 	if err := decodeResponse(&rd, resp); err != nil {
 		return err
 	}
-	return rd.expectEOF()
+	return rd.End()
 }
 
 func (binaryCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
@@ -196,8 +197,7 @@ func (binaryCodec) EncodeBatch(w io.Writer, b *BatchRequest) error {
 	for i := range b.Jobs {
 		start := len(frames)
 		frames = appendRequest(frames, &b.Jobs[i], graphs)
-		buf = binary.AppendUvarint(buf, uint64(len(frames)-start))
-		buf = append(buf, frames[start:]...)
+		buf = frame.AppendBytes(buf, frames[start:])
 	}
 	*sub, *bp = frames, buf
 	_, err := w.Write(buf)
@@ -220,36 +220,36 @@ func (binaryCodec) decodeBatch(r io.Reader, b *BatchRequest, gs *GraphStore) err
 // decodeBatch decodes the batch envelope in data into b, resolving its
 // inline graphs through gs.
 func decodeBatch(data []byte, b *BatchRequest, gs *GraphStore) error {
-	rd := reader{buf: data}
-	if got := string(rd.take(len(batchMagic))); got != batchMagic && rd.err == nil {
+	rd := frame.NewReader(data, ErrFormat)
+	if got := string(rd.Take(len(batchMagic))); got != batchMagic && rd.Err() == nil {
 		return fmt.Errorf("%w: bad batch magic", ErrFormat)
 	}
-	if v := rd.byte(); v != binaryVersion && rd.err == nil {
+	if v := rd.Byte(); v != binaryVersion && rd.Err() == nil {
 		return fmt.Errorf("%w: unknown batch version %d", ErrFormat, v)
 	}
-	n := rd.count()
-	if rd.err != nil {
-		return rd.err
+	n := rd.Count()
+	if rd.Err() != nil {
+		return rd.Err()
 	}
 	jobs := make([]CompileRequest, 0, n)
 	graphs, texts := newMemos(gs, true)
 	for i := 0; i < n; i++ {
-		frame := rd.bytes()
-		if rd.err != nil {
-			return rd.err
+		job := rd.Bytes()
+		if rd.Err() != nil {
+			return rd.Err()
 		}
-		sub := reader{buf: frame}
+		sub := frame.NewReader(job, ErrFormat)
 		var req CompileRequest
 		err := decodeRequest(&sub, &req, graphs, texts)
 		if err == nil {
-			err = sub.expectEOF()
+			err = sub.End()
 		}
 		if err != nil {
 			return fmt.Errorf("batch job %d: %w", i, err)
 		}
 		jobs = append(jobs, req)
 	}
-	if err := rd.expectEOF(); err != nil {
+	if err := rd.End(); err != nil {
 		return err
 	}
 	b.Jobs = jobs
@@ -279,23 +279,26 @@ func (iw *binItemWriter) WriteItem(it *BatchItem) error {
 	sub := getBuf()
 	defer putBuf(sub)
 
-	frame := binary.AppendVarint((*sub)[:0], int64(it.Index))
-	frame = binary.AppendUvarint(frame, uint64(it.Status))
-	frame = appendWireString(frame, it.Error)
+	item := binary.AppendVarint((*sub)[:0], int64(it.Index))
+	item = binary.AppendUvarint(item, uint64(it.Status))
+	item = frame.AppendString(item, it.Error)
 	if it.Result != nil {
-		frame = append(frame, 1)
-		frame = appendResponse(frame, it.Result)
+		item = append(item, 1)
+		item = appendResponse(item, it.Result)
 	} else {
-		frame = append(frame, 0)
+		item = append(item, 0)
 	}
-	*sub = frame
+	*sub = item
 
-	buf := binary.AppendUvarint((*bp)[:0], uint64(len(frame)))
-	buf = append(buf, frame...)
+	buf := frame.AppendBytes((*bp)[:0], item)
 	*bp = buf
 	_, err := iw.w.Write(buf)
 	return err
 }
+
+// errUvarintOverflow is the error binary.ReadUvarint returns, unexported,
+// for a uvarint longer than 64 bits.
+var _, errUvarintOverflow = binary.ReadUvarint(bytes.NewReader(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)))
 
 // binItemReader reads item frames into one buffer, reused across the
 // items of a stream: decodeResponse copies what it keeps. Once the
@@ -322,11 +325,13 @@ func (ir *binItemReader) ReadItem(it *BatchItem) error {
 
 func (ir *binItemReader) readItem(it *BatchItem) error {
 	n, err := binary.ReadUvarint(ir.r)
-	if err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("%w: truncated item frame length", ErrFormat)
-		}
-		return err // io.EOF: clean end of stream
+	switch {
+	case err == io.ErrUnexpectedEOF:
+		return fmt.Errorf("%w: truncated item frame length", ErrFormat)
+	case err == errUvarintOverflow:
+		return fmt.Errorf("%w: item frame length overflows 64 bits", ErrFormat)
+	case err != nil:
+		return err // io.EOF: clean end of stream; else the stream's read error
 	}
 	if n > maxStreamFrame {
 		return fmt.Errorf("%w: item frame of %d bytes exceeds the %d limit", ErrFormat, n, maxStreamFrame)
@@ -334,17 +339,17 @@ func (ir *binItemReader) readItem(it *BatchItem) error {
 	if uint64(cap(ir.frame)) < n {
 		ir.frame = make([]byte, n)
 	}
-	frame := ir.frame[:n]
-	if _, err := io.ReadFull(ir.r, frame); err != nil {
+	item := ir.frame[:n]
+	if _, err := io.ReadFull(ir.r, item); err != nil {
 		return fmt.Errorf("%w: truncated item frame", ErrFormat)
 	}
-	rd := reader{buf: frame}
+	rd := frame.NewReader(item, ErrFormat)
 	*it = BatchItem{
-		Index:  int(rd.varint()),
-		Status: int(rd.uvarint()),
-		Error:  rd.string(),
+		Index:  int(rd.Varint()),
+		Status: int(rd.Uvarint()),
+		Error:  rd.String(),
 	}
-	switch rd.byte() {
+	switch rd.Byte() {
 	case 0:
 	case 1:
 		var resp CompileResponse
@@ -353,14 +358,11 @@ func (ir *binItemReader) readItem(it *BatchItem) error {
 		}
 		it.Result = &resp
 	default:
-		if rd.err == nil {
+		if rd.Err() == nil {
 			return fmt.Errorf("%w: bad item result flag", ErrFormat)
 		}
 	}
-	if rd.err != nil {
-		return rd.err
-	}
-	return rd.expectEOF()
+	return rd.End()
 }
 
 // ---- request framing ----
@@ -396,20 +398,19 @@ func appendRequest(buf []byte, req *CompileRequest, graphs map[*dfg.Graph][]byte
 		flags |= reqHasDeadline
 	}
 	buf = append(buf, flags)
-	buf = appendWireString(buf, req.Name)
-	buf = appendWireString(buf, req.Workload)
-	buf = appendWireString(buf, req.StopAfter)
+	buf = frame.AppendString(buf, req.Name)
+	buf = frame.AppendString(buf, req.Workload)
+	buf = frame.AppendString(buf, req.StopAfter)
 	if flags&reqHasDFG != 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(req.DFG)))
-		buf = append(buf, req.DFG...)
+		buf = frame.AppendBytes(buf, req.DFG)
 	}
 	if flags&reqHasGraph != 0 {
 		// Length-prefix the embedded dfg frame so the request decoder can
 		// delegate to the graph decoder with exact bounds.
 		mark := len(buf)
 		buf = append(buf, 0, 0, 0, 0) // room for a 4-byte fixed prefix
-		if frame, ok := graphs[req.Graph]; ok {
-			buf = append(buf, frame...)
+		if enc, ok := graphs[req.Graph]; ok {
+			buf = append(buf, enc...)
 		} else {
 			buf = req.Graph.AppendBinary(buf)
 			if graphs != nil {
@@ -422,23 +423,20 @@ func appendRequest(buf []byte, req *CompileRequest, graphs map[*dfg.Graph][]byte
 		buf = binary.AppendVarint(buf, int64(c.C))
 		buf = binary.AppendVarint(buf, int64(c.Pdef))
 		buf = binary.AppendVarint(buf, int64(c.Span))
-		buf = appendFloat(buf, c.Epsilon)
-		buf = appendFloat(buf, c.Alpha)
+		buf = frame.AppendFloat64(buf, c.Epsilon)
+		buf = frame.AppendFloat64(buf, c.Alpha)
 	}
 	if c := req.Sched; c != nil {
-		buf = appendWireString(buf, c.Priority)
-		buf = appendWireString(buf, c.Tie)
+		buf = frame.AppendString(buf, c.Priority)
+		buf = frame.AppendString(buf, c.Tie)
 		buf = binary.AppendVarint(buf, c.Seed)
 		buf = binary.AppendVarint(buf, c.SwitchPenalty)
 	}
 	if flags&reqHasSpans != 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(req.Spans)))
-		for _, s := range req.Spans {
-			buf = binary.AppendVarint(buf, int64(s))
-		}
+		buf = frame.AppendInts(buf, req.Spans)
 	}
 	if flags&reqHasTrace != 0 {
-		buf = appendWireString(buf, req.TraceID)
+		buf = frame.AppendString(buf, req.TraceID)
 	}
 	if flags&reqHasDeadline != 0 {
 		buf = binary.AppendUvarint(buf, uint64(req.Deadline))
@@ -451,71 +449,65 @@ func appendRequest(buf []byte, req *CompileRequest, graphs map[*dfg.Graph][]byte
 // the request's own fault (graphErr), and the rest of it still decodes.
 // Inline graphs decode through the request's or the envelope's memos,
 // graphs for the dfg binary framing and texts for dfg JSON.
-func decodeRequest(rd *reader, req *CompileRequest, graphs, texts graphMemo) error {
-	if got := string(rd.take(len(requestMagic))); got != requestMagic && rd.err == nil {
+func decodeRequest(rd *frame.Reader, req *CompileRequest, graphs, texts graphMemo) error {
+	if got := string(rd.Take(len(requestMagic))); got != requestMagic && rd.Err() == nil {
 		return fmt.Errorf("%w: bad request magic", ErrFormat)
 	}
-	if v := rd.byte(); v != binaryVersion && rd.err == nil {
+	if v := rd.Byte(); v != binaryVersion && rd.Err() == nil {
 		return fmt.Errorf("%w: unknown request version %d", ErrFormat, v)
 	}
-	flags := rd.byte()
-	if rd.err == nil && flags&^byte(reqFlagsMask) != 0 {
+	flags := rd.Byte()
+	if rd.Err() == nil && flags&^byte(reqFlagsMask) != 0 {
 		return fmt.Errorf("%w: unknown request flags %#x", ErrFormat, flags)
 	}
 	*req = CompileRequest{
-		Name:      rd.string(),
-		Workload:  rd.string(),
-		StopAfter: rd.string(),
+		Name:      rd.String(),
+		Workload:  rd.String(),
+		StopAfter: rd.String(),
 	}
 	var dfgJSON []byte
 	if flags&reqHasDFG != 0 {
-		dfgJSON = rd.bytes()
+		dfgJSON = rd.Bytes()
 	}
 	if flags&reqHasGraph != 0 {
-		n := int(rd.u32())
-		if rd.err == nil && n > len(rd.buf)-rd.off {
-			return fmt.Errorf("%w: graph length %d exceeds %d remaining bytes", ErrFormat, n, len(rd.buf)-rd.off)
+		n := int(rd.U32())
+		if rd.Err() == nil && n > rd.Remaining() {
+			return fmt.Errorf("%w: graph length %d exceeds %d remaining bytes", ErrFormat, n, rd.Remaining())
 		}
-		frame := rd.take(n)
-		if rd.err != nil {
-			return rd.err
+		raw := rd.Take(n)
+		if rd.Err() != nil {
+			return rd.Err()
 		}
-		req.Graph, req.graphErr = graphs.decode(frame)
+		req.Graph, req.graphErr = graphs.decode(raw)
 	}
 	req.decodeDFG(dfgJSON, texts)
 	if flags&reqHasSelect != 0 {
 		req.Select = &SelectConfig{
-			C:       int(rd.varint()),
-			Pdef:    int(rd.varint()),
-			Span:    int(rd.varint()),
-			Epsilon: rd.float(),
-			Alpha:   rd.float(),
+			C:       int(rd.Varint()),
+			Pdef:    int(rd.Varint()),
+			Span:    int(rd.Varint()),
+			Epsilon: rd.Float64(),
+			Alpha:   rd.Float64(),
 		}
 	}
 	if flags&reqHasSched != 0 {
 		req.Sched = &SchedConfig{
-			Priority:      rd.string(),
-			Tie:           rd.string(),
-			Seed:          rd.varint(),
-			SwitchPenalty: rd.varint(),
+			Priority:      rd.String(),
+			Tie:           rd.String(),
+			Seed:          rd.Varint(),
+			SwitchPenalty: rd.Varint(),
 		}
 	}
 	if flags&reqHasSpans != 0 {
-		n := rd.count()
-		if rd.err == nil && n > 0 {
-			req.Spans = make([]int, 0, n)
-			for i := 0; i < n && rd.err == nil; i++ {
-				req.Spans = append(req.Spans, int(rd.varint()))
-			}
-		}
+		req.Spans = rd.Ints()
 	}
 	if flags&reqHasTrace != 0 {
-		req.TraceID = rd.string()
+		req.TraceID = rd.String()
 	}
 	if flags&reqHasDeadline != 0 {
-		req.Deadline = time.Duration(rd.uvarint())
+		req.Deadline = time.Duration(rd.Uvarint())
 	}
-	return rd.err
+	return rd.Err()
 }
 
 // ---- response framing ----
@@ -537,17 +529,17 @@ func appendResponse(buf []byte, resp *CompileResponse) []byte {
 		flags |= respHasTrace
 	}
 	buf = append(buf, flags)
-	buf = appendWireString(buf, resp.Name)
+	buf = frame.AppendString(buf, resp.Name)
 	buf = binary.AppendUvarint(buf, uint64(resp.Nodes))
 	buf = binary.AppendUvarint(buf, uint64(resp.EdgesCount))
-	buf = appendStrings(buf, resp.Patterns)
+	buf = frame.AppendStrings(buf, resp.Patterns)
 	buf = binary.AppendUvarint(buf, uint64(resp.Cycles))
 	buf = binary.AppendUvarint(buf, uint64(resp.LowerBound))
-	buf = appendFloat(buf, resp.Utilization)
-	buf = appendInts(buf, resp.CycleOf)
-	buf = appendInts(buf, resp.PatternOf)
-	buf = appendStrings(buf, resp.SchedulerPatterns)
-	buf = appendWireString(buf, resp.StopAfter)
+	buf = frame.AppendFloat64(buf, resp.Utilization)
+	buf = frame.AppendInts(buf, resp.CycleOf)
+	buf = frame.AppendInts(buf, resp.PatternOf)
+	buf = frame.AppendStrings(buf, resp.SchedulerPatterns)
+	buf = frame.AppendString(buf, resp.StopAfter)
 	buf = binary.AppendVarint(buf, int64(resp.Span))
 	if c := resp.Census; c != nil {
 		buf = binary.AppendVarint(buf, int64(c.Antichains))
@@ -556,233 +548,62 @@ func appendResponse(buf []byte, resp *CompileResponse) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(resp.Stages)))
 	for _, st := range resp.Stages {
-		buf = appendWireString(buf, st.Stage)
-		buf = appendFloat(buf, st.MS)
+		buf = frame.AppendString(buf, st.Stage)
+		buf = frame.AppendFloat64(buf, st.MS)
 	}
-	buf = appendFloat(buf, resp.ElapsedMS)
+	buf = frame.AppendFloat64(buf, resp.ElapsedMS)
 	if flags&respHasTrace != 0 {
-		buf = appendWireString(buf, resp.TraceID)
+		buf = frame.AppendString(buf, resp.TraceID)
 	}
 	return buf
 }
 
-func decodeResponse(rd *reader, resp *CompileResponse) error {
-	if got := string(rd.take(len(responseMagic))); got != responseMagic && rd.err == nil {
+func decodeResponse(rd *frame.Reader, resp *CompileResponse) error {
+	if got := string(rd.Take(len(responseMagic))); got != responseMagic && rd.Err() == nil {
 		return fmt.Errorf("%w: bad response magic", ErrFormat)
 	}
-	if v := rd.byte(); v != binaryVersion && rd.err == nil {
+	if v := rd.Byte(); v != binaryVersion && rd.Err() == nil {
 		return fmt.Errorf("%w: unknown response version %d", ErrFormat, v)
 	}
-	flags := rd.byte()
-	if rd.err == nil && flags&^byte(respFlagsMask) != 0 {
+	flags := rd.Byte()
+	if rd.Err() == nil && flags&^byte(respFlagsMask) != 0 {
 		return fmt.Errorf("%w: unknown response flags %#x", ErrFormat, flags)
 	}
 	*resp = CompileResponse{
 		SweptSpans:        flags&respSweptSpans != 0,
 		CacheHit:          flags&respCacheHit != 0,
-		Name:              rd.string(),
-		Nodes:             int(rd.uvarint()),
-		EdgesCount:        int(rd.uvarint()),
-		Patterns:          rd.strings(),
-		Cycles:            int(rd.uvarint()),
-		LowerBound:        int(rd.uvarint()),
-		Utilization:       rd.float(),
-		CycleOf:           rd.ints(),
-		PatternOf:         rd.ints(),
-		SchedulerPatterns: rd.strings(),
-		StopAfter:         rd.string(),
-		Span:              int(rd.varint()),
+		Name:              rd.String(),
+		Nodes:             int(rd.Uvarint()),
+		EdgesCount:        int(rd.Uvarint()),
+		Patterns:          rd.Strings(),
+		Cycles:            int(rd.Uvarint()),
+		LowerBound:        int(rd.Uvarint()),
+		Utilization:       rd.Float64(),
+		CycleOf:           rd.Ints(),
+		PatternOf:         rd.Ints(),
+		SchedulerPatterns: rd.Strings(),
+		StopAfter:         rd.String(),
+		Span:              int(rd.Varint()),
 	}
 	if flags&respHasCensus != 0 {
 		resp.Census = &CensusResponse{
-			Antichains: int(rd.varint()),
-			Classes:    int(rd.varint()),
-			Span:       int(rd.varint()),
+			Antichains: int(rd.Varint()),
+			Classes:    int(rd.Varint()),
+			Span:       int(rd.Varint()),
 		}
 	}
-	if n := rd.count(); rd.err == nil && n > 0 {
+	if n := rd.Count(); rd.Err() == nil && n > 0 {
 		resp.Stages = make([]StageTimingResponse, 0, n)
-		for i := 0; i < n && rd.err == nil; i++ {
+		for i := 0; i < n && rd.Err() == nil; i++ {
 			resp.Stages = append(resp.Stages, StageTimingResponse{
-				Stage: rd.string(),
-				MS:    rd.float(),
+				Stage: rd.String(),
+				MS:    rd.Float64(),
 			})
 		}
 	}
-	resp.ElapsedMS = rd.float()
+	resp.ElapsedMS = rd.Float64()
 	if flags&respHasTrace != 0 {
-		resp.TraceID = rd.string()
+		resp.TraceID = rd.String()
 	}
-	return rd.err
-}
-
-// ---- primitives ----
-
-func appendWireString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendFloat(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
-func appendStrings(buf []byte, ss []string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(ss)))
-	for _, s := range ss {
-		buf = appendWireString(buf, s)
-	}
-	return buf
-}
-
-func appendInts(buf []byte, vs []int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(vs)))
-	for _, v := range vs {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	return buf
-}
-
-// reader is a cursor over one frame with sticky error handling, the same
-// shape as internal/dfg's binary reader: decode code reads fields
-// linearly and checks err at block boundaries. Counts that size
-// allocations are bounded by the remaining payload first, so hostile
-// headers cannot force large allocations.
-type reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated at byte %d", ErrFormat, r.off)
-	}
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) byte() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// count reads a uvarint that sizes an upcoming allocation, bounding it
-// by the remaining input: every counted element occupies at least one
-// byte, so a larger count is hostile framing.
-func (r *reader) count() int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.buf)-r.off) {
-		r.err = fmt.Errorf("%w: count %d exceeds %d remaining bytes", ErrFormat, v, len(r.buf)-r.off)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) float() float64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (r *reader) string() string {
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	b := r.take(n)
-	if r.err == nil && !utf8.Valid(b) {
-		r.err = fmt.Errorf("%w: invalid UTF-8 in string at byte %d", ErrFormat, r.off)
-		return ""
-	}
-	return string(b)
-}
-
-// bytes reads a uvarint-length-prefixed byte run without copying.
-func (r *reader) bytes() []byte {
-	return r.take(r.count())
-}
-
-func (r *reader) strings() []string {
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.string())
-	}
-	return out
-}
-
-func (r *reader) ints() []int {
-	n := r.count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, int(r.varint()))
-	}
-	return out
-}
-
-func (r *reader) expectEOF() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(r.buf)-r.off)
-	}
-	return nil
+	return rd.Err()
 }

@@ -15,9 +15,10 @@ import (
 // graph through the caller's store, and a repeat costs one lookup and
 // comes back with the fingerprint the first request cached on it.
 //
-// The daemon passes no store, so its decode path and live heap are
-// unchanged; README "Fleet" gives the measurement that holds a
-// daemon-side store back.
+// The daemon keeps a store for workload specs only, and passes none to
+// ReadRequest or ReadBatch, so its inline graphs decode on every
+// request; README "Fleet" gives the measurement that holds a daemon-side
+// graph store back.
 
 // GraphStore is a bounded, concurrency-safe store of decoded graphs:
 // workload specs by their text and inline graphs by their exact wire

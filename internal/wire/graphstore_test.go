@@ -13,6 +13,7 @@ import (
 
 	"mpsched/internal/cliutil"
 	"mpsched/internal/dfg"
+	"mpsched/internal/frame"
 )
 
 // resolveBody reads body as a /v1/compile request in codec c through
@@ -131,7 +132,7 @@ func TestGraphStoreKeysOwnTheirBytes(t *testing.T) {
 	resolve := func(body []byte) *dfg.Graph {
 		t.Helper()
 		var req CompileRequest
-		rd := reader{buf: buf[:copy(buf, body)]}
+		rd := frame.NewReader(buf[:copy(buf, body)], ErrFormat)
 		graphs, texts := newMemos(gs, false)
 		if err := decodeRequest(&rd, &req, graphs, texts); err != nil || req.GraphErr() != nil {
 			t.Fatalf("decode: %v, graph: %v", err, req.GraphErr())

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"mpsched/internal/cliutil"
@@ -332,11 +333,106 @@ func TestBinaryItemStreamTruncation(t *testing.T) {
 		t.Fatalf("truncated frame: got %v, want ErrFormat", err)
 	}
 
-	// An absurd frame length must be rejected before allocation.
-	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
-	ir = Binary.NewItemReader(bytes.NewReader(huge))
-	if err := ir.ReadItem(&it); !errors.Is(err, ErrFormat) {
-		t.Fatalf("huge frame length: got %v, want ErrFormat", err)
+	// An absurd frame length must be rejected before allocation, and one
+	// that overflows a uvarint is as malformed.
+	for name, length := range map[string][]byte{
+		"huge frame length":       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"overflowing 10th byte":   {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		"uvarint of eleven bytes": bytes.Repeat([]byte{0xff}, 11),
+		"truncated frame length":  {0xff},
+	} {
+		ir = Binary.NewItemReader(bytes.NewReader(length))
+		if err := ir.ReadItem(&it); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: got %v, want ErrFormat", name, err)
+		}
+	}
+
+	// The end of the stream stays io.EOF, and a read error passes through.
+	if err := Binary.NewItemReader(bytes.NewReader(nil)).ReadItem(&it); err != io.EOF {
+		t.Errorf("empty stream: got %v, want io.EOF", err)
+	}
+	broken := errors.New("connection reset")
+	if err := Binary.NewItemReader(iotest.ErrReader(broken)).ReadItem(&it); err != broken {
+		t.Errorf("failing stream: got %v, want %v", err, broken)
+	}
+}
+
+// FuzzBinaryResponse: the binary response decoder and the item-stream
+// reader, which the router and the client read backend answers with,
+// never panic, and what they accept re-encodes to bytes that decode and
+// re-encode identically.
+func FuzzBinaryResponse(f *testing.F) {
+	bare := &CompileResponse{Name: "3dft", Nodes: 12, Cycles: 7, StopAfter: "census"}
+	for _, resp := range []*CompileResponse{sampleResponse(), bare} {
+		f.Add(encodeBinaryResponse(f, resp))
+	}
+	f.Add(encodeItems(f, []BatchItem{
+		{Index: 0, Status: 200, Result: sampleResponse()},
+		{Index: 3, Status: 400, Error: "select.pdef: -1 < 0"},
+		{Index: 1, Status: 200, Result: bare},
+		{Index: 2, Status: 429, Error: "batch capacity full (1 in flight); retry later"},
+	}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var resp CompileResponse
+		if Binary.DecodeResponse(bytes.NewReader(data), &resp) == nil {
+			enc := encodeBinaryResponse(t, &resp)
+			var again CompileResponse
+			if err := Binary.DecodeResponse(bytes.NewReader(enc), &again); err != nil {
+				t.Fatalf("decode a re-encoded response: %v", err)
+			}
+			if !bytes.Equal(encodeBinaryResponse(t, &again), enc) {
+				t.Fatal("a re-encoded response re-encodes differently")
+			}
+		}
+
+		items, _ := readItems(data)
+		if len(items) == 0 {
+			return
+		}
+		enc := encodeItems(t, items)
+		again, err := readItems(enc)
+		if err != io.EOF || len(again) != len(items) {
+			t.Fatalf("re-encoded stream: %d of %d items, then %v", len(again), len(items), err)
+		}
+		if !bytes.Equal(encodeItems(t, again), enc) {
+			t.Fatal("a re-encoded item stream re-encodes differently")
+		}
+	})
+}
+
+func encodeBinaryResponse(t testing.TB, resp *CompileResponse) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Binary.EncodeResponse(&buf, resp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func encodeItems(t testing.TB, items []BatchItem) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	iw := Binary.NewItemWriter(&buf)
+	for i := range items {
+		if err := iw.WriteItem(&items[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// readItems reads a binary item stream to its end, returning the items
+// read and the error that ended it.
+func readItems(stream []byte) ([]BatchItem, error) {
+	ir := Binary.NewItemReader(bytes.NewReader(stream))
+	var items []BatchItem
+	for {
+		var it BatchItem
+		if err := ir.ReadItem(&it); err != nil {
+			return items, err
+		}
+		items = append(items, it)
 	}
 }
 
